@@ -58,20 +58,12 @@ def cmd_schur_mul(args):
     left = M.from_json(obj["left"])
     right = M.from_json(obj["right"])
     if S.upper_shape(left) is not None:
-        res = (
-            S.e_mul_upper(left, right)
-            if args.basis == "e"
-            else S.n_mul_upper(left, right)
-        )
+        mul = S.e_mul_upper if args.basis == "e" else S.n_mul_upper
     elif S.lower_shape(left) is not None:
-        res = (
-            S.e_mul_lower(left, right)
-            if args.basis == "e"
-            else S.n_mul_lower(left, right)
-        )
+        mul = S.e_mul_lower if args.basis == "e" else S.n_mul_lower
     else:
         raise ValueError("left factor must be a one-layer-plus-diagonal label")
-    _emit(S.to_json(res), args.out)
+    _emit(S.to_json(mul(left, right)), args.out)
     return 0
 
 

@@ -7,9 +7,16 @@ with top the simple at vertex i.  The module M(A) has dimension vector d(A)
 and total dimension sigma of d(A).
 
 This module provides the homological Euler form, endomorphism dimensions,
-brute-force Hall numbers over small finite fields, and the closed-form
-product of a semisimple module with an arbitrary nilpotent module, in both
-the untwisted (polynomials in q) and twisted (Laurent in v) normalizations.
+brute-force Hall numbers over small finite fields, the closed-form product
+of a semisimple module with an arbitrary nilpotent module (polynomials in
+q), and ``twisted_route_b``, the twisted (Laurent in v) product obtained
+from those Hall polynomials.
+
+The closed form of the twisted product is not kept here: it is the
+weight-zero read-off of the level-free one-layer kernel,
+``realization.twisted_hall_product(alpha, A)``, the numerators of
+``mul_by_semisimple_plus(alpha, A(0))``.  It lives in ``realization``,
+which imports this module.
 """
 
 from dataclasses import dataclass
@@ -459,51 +466,6 @@ def qp_json(f):
 # closed-form semisimple products
 
 
-def _bounded_rows(total, caps):
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for t in range(min(caps[0], total) + 1):
-        for rest in _bounded_rows(total - t, caps[1:]):
-            yield (t,) + rest
-
-
-def _hall_T_set(A, alpha):
-    """Strictly upper T with ro(T) = alpha whose term can survive.
-
-    Cell (i, i+1) is unconstrained up to alpha_i; any other cell (i, j)
-    needs t_{i,j} <= a_{i+1,j} or the Gaussian at (i+1, j) vanishes.
-    """
-    n = A.n
-    rows = []
-    for i in range(1, n + 1):
-        cells = [(i + 1, alpha[i - 1])]
-        for j, a in M.row_support(A, i + 1):
-            if j != i + 1:
-                cells.append((j, min(alpha[i - 1], a)))
-        rows.append(cells)
-
-    def rec(i, acc):
-        if i > n:
-            yield M.pmat(n, acc)
-            return
-        cells = rows[i - 1]
-        for vals in _bounded_rows(alpha[i - 1], [cap for _, cap in cells]):
-            chosen = [(i, cells[k][0], t) for k, t in enumerate(vals) if t]
-            yield from rec(i + 1, acc + chosen)
-
-    yield from rec(1, [])
-
-
-def _gauss_cells(A, T):
-    """The (N, t) data of the nonunit Gaussian factors, per T cell."""
-    out = []
-    for i, j, t in T.entries:
-        out.append((A.entry(i, j) + t - T.entry(i - 1, j), t))
-    return out
-
-
 def _untwisted_exponent(A, T):
     """sum over i in [1,n], l < j of a_{i,j} t_{i,l} - t_{i,j} t_{i+1,l}."""
     total = 0
@@ -512,23 +474,6 @@ def _untwisted_exponent(A, T):
     for i, j, t in T.entries:
         total -= t * sum(tv for l, tv in M.row_support(T, i + 1) if l < j)
     return total
-
-
-def _twisted_exponent(A, T):
-    """The four-sum exponent of the twisted semisimple product."""
-    total = 0
-    for i, l, t in T.entries:
-        s = sum(a for j, a in M.row_support(A, i) if j >= l and j != i)
-        s -= sum(a for j, a in M.row_support(A, i + 1) if j > l and j != i + 1)
-        s -= sum(tv for j, tv in M.row_support(T, i - 1) if j >= l and j != i)
-        s += sum(tv for j, tv in M.row_support(T, i) if j > l and j != i and j != i + 1)
-        total += t * s
-    return total
-
-
-def _result_label(A, T):
-    upper_tilde = M.split(M.tilde(T))[0]
-    return M.madd(M.msub(A, upper_tilde), T)
 
 
 def semisimple_hall_product(alpha, A):
@@ -544,48 +489,19 @@ def semisimple_hall_product(alpha, A):
     if len(alpha) != A.n or any(x < 0 for x in alpha):
         raise ValueError("alpha must be a nonnegative vector of length n")
     out = {}
-    for T in _hall_T_set(A, alpha):
+    for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
         coeff = {0: 1}
-        for N, t in _gauss_cells(A, T):
-            coeff = qp_mul(coeff, gauss_q(N, t))
+        for i, j, t in T.entries:
+            coeff = qp_mul(coeff, gauss_q(A.entry(i, j) + t - T.entry(i - 1, j), t))
             if not coeff:
                 break
         if not coeff:
             continue
-        label = _result_label(A, T)
+        label = M.madd(M.msub(A, M.split(M.tilde(T))[0]), T)
         if not M.is_nonneg(label):
             continue
         acc = out.setdefault(label, {})
         qp_add_inplace(acc, qp_shift(coeff, _untwisted_exponent(A, T)))
-        if not acc:
-            del out[label]
-    return out
-
-
-def twisted_mul_semisimple(alpha, A):
-    """Closed form for the tilde-normalized product; Laurent coefficients.
-
-    >>> E = M.e_unit(1, 2, 2)
-    >>> twisted_mul_semisimple((1, 0), E) == {M.mscale(2, E): {1: 1, -1: 1}}
-    True
-    """
-    check_label(A)
-    if len(alpha) != A.n or any(x < 0 for x in alpha):
-        raise ValueError("alpha must be a nonnegative vector of length n")
-    out = {}
-    for T in _hall_T_set(A, alpha):
-        coeff = L.one()
-        for N, t in _gauss_cells(A, T):
-            coeff = L.mul(coeff, L.bar(L.gauss_sq(N, t)))
-            if not coeff:
-                break
-        if not coeff:
-            continue
-        label = _result_label(A, T)
-        if not M.is_nonneg(label):
-            continue
-        acc = out.setdefault(label, {})
-        L.add_inplace(acc, L.vshift(coeff, _twisted_exponent(A, T)))
         if not acc:
             del out[label]
     return out

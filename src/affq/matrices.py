@@ -8,11 +8,13 @@ formulas need that); predicates gate membership in the nonnegative cone and
 its upper/lower/zero-diagonal slices.
 
 Row sums, column sums, the total sigma, the row-shift tilde, the transpose,
-the +/0/- splitting, the exponent d_A of the normalized Schur basis, and the
-two partial orders all live here.
+the index negation, the +/0/- splitting, the exponent d_A of the normalized
+Schur basis, the corner-sum order, and the one enumerator of the
+auxiliary T matrices of the one-layer product rules all live here.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,17 @@ def tilde(A):
     return pmat(A.n, [(i + 1, j, a) for i, j, a in A.entries])
 
 
+def negate(A):
+    """Index negation (i, j) -> (-i, -j): an involution that swaps the
+    strictly upper and strictly lower parts, reindexes row and column sums
+    by i -> -i mod n, and preserves sigma and d_A.
+
+    >>> negate(pmat(2, [(1, 2, 3), (2, 2, 1)])).entries
+    ((1, 0, 3), (2, 2, 1))
+    """
+    return pmat(A.n, [(-i, -j, a) for i, j, a in A.entries])
+
+
 def sigma(A):
     """Sum of all fundamental-domain entries (the size of the matrix)."""
     return sum(a for _, _, a in A.entries)
@@ -181,12 +194,6 @@ def d_exponent(A):
     return total
 
 
-def leq_componentwise(alpha, beta):
-    if len(alpha) != len(beta):
-        raise ValueError("component count mismatch")
-    return all(x <= y for x, y in zip(alpha, beta))
-
-
 def corner_upper(A, i, j):
     """sum_{s <= i, t >= j} a_{s,t} (finite by periodicity)."""
     n = A.n
@@ -199,38 +206,32 @@ def corner_upper(A, i, j):
 
 
 def corner_lower(A, i, j):
-    """sum_{s >= i, t <= j} a_{s,t}."""
-    n = A.n
-    total = 0
-    for s0, t0, a in A.entries:
-        cnt = (j - t0) // n + (s0 - i) // n + 1
-        if cnt > 0:
-            total += a * cnt
-    return total
+    """sum_{s >= i, t <= j} a_{s,t}: the upper corner sum of negate(A) at
+    (-i, -j)."""
+    return corner_upper(negate(A), -i, -j)
 
 
-def preceq(A, B):
-    """The dominance-style order: A precedes B when every upper corner sum
-    (i < j) and every lower corner sum (i > j) of A is bounded by the same
-    sum of B.  By periodicity only one period of (i, j) pairs needs checking,
-    with the second index swept to the supports' reach."""
-    if A.n != B.n:
-        raise ValueError("period mismatch")
+def _upper_corners_leq(A, B):
+    """Every upper corner sum (i < j) of A is bounded by the same sum of B.
+    By periodicity only rows 1..n need checking, with the column swept to
+    the supports' reach."""
     n = A.n
     support = A.entries + B.entries
-    if not support:
-        return True
     for i in range(1, n + 1):
         jmax = max((t0 + n * ((i - s0) // n) for s0, t0, _ in support), default=i)
         for j in range(i + 1, jmax + 1):
             if corner_upper(A, i, j) > corner_upper(B, i, j):
                 return False
-    for j in range(1, n + 1):
-        imax = max((s0 + n * ((j - t0) // n) for s0, t0, _ in support), default=j)
-        for i in range(j + 1, imax + 1):
-            if corner_lower(A, i, j) > corner_lower(B, i, j):
-                return False
     return True
+
+
+def preceq(A, B):
+    """The dominance-style order: A precedes B when every upper corner sum
+    (i < j) and every lower corner sum (i > j) of A is bounded by the same
+    sum of B.  The lower sums are the upper sums of the negated matrices."""
+    if A.n != B.n:
+        raise ValueError("period mismatch")
+    return _upper_corners_leq(A, B) and _upper_corners_leq(negate(A), negate(B))
 
 
 def compositions_bounded(caps):
@@ -241,12 +242,70 @@ def compositions_bounded(caps):
     """
     if not all(c >= 0 for c in caps):
         raise ValueError("caps must be nonnegative")
+    yield from product(*(range(c + 1) for c in caps))
+
+
+def _bounded_rows(total, caps):
+    """All tuples 0 <= t_k <= caps[k] with sum equal to total."""
     if not caps:
-        yield ()
+        if total == 0:
+            yield ()
         return
-    for x in range(caps[0] + 1):
-        for rest in compositions_bounded(caps[1:]):
-            yield (x,) + rest
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    for t in range(min(caps[0], total) + 1):
+        for rest in _bounded_rows(total - t, caps[1:]):
+            yield (t,) + rest
+
+
+def capped_row_matrices(alpha, row_cells):
+    """Matrices T >= 0 with ro(T) = alpha supported on capped cells.
+
+    row_cells[i] lists (column, cap) pairs for fundamental row i+1; the
+    values of row 1 vary slowest, each row in the order of its cells.
+
+    >>> [T.entries for T in capped_row_matrices((1, 1), [[(2, 1), (3, 1)], [(2, 1)]])]
+    [((1, 3, 1), (2, 2, 1)), ((1, 2, 1), (2, 2, 1))]
+    """
+    n = len(alpha)
+    choices = []
+    for i in range(n):
+        cells = row_cells[i]
+        row_opts = []
+        for vals in _bounded_rows(alpha[i], [cap for _, cap in cells]):
+            row_opts.append([(i + 1, cells[k][0], t) for k, t in enumerate(vals) if t])
+        if not row_opts:
+            return
+        choices.append(row_opts)
+
+    def rec(i, acc):
+        if i == n:
+            yield pmat(n, acc)
+            return
+        for opt in choices[i]:
+            yield from rec(i + 1, acc + opt)
+
+    yield from rec(0, [])
+
+
+def one_layer_cells(A, alpha):
+    """The T cells of a left product by the superdiagonal layer alpha.
+
+    Row i has the free cell (i, i+1) capped by alpha_i, then every other
+    support cell (i, j) of row i+1 of A capped by min(alpha_i, a_{i+1,j}):
+    a larger t_{i,j} makes the Gaussian at (i+1, j) vanish.
+    """
+    rows = []
+    for i in range(1, A.n + 1):
+        cap = alpha[i - 1]
+        cells = [(i + 1, cap)]
+        for j, a in row_support(A, i + 1):
+            if j != i + 1:
+                cells.append((j, min(cap, a)))
+        rows.append(cells)
+    return rows
 
 
 def dot(a, b):
@@ -283,12 +342,7 @@ def from_json(obj):
 
 def compositions(n, r):
     """All vectors in N^n with component sum r, in lexicographic order."""
-    if n == 1:
-        yield (r,)
-        return
-    for head in range(r + 1):
-        for tail in compositions(n - 1, r - head):
-            yield (head,) + tail
+    return _bounded_rows(r, (r,) * n)
 
 
 def band_matrices(n, r, band):

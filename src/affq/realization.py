@@ -13,6 +13,18 @@ level, and the structural checks built from them.
 Coefficients are quotients of Laurent polynomials: the reduction step and
 the commutation coefficients introduce denominators, while every level
 evaluation clears them (asserted).
+
+Only the superdiagonal product ``mul_by_semisimple_plus`` has a closed
+formula here.  The subdiagonal product is its conjugate under the index
+negation (i, j) -> (-i, -j): with 0-based vertex indices p,
+``mul_by_semisimple_minus(alpha, x)`` equals
+``negate_element(mul_by_semisimple_plus(alpha', negate_element(x)))``
+where ``negate_element`` sends A(j) to (negate A)(j') with
+j'[-p-2 mod n] = j[p] (vertex p+1 goes to -(p+1)), and
+alpha'[-p-3 mod n] = alpha[p] (the cell (p+2, p+1) goes to the
+superdiagonal cell (-p-2, -p-1)).  The twisted Hall product of
+``hall`` is the weight-zero case of the plus product on strictly upper
+labels (``twisted_hall_product``).
 """
 
 from dataclasses import dataclass
@@ -251,6 +263,17 @@ def eval_at_level(x, r):
 # generator products
 
 
+def _mul_diag(x, jprime, sums):
+    """Shift every weight by jprime, scaling A(j) by v^(jprime . sums(A))."""
+    _check_weight(x.n, jprime)
+    out = {}
+    for (A, j), cf in x.terms.items():
+        expo = M.dot(tuple(jprime), sums(A))
+        key = (A, tuple(a + b for a, b in zip(jprime, j)))
+        _vacc(out, key, L.frac_scale(L.monomial(expo), cf))
+    return VElement(x.n, out)
+
+
 def mul_by_0j(jprime, x):
     """Left product by the diagonal generator: weight shift and v-power.
 
@@ -259,71 +282,17 @@ def mul_by_0j(jprime, x):
     >>> text(mul_by_0j((1, 0), v_basis(2, M.e_unit(1, 2, 2), (0, 0))))
     '(v)*[(1, 2, 1)](1, 0)'
     """
-    _check_weight(x.n, jprime)
-    out = {}
-    for (A, j), cf in x.terms.items():
-        expo = M.dot(tuple(jprime), M.ro(A))
-        key = (A, tuple(a + b for a, b in zip(jprime, j)))
-        _vacc(out, key, L.frac_scale(L.monomial(expo), cf))
-    return VElement(x.n, out)
+    return _mul_diag(x, jprime, M.ro)
 
 
 def mul_0j_right(x, jprime):
     """Right product by the diagonal generator (column sums replace rows)."""
-    _check_weight(x.n, jprime)
-    out = {}
-    for (A, j), cf in x.terms.items():
-        expo = M.dot(tuple(jprime), M.co(A))
-        key = (A, tuple(a + b for a, b in zip(jprime, j)))
-        _vacc(out, key, L.frac_scale(L.monomial(expo), cf))
-    return VElement(x.n, out)
+    return _mul_diag(x, jprime, M.co)
 
 
 def _check_alpha(alpha, n):
     if len(alpha) != n or any(c < 0 for c in alpha):
         raise ValueError("alpha must be a nonnegative vector of length n")
-
-
-def _bounded_rows(total, caps):
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for t in range(min(caps[0], total) + 1):
-        for rest in _bounded_rows(total - t, caps[1:]):
-            yield (t,) + rest
-
-
-def _t_candidates(A, alpha, plus):
-    """Matrices T with row sums alpha whose product term can survive.
-
-    Nonvanishing forces t_{i,j} <= a_{i+1,j} (plus case) or
-    t_{i,j} <= a_{i,j} (minus case) on every cell except one free cell
-    per row: the superdiagonal cell in the plus case, the diagonal cell
-    in the minus case.
-    """
-    n = A.n
-    rows = []
-    for i in range(1, n + 1):
-        cap = alpha[i - 1]
-        cells = [(i + 1, cap)] if plus else [(i, cap)]
-        support = M.row_support(A, i + 1) if plus else M.row_support(A, i)
-        skip = i + 1 if plus else i
-        for jj, a in support:
-            if jj != skip:
-                cells.append((jj, min(cap, a)))
-        rows.append(cells)
-
-    def rec(i, acc):
-        if i > n:
-            yield M.pmat(n, acc)
-            return
-        cells = rows[i - 1]
-        for vals in _bounded_rows(alpha[i - 1], [c for _, c in cells]):
-            chosen = [(i, cells[k][0], t) for k, t in enumerate(vals) if t]
-            yield from rec(i + 1, acc + chosen)
-
-    yield from rec(1, [])
 
 
 def _coeff_plus(A, T):
@@ -332,18 +301,6 @@ def _coeff_plus(A, T):
         if jj == i:
             continue
         N = A.entry(i, jj) + t - T.entry(i - 1, jj)
-        out = L.mul(out, L.bar(L.gauss_sq(N, t)))
-        if not out:
-            break
-    return out
-
-
-def _coeff_minus(A, T):
-    out = L.one()
-    for k, jj, t in T.entries:
-        if jj == k + 1:
-            continue
-        N = A.entry(k + 1, jj) - T.entry(k + 1, jj) + t
         out = L.mul(out, L.bar(L.gauss_sq(N, t)))
         if not out:
             break
@@ -365,25 +322,6 @@ def _f_plus(A, T, j):
     return total
 
 
-def _f_minus(A, T, j):
-    total = 0
-    for k, l, t in T.entries:
-        # t plays t_{i-1,l} in the first double sum (i = k + 1)
-        total += t * sum(a for jj, a in M.row_support(A, k + 1) if jj <= l and jj != k + 1)
-    for i, l, t in T.entries:
-        s = -sum(a for jj, a in M.row_support(A, i) if jj < l and jj != i)
-        if l != i:
-            s -= sum(tv for jj, tv in M.row_support(T, i - 1) if jj >= l)
-            if l != i + 1:
-                s += sum(tv for jj, tv in M.row_support(T, i) if jj > l)
-        total += t * s
-        if l > i:
-            total += t * T.entry(i - 1, i)
-    for i in range(1, A.n + 1):
-        total += j[i - 1] * (T.entry(i, i) - T.entry(i - 1, i))
-    return total
-
-
 def _j_shift_plus(T, j):
     out = list(j)
     for i in range(1, T.n + 1):
@@ -393,17 +331,10 @@ def _j_shift_plus(T, j):
     return tuple(out)
 
 
-def _j_shift_minus(T, j):
-    out = list(j)
-    for i in range(1, T.n + 1):
-        s = sum(tv for l, tv in M.row_support(T, i - 1) if l > i)
-        s -= sum(tv for l, tv in M.row_support(T, i) if l > i)
-        out[i - 1] += s
-    return tuple(out)
-
-
 def mul_by_semisimple_plus(alpha, x):
     """Left product by the superdiagonal one-layer element of weights alpha.
+
+    The candidate matrices T have row sums alpha on ``M.one_layer_cells``.
 
     >>> text(mul_by_semisimple_plus((1, 0), v_basis(2, M.pmat(2, []), (0, 1))))
     '(v)*[(1, 2, 1)](0, 1)'
@@ -414,7 +345,7 @@ def mul_by_semisimple_plus(alpha, x):
     _check_alpha(alpha, x.n)
     out = {}
     for (A, j), cf in x.terms.items():
-        for T in _t_candidates(A, alpha, plus=True):
+        for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
             coeff = _coeff_plus(A, T)
             if not coeff:
                 continue
@@ -429,24 +360,48 @@ def mul_by_semisimple_plus(alpha, x):
     return VElement(x.n, out)
 
 
-def mul_by_semisimple_minus(alpha, x):
-    """Left product by the subdiagonal one-layer element of weights alpha."""
-    _check_alpha(alpha, x.n)
+def negate_element(x):
+    """Index negation on symbols: A(j) -> (negate A)(j') with j'_{-i} = j_i
+    for vertices i mod n.  An involution.
+
+    >>> text(negate_element(v_basis(3, M.e_unit(1, 2, 3), (1, 2, 3))))
+    '(1)*[(2, 1, 1)](2, 1, 3)'
+    """
+    n = x.n
     out = {}
-    for (A, j), cf in x.terms.items():
-        for T in _t_candidates(A, alpha, plus=False):
-            coeff = _coeff_minus(A, T)
-            if not coeff:
-                continue
-            label = M.madd(M.msub(A, M.offdiag(T)), M.offdiag(M.tilde(T)))
-            if not M.is_nonneg(label):
-                continue
-            delta = tuple(T.entry(i - 1, i) for i in range(1, x.n + 1))
-            scalar = L.frac_scale(L.vshift(coeff, _f_minus(A, T, j)), cf)
-            piece = reduce_j_lambda(label, _j_shift_minus(T, j), delta)
-            for key, c in piece.terms.items():
-                _vacc(out, key, L.frac_mul(scalar, c))
-    return VElement(x.n, out)
+    for (A, j), f in x.terms.items():
+        out[(M.negate(A), tuple(j[(-p - 2) % n] for p in range(n)))] = f
+    return VElement(n, out)
+
+
+def mul_by_semisimple_minus(alpha, x):
+    """Left product by the subdiagonal one-layer element of weights alpha,
+    conjugate to the plus product under index negation (module docstring).
+    """
+    _check_alpha(alpha, x.n)
+    n = x.n
+    alpha_neg = tuple(alpha[(-p - 3) % n] for p in range(n))
+    return negate_element(mul_by_semisimple_plus(alpha_neg, negate_element(x)))
+
+
+def twisted_hall_product(alpha, A):
+    """The tilde-normalized Hall product u~_alpha u~_A, Laurent coefficients.
+
+    For a strictly upper label A the plus product keeps the weight 0 and
+    has denominator one, so its numerators are the twisted product.
+
+    >>> E = M.e_unit(1, 2, 2)
+    >>> twisted_hall_product((1, 0), E) == {M.mscale(2, E): {1: 1, -1: 1}}
+    True
+    """
+    Ha.check_label(A)
+    zero_j = (0,) * A.n
+    out = {}
+    for (label, j), f in mul_by_semisimple_plus(alpha, v_basis(A.n, A, zero_j)).terms.items():
+        if j != zero_j or f.den != L.one():
+            raise AssertionError("twisted product left weight zero or has a denominator")
+        out[label] = f.num
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,13 @@ Products are available through two independent routes:
   are closed-form multiplication rules that apply when the left factor
   is diagonal plus a single superdiagonal (upper) or subdiagonal
   (lower) layer.
+
+Only the upper rule is implemented.  The index negation
+``(i, j) -> (-i, -j)`` is an automorphism of the algebra that preserves
+``d_A`` and swaps the upper and lower one-layer shapes, so both lower
+products are derived from it label by label:
+``e_mul_lower(C, A) = negate(e_mul_upper(negate C, negate A))``, and the
+same for ``n_mul_lower``.  The oracle route does not use this symmetry.
 """
 
 from dataclasses import dataclass
@@ -177,6 +184,15 @@ def transpose_element(x):
     return SchurElement(x.n, x.r, x.basis, out)
 
 
+def negate_element(x):
+    """Apply the index negation label by label.
+
+    Negation is an algebra automorphism that preserves d_A, so it acts the
+    same way in both bases.
+    """
+    return SchurElement(x.n, x.r, x.basis, {M.negate(a): c for a, c in x.terms.items()})
+
+
 # ----------------------------------------------------------------------
 # shape helpers for the closed-form rules
 
@@ -197,18 +213,9 @@ def upper_shape(B):
 
 
 def lower_shape(C):
-    """Split C as subdiagonal weights gamma plus diagonal beta, or None."""
-    n = C.n
-    gamma = [0] * n
-    beta = [0] * n
-    for i, j, a in C.entries:
-        if j == i:
-            beta[i - 1] = a
-        elif j == i - 1:
-            gamma[(i - 2) % n] = a
-        else:
-            return None
-    return tuple(gamma), tuple(beta)
+    """Split C as subdiagonal weights gamma plus diagonal beta, or None;
+    gamma_i sits on (i+1, i), the transpose of the cell of alpha_i."""
+    return upper_shape(M.transpose(C))
 
 
 def upper_shapes_for(mu):
@@ -233,56 +240,6 @@ def lower_shapes_for(mu):
         beta = tuple(mu[i] - gamma[i] for i in range(n))
         out.append(M.madd(M.t_s_alpha(gamma), M.diag(beta)))
     return out
-
-
-# ----------------------------------------------------------------------
-# enumeration of the auxiliary matrices T
-
-
-def _bounded_rows(total, caps):
-    """All tuples 0 <= t_k <= caps[k] with sum equal to total."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for t in range(min(caps[0], total) + 1):
-        for rest in _bounded_rows(total - t, caps[1:]):
-            yield (t,) + rest
-
-
-def _enumerate_T(n, alpha, row_cells):
-    """Matrices T >= 0 with ro(T) = alpha supported on capped cells.
-
-    row_cells[i] lists (column, cap) pairs for fundamental row i+1.
-    """
-    choices = []
-    for i in range(n):
-        cells = row_cells[i]
-        row_opts = []
-        for vals in _bounded_rows(alpha[i], [cap for _, cap in cells]):
-            row_opts.append([(i + 1, cells[k][0], t) for k, t in enumerate(vals) if t])
-        if not row_opts:
-            return
-        choices.append(row_opts)
-
-    def rec(i, acc):
-        if i == n:
-            yield M.pmat(n, acc)
-            return
-        for opt in choices[i]:
-            yield from rec(i + 1, acc + opt)
-
-    yield from rec(0, [])
-
-
-def _upper_T_cells(A):
-    """Cell caps t_{i,j} <= a_{i+1,j}: row i of T sits under row i+1 of A."""
-    return [M.row_support(A, i + 1) for i in range(1, A.n + 1)]
-
-
-def _lower_T_cells(A):
-    """Cell caps t_{i,j} <= a_{i,j}: T is supported on the support of A."""
-    return [M.row_support(A, i) for i in range(1, A.n + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -321,72 +278,30 @@ def _coeff_upper(A, T, barred):
     return f
 
 
-def _exp_lower_e(A, T):
-    total = 0
-    for k, l, t in T.entries:
-        i = k + 1
-        s = sum(a for j, a in M.row_support(A, i) if j < l)
-        s -= sum(tv for j, tv in M.row_support(T, i) if j < l)
-        total += t * s
-    return 2 * total
-
-
-def _beta_lower(A, T):
-    total = 0
-    for k, l, t in T.entries:
-        i = k + 1
-        s = sum(a for j, a in M.row_support(A, i) if j <= l)
-        s -= sum(tv for j, tv in M.row_support(T, i) if j <= l)
-        total += t * s
-    for i, l, t in T.entries:
-        s = sum(a for j, a in M.row_support(A, i) if j < l)
-        s -= sum(tv for j, tv in M.row_support(T, i) if j < l)
-        total -= t * s
-    return total
-
-
-def _coeff_lower(A, T, barred):
-    f = L.one()
-    for k, j, t in T.entries:
-        g = L.gauss_sq(A.entry(k + 1, j) - T.entry(k + 1, j) + t, t)
-        if barred:
-            g = L.bar(g)
-        f = L.mul(f, g)
-        if not f:
-            break
-    return f
-
-
-def _mul_semisimple(B, A, lower, normalized):
-    """Shared engine behind the four closed-form products."""
+def _mul_upper(B, A, normalized):
+    """Shared engine behind the closed-form products."""
     if B.n != A.n:
         raise ValueError("size mismatch")
     r = M.sigma(A)
     if M.sigma(B) != r:
         raise ValueError("level mismatch")
-    shape = lower_shape(B) if lower else upper_shape(B)
+    shape = upper_shape(B)
     if shape is None:
         raise ValueError("left factor is not of the required one-layer shape")
-    weights, _ = shape
+    alpha, _ = shape
     basis = "n" if normalized else "e"
     n = B.n
     if M.co(B) != M.ro(A):
         return s_zero(n, r, basis)
-    cells = _lower_T_cells(A) if lower else _upper_T_cells(A)
+    # cell caps t_{i,j} <= a_{i+1,j}: row i of T sits under row i+1 of A
+    cells = [M.row_support(A, i + 1) for i in range(1, n + 1)]
     out = {}
-    for T in _enumerate_T(n, weights, cells):
-        if lower:
-            coeff = _coeff_lower(A, T, normalized)
-            if not coeff:
-                continue
-            expo = _beta_lower(A, T) if normalized else _exp_lower_e(A, T)
-            label = M.madd(M.msub(A, T), M.tilde(T))
-        else:
-            coeff = _coeff_upper(A, T, normalized)
-            if not coeff:
-                continue
-            expo = _beta_upper(A, T) if normalized else _exp_upper_e(A, T)
-            label = M.madd(M.msub(A, M.tilde(T)), T)
+    for T in M.capped_row_matrices(alpha, cells):
+        coeff = _coeff_upper(A, T, normalized)
+        if not coeff:
+            continue
+        expo = _beta_upper(A, T) if normalized else _exp_upper_e(A, T)
+        label = M.madd(M.msub(A, M.tilde(T)), T)
         if not M.is_nonneg(label):
             continue
         _acc(out, label, L.vshift(coeff, expo))
@@ -401,28 +316,30 @@ def e_mul_upper(B, A):
     >>> text(e_mul_upper(B, A))
     '(1 + v^2)*e[(1, 1, 2)]'
     """
-    return _mul_semisimple(B, A, lower=False, normalized=False)
+    return _mul_upper(B, A, normalized=False)
 
 
 def e_mul_lower(C, A):
-    """Product e_C e_A for C = subdiagonal layer plus diagonal.
+    """Product e_C e_A for C = subdiagonal layer plus diagonal, derived
+    from the upper rule by index negation.
 
     >>> C = M.madd(M.e_unit(2, 1, 2), M.diag((0, 1)))
     >>> A = M.madd(M.e_unit(1, 2, 2), M.diag((0, 1)))
     >>> text(e_mul_lower(C, A))
     '(1 + v^2)*e[(2, 2, 2)]'
     """
-    return _mul_semisimple(C, A, lower=True, normalized=False)
+    return negate_element(_mul_upper(M.negate(C), M.negate(A), normalized=False))
 
 
 def n_mul_upper(B, A):
     """Product [B][A] in the normalized basis, upper one-layer left factor."""
-    return _mul_semisimple(B, A, lower=False, normalized=True)
+    return _mul_upper(B, A, normalized=True)
 
 
 def n_mul_lower(C, A):
-    """Product [C][A] in the normalized basis, lower one-layer left factor."""
-    return _mul_semisimple(C, A, lower=True, normalized=True)
+    """Product [C][A] in the normalized basis, lower one-layer left factor,
+    derived from the upper rule by index negation."""
+    return negate_element(_mul_upper(M.negate(C), M.negate(A), normalized=True))
 
 
 # ----------------------------------------------------------------------
@@ -435,18 +352,7 @@ def A_j_r(A, j, r):
     >>> text(A_j_r(M.pmat(2, []), (1, 0), 2))
     '(v)*N[(1, 1, 1), (2, 2, 1)] + (v^2)*N[(1, 1, 2)] + (1)*N[(2, 2, 2)]'
     """
-    n = A.n
-    if len(j) != n:
-        raise ValueError("weight length mismatch")
-    if not M.is_zero_diagonal(A) or not M.is_nonneg(A):
-        raise ValueError("label must be nonnegative with zero diagonal")
-    s = M.sigma(A)
-    if s > r:
-        return s_zero(n, r, "n")
-    out = {}
-    for mu in M.compositions(n, r - s):
-        _acc(out, M.madd(A, M.diag(mu)), L.monomial(M.dot(mu, j)))
-    return SchurElement(n, r, "n", out)
+    return A_j_lambda_r(A, j, (0,) * A.n, r)
 
 
 def A_j_lambda_r(A, j, lam, r):
@@ -467,7 +373,8 @@ def A_j_lambda_r(A, j, lam, r):
     for mu in M.compositions(n, r - s):
         coeff = L.monomial(M.dot(mu, j))
         for mi, li in zip(mu, lam):
-            coeff = L.mul(coeff, L.gauss_sym(mi, li))
+            if li:
+                coeff = L.mul(coeff, L.gauss_sym(mi, li))
             if not coeff:
                 break
         if coeff:
@@ -587,25 +494,8 @@ def oracle_mul(B, A):
     return SchurElement(n, r, "e", _decompose(g, lam, nu))
 
 
-def oracle_product(x, y):
-    """Bilinear extension of oracle_mul to standard-basis elements."""
-    _check_pair(x, y)
-    if x.basis != "e":
-        raise ValueError("oracle products act on the standard basis")
-    out = {}
-    for B, cb in x.terms.items():
-        for A, ca in y.terms.items():
-            piece = oracle_mul(B, A)
-            scale = L.mul(cb, ca)
-            for label, c in piece.terms.items():
-                _acc(out, label, c, scale)
-    return SchurElement(x.n, x.r, "e", out)
-
-
-def closed_product_upper(x, y):
-    """Bilinear closed-form product; x labels must be one-layer upper."""
-    _check_pair(x, y)
-    mul = n_mul_upper if x.basis == "n" else e_mul_upper
+def _bilinear(mul, x, y):
+    """Extend a product of basis labels bilinearly to x times y."""
     out = {}
     for B, cb in x.terms.items():
         for A, ca in y.terms.items():
@@ -616,15 +506,22 @@ def closed_product_upper(x, y):
     return SchurElement(x.n, x.r, x.basis, out)
 
 
-def closed_product_lower(x, y):
-    """Bilinear closed-form product; x labels must be one-layer lower."""
+def oracle_product(x, y):
+    """Bilinear extension of oracle_mul to standard-basis elements."""
     _check_pair(x, y)
-    mul = n_mul_lower if x.basis == "n" else e_mul_lower
-    out = {}
-    for C, cc in x.terms.items():
-        for A, ca in y.terms.items():
-            piece = mul(C, A)
-            scale = L.mul(cc, ca)
-            for label, c in piece.terms.items():
-                _acc(out, label, c, scale)
-    return SchurElement(x.n, x.r, x.basis, out)
+    if x.basis != "e":
+        raise ValueError("oracle products act on the standard basis")
+    return _bilinear(oracle_mul, x, y)
+
+
+def closed_product_upper(x, y):
+    """Bilinear closed-form product; x labels must be one-layer upper."""
+    _check_pair(x, y)
+    return _bilinear(n_mul_upper if x.basis == "n" else e_mul_upper, x, y)
+
+
+def closed_product_lower(x, y):
+    """Bilinear closed-form product; x labels must be one-layer lower.
+    Derived from the upper product by index negation."""
+    _check_pair(x, y)
+    return negate_element(closed_product_upper(negate_element(x), negate_element(y)))

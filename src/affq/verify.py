@@ -283,16 +283,18 @@ def _check_hall(case):
     if case[0] == "hall-closed":
         _, n, alpha, q_list = case
         lab_alpha = M.s_alpha(alpha)
+        # Enumerated once and bucketed by dimension vector; filtering by
+        # sigma keeps the order of enumerate_labels(n, sigma(A) + |alpha|, 5).
+        by_dim = {}
+        for C in Ha.enumerate_labels(n, 3 + sum(alpha), 5):
+            by_dim.setdefault(Ha.dim_vector(C), []).append(C)
         for A in Ha.enumerate_labels(n, 3, 5 - sum(alpha)):
             prod = Ha.semisimple_hall_product(alpha, A)
             want_dim = tuple(
                 x + y for x, y in zip(Ha.dim_vector(lab_alpha), Ha.dim_vector(A))
             )
-            candidates = [
-                C
-                for C in Ha.enumerate_labels(n, M.sigma(A) + sum(alpha), 5)
-                if Ha.dim_vector(C) == want_dim
-            ]
+            cap = M.sigma(A) + sum(alpha)
+            candidates = [C for C in by_dim.get(want_dim, []) if M.sigma(C) <= cap]
             for C in candidates:
                 poly = prod.get(C, {})
                 for q in q_list:
@@ -325,7 +327,7 @@ def _check_hall(case):
         )
     _, n, alpha = case
     for A in Ha.enumerate_labels(n, 3, 5):
-        got = Ha.twisted_mul_semisimple(alpha, A)
+        got = R.twisted_hall_product(alpha, A)
         want = Ha.twisted_route_b(alpha, A)
         checked += 1
         if got != want:

@@ -1,0 +1,85 @@
+"""Record the CLI output bytes replayed by tests/test_cli.py.
+
+The requests are drawn from seeded grids: ``schur-mul`` with a
+subdiagonal-plus-diagonal left factor in both bases, and ``vbln-mul``
+one-layer products (lower and upper) applied to ``reduce`` outputs, whose
+coefficients carry non-trivial denominators.  The file pins the exact
+``num/den`` representation of every coefficient, which value equality of
+``LaurentFraction`` does not.
+
+The output has one JSON record per line: the CLI arguments, the input
+object and the exact output text.  Run from the repository root, at a
+commit whose outputs are trusted:
+
+    PYTHONPATH=src python tests/data/make_cli_golden.py
+"""
+
+import json
+import os
+import random
+import sys
+import tempfile
+
+from affq import cli
+from affq import matrices as M
+from affq import realization as R
+from affq import schur as S
+from affq import verify as V
+
+OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.jsonl")
+
+
+def schur_requests(rng):
+    pool = []
+    for n, r_max in ((2, 3), (3, 3)):
+        for r in range(1, r_max + 1):
+            for A in M.band_matrices(n, r, 1):
+                for C in S.lower_shapes_for(M.ro(A)):
+                    pool.append({"left": M.to_json(C), "right": M.to_json(A)})
+    picked = rng.sample(pool, 24)
+    return [(["schur-mul", "--basis", b], p) for b in ("e", "n") for p in picked]
+
+
+def vbln_requests(rng):
+    out = []
+    for op, count in (("one-layer-lower", 30), ("one-layer-upper", 18)):
+        for _ in range(count):
+            n = rng.choice((2, 3))
+            labels = V.mixed_labels(n, 2, 1)
+            A = rng.choice(labels)
+            j = tuple(rng.randrange(-1, 2) for _ in range(n))
+            lam = tuple(rng.randrange(0, 2) for _ in range(n))
+            alpha = tuple(rng.randrange(0, 2) for _ in range(n))
+            element = R.to_json(R.reduce_j_lambda(A, j, lam))
+            out.append((["vbln-mul"], {"op": op, "alpha": list(alpha), "element": element}))
+    return out
+
+
+def run(args, payload):
+    """Output bytes of one CLI request, fed through --in/--out files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "in.json")
+        dst = os.path.join(tmp, "out.json")
+        with open(src, "w") as fh:
+            json.dump(payload, fh)
+        code = cli.main(list(args) + ["--in", src, "--out", dst])
+        with open(dst) as fh:
+            return code, fh.read()
+
+
+def main():
+    rng = random.Random(20131107)
+    records = []
+    for args, payload in schur_requests(rng) + vbln_requests(rng):
+        code, data = run(args, payload)
+        if code != 0:
+            raise SystemExit("request failed: %r" % (args,))
+        records.append({"args": args, "input": payload, "output": data})
+    with open(OUT, "w") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    sys.stdout.write("%d requests written to %s\n" % (len(records), OUT))
+
+
+if __name__ == "__main__":
+    main()

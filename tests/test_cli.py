@@ -1,6 +1,7 @@
 """Tests for the command-line interface and the suite driver."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -178,3 +179,18 @@ def test_suite_names_cover_criteria():
         "triangular",
         "laurent",
     )
+
+
+def test_cli_output_bytes_match_golden(tmp_path):
+    # The bytes pin each coefficient's num/den representation, which
+    # LaurentFraction equality (cross multiplication) would not notice.
+    # Regenerate with tests/data/make_cli_golden.py.
+    golden = Path(__file__).parent / "data" / "cli_golden.jsonl"
+    records = [json.loads(line) for line in golden.read_text().splitlines()]
+    assert {r["args"][0] for r in records} == {"schur-mul", "vbln-mul"}
+    for k, rec in enumerate(records):
+        src = tmp_path / ("in-%d.json" % k)
+        out = tmp_path / ("out-%d.json" % k)
+        src.write_text(json.dumps(rec["input"]))
+        assert cli.main(rec["args"] + ["--in", str(src), "--out", str(out)]) == 0
+        assert out.read_text() == rec["output"], rec["args"]

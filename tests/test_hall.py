@@ -6,6 +6,7 @@ import pytest
 from affq import hall as Ha
 from affq import laurent as L
 from affq import matrices as M
+from affq import realization as R
 
 
 def test_doctests():
@@ -141,7 +142,7 @@ def test_dimension_vector_conservation():
                 target = tuple(x + y for x, y in zip(da, Ha.dim_vector(A)))
                 for C in Ha.semisimple_hall_product(alpha, A):
                     assert Ha.dim_vector(C) == target
-                for C in Ha.twisted_mul_semisimple(alpha, A):
+                for C in R.twisted_hall_product(alpha, A):
                     assert Ha.dim_vector(C) == target
 
 
@@ -171,12 +172,12 @@ def test_twisted_routes_agree_subgrid():
     for n in (2, 3):
         for alpha in [a for s in (0, 1, 2) for a in M.compositions(n, s)]:
             for A in Ha.enumerate_labels(n, 2, 4):
-                assert Ha.twisted_mul_semisimple(alpha, A) == Ha.twisted_route_b(alpha, A)
+                assert R.twisted_hall_product(alpha, A) == Ha.twisted_route_b(alpha, A)
 
 
 def test_twisted_frozen_example():
     E = M.e_unit(1, 2, 2)
-    out = Ha.twisted_mul_semisimple((1, 0), E)
+    out = R.twisted_hall_product((1, 0), E)
     assert out == {M.mscale(2, E): {1: 1, -1: 1}}
 
 

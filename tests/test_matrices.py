@@ -1,5 +1,6 @@
 """Periodic-matrix tests: frozen examples, wide-shift oracles, order axioms."""
 
+import doctest
 import random
 
 import pytest
@@ -9,6 +10,11 @@ from affq import matrices as M
 
 def E(i, j, n=2):
     return M.e_unit(i, j, n)
+
+
+def test_doctests():
+    failures, _ = doctest.testmod(M)
+    assert failures == 0
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +246,31 @@ def test_band_matrices_counts_and_membership():
         assert all(abs(j - i) <= 1 for i, j, _ in A.entries)
     # 6 band cells for n=2, band=1; weak compositions of 2 into 6 cells.
     assert len(mats) == 21
+
+
+# ---------------------------------------------------------------------------
+# Index negation, the symmetry behind every derived lower/minus rule.
+# ---------------------------------------------------------------------------
+
+def test_negate_examples():
+    assert M.negate(E(1, 2)) == E(1, 0)
+    assert M.negate(E(1, 2, 3)) == E(2, 1, 3)
+    assert M.negate(M.diag((1, 2, 3))) == M.diag((2, 1, 3))
+    assert M.negate(M.pmat(2, [])) == M.pmat(2, [])
+
+
+def test_negate_invariants():
+    rng = random.Random(71)
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        A = _random_matrix(rng, n, max_entries=5, span=4)
+        N = M.negate(A)
+        assert M.negate(N) == A
+        for sums in (M.ro, M.co):
+            got, want = sums(N), sums(A)
+            # row (column) i goes to -i, at 0-based index (-i - 1) mod n
+            assert all(got[(-i - 1) % n] == want[i - 1] for i in range(1, n + 1))
+        assert M.sigma(N) == M.sigma(A)
+        assert M.d_exponent(N) == M.d_exponent(A)
+        upper, diag, lower = M.split(A)
+        assert M.split(N) == (M.negate(lower), M.negate(diag), M.negate(upper))

@@ -314,6 +314,25 @@ def test_triangular_validation():
         R.triangular_leading_check(M.diag((1, 0)), (0, 0), 2)
 
 
+def test_negate_element_is_an_involution():
+    for n in (2, 3):
+        for A in [M.pmat(n, []), M.e_unit(1, 2, n), M.e_unit(2, 1, n)]:
+            x = R.reduce_j_lambda(A, tuple(range(n)), (1,) + (0,) * (n - 1))
+            y = R.negate_element(x)
+            assert {B for B, _ in y.terms} == {M.negate(A)}
+            assert R.v_eq(R.negate_element(y), x)
+
+
+def test_twisted_hall_product_validation():
+    E = M.e_unit(1, 2, 2)
+    with pytest.raises(ValueError):
+        R.twisted_hall_product((1,), E)
+    with pytest.raises(ValueError):
+        R.twisted_hall_product((-1, 0), E)
+    with pytest.raises(ValueError):
+        R.twisted_hall_product((1, 0), M.e_unit(2, 1, 2))
+
+
 def test_tilde_exponent_matches_hall_dimensions():
     for alpha in [(1, 0), (0, 1), (1, 1), (2, 0), (2, 2)]:
         lab = M.s_alpha(alpha)
