@@ -1,11 +1,17 @@
 """Command-line interface with JSON input and output.
 
 Exit codes: 0 computed or verified, 1 mathematical mismatch (a report is
-still written), 2 malformed input.  Output is canonically sorted, so
-repeated runs with the same inputs produce identical bytes.
+still written), 2 malformed input, 3 internal error (a failed invariant of
+the library).  Output is canonically sorted, so repeated runs with the same
+inputs produce identical bytes.
+
+``main`` may be called any number of times in one process: the parser is
+built on the first call and shared by the later ones.  Argparse keeps no
+state between parses, so every call behaves as in a fresh process.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -72,13 +78,13 @@ def cmd_vbln_mul(args):
     x = R.from_json(obj["element"])
     op = obj["op"]
     if op == "diag-left":
-        res = R.mul_by_0j(tuple(int(c) for c in obj["j"]), x)
+        res = R.mul_by_0j(L.json_ints(obj["j"]), x)
     elif op == "diag-right":
-        res = R.mul_0j_right(x, tuple(int(c) for c in obj["j"]))
+        res = R.mul_0j_right(x, L.json_ints(obj["j"]))
     elif op == "one-layer-upper":
-        res = R.mul_by_semisimple_plus(tuple(int(c) for c in obj["alpha"]), x)
+        res = R.mul_by_semisimple_plus(L.json_ints(obj["alpha"]), x)
     elif op == "one-layer-lower":
-        res = R.mul_by_semisimple_minus(tuple(int(c) for c in obj["alpha"]), x)
+        res = R.mul_by_semisimple_minus(L.json_ints(obj["alpha"]), x)
     else:
         raise ValueError("op must be diag-left, diag-right, one-layer-upper, or one-layer-lower")
     _emit(R.to_json(res), args.out)
@@ -87,7 +93,7 @@ def cmd_vbln_mul(args):
 
 def cmd_hall(args):
     obj = _load(args.infile)
-    alpha = tuple(int(c) for c in obj["alpha"])
+    alpha = L.json_ints(obj["alpha"])
     A = M.from_json(obj["matrix"])
     q_list = _parse_ints(args.q)
     if any(q not in (2, 3) for q in q_list):
@@ -115,8 +121,8 @@ def cmd_reduce(args):
     obj = _load(args.infile)
     res = R.reduce_j_lambda(
         M.from_json(obj["matrix"]),
-        tuple(int(c) for c in obj["j"]),
-        tuple(int(c) for c in obj["lambda"]),
+        L.json_ints(obj["j"]),
+        L.json_ints(obj["lambda"]),
     )
     _emit(R.to_json(res), args.out)
     return 0
@@ -192,14 +198,21 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return 2
+    except AssertionError as exc:
+        sys.stderr.write("internal error: %s\n" % exc)
+        return 3
 
 
 if __name__ == "__main__":

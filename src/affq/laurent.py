@@ -190,8 +190,28 @@ def json_pairs(f):
     return [[e, f[e]] for e in sorted(f)]
 
 
+def json_ints(values):
+    """The values as a tuple, when every one is a JSON integer.
+
+    A bool, float or string raises ValueError: input read from JSON is
+    never rounded or coerced to an integer.
+
+    >>> json_ints([3, -1])
+    (3, -1)
+    >>> json_ints([2.9])
+    Traceback (most recent call last):
+    ...
+    ValueError: expected an integer, got float 2.9
+    """
+    out = tuple(values)
+    for x in out:
+        if type(x) is not int:
+            raise ValueError("expected an integer, got %s %r" % (type(x).__name__, x))
+    return out
+
+
 def from_json_pairs(pairs):
-    return poly((int(e), int(c)) for e, c in pairs)
+    return poly(json_ints(pair) for pair in pairs)
 
 
 # ---------------------------------------------------------------------------

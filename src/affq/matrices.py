@@ -16,6 +16,8 @@ auxiliary T matrices of the one-layer product rules all live here.
 from dataclasses import dataclass
 from itertools import product
 
+from . import laurent as L
+
 
 @dataclass(frozen=True)
 class PeriodicMatrix:
@@ -337,7 +339,8 @@ def to_json(A):
 
 
 def from_json(obj):
-    return pmat(int(obj["n"]), [(int(i), int(j), int(a)) for i, j, a in obj["entries"]])
+    (n,) = L.json_ints([obj["n"]])
+    return pmat(n, [L.json_ints(entry) for entry in obj["entries"]])
 
 
 def compositions(n, r):

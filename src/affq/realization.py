@@ -156,11 +156,11 @@ def to_json(x):
 
 
 def from_json(obj):
-    n = int(obj["n"])
+    (n,) = L.json_ints([obj["n"]])
     out = {}
     for t in obj["terms"]:
         A = M.from_json(t["matrix"])
-        j = tuple(int(c) for c in t["j"])
+        j = L.json_ints(t["j"])
         f = L.LaurentFraction(
             L.from_json_pairs(t["coeff_num"]), L.from_json_pairs(t["coeff_den"])
         )

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from affq import cli
+from affq import schur as S
 from affq import verify as V
 
 
@@ -124,6 +125,110 @@ def test_reduce_command(tmp_path):
     assert [t["j"] for t in data["terms"]] == [[-1, 0], [1, 0]]
     payload["lambda"] = [-1, 0]
     assert run_cli(["reduce"], payload, tmp_path)[0] == 2
+
+
+def _one_term_element(j=(0, 1), num=((0, 1),)):
+    return {
+        "n": 2,
+        "terms": [
+            {
+                "matrix": {"n": 2, "entries": []},
+                "j": list(j),
+                "coeff_num": [list(p) for p in num],
+                "coeff_den": [[0, 1]],
+            }
+        ],
+    }
+
+
+NON_INTEGER_REQUESTS = {
+    "coset-float": (["coset"], {"n": 2, "entries": [[1, 2, 1.0], [2, 1, 1]]}),
+    "coset-bool": (["coset"], {"n": 2, "entries": [[1, 2, 1], [2, 1, True]]}),
+    "coset-string": (["coset"], {"n": "2", "entries": [[1, 2, 1], [2, 1, 1]]}),
+    "reduce-float": (
+        ["reduce"],
+        {"matrix": {"n": 2, "entries": []}, "j": [0, 0], "lambda": [1.0, 0]},
+    ),
+    "reduce-bool": (
+        ["reduce"],
+        {"matrix": {"n": 2, "entries": []}, "j": [True, 0], "lambda": [1, 0]},
+    ),
+    "reduce-string": (
+        ["reduce"],
+        {"matrix": {"n": 2, "entries": [[1, 2, "1"]]}, "j": [0, 0], "lambda": [1, 0]},
+    ),
+    "vbln-mul-float": (
+        ["vbln-mul"],
+        {"op": "one-layer-upper", "alpha": [1, 0.0], "element": _one_term_element()},
+    ),
+    "vbln-mul-bool": (
+        ["vbln-mul"],
+        {"op": "diag-left", "j": [1, 0], "element": _one_term_element(j=(0, True))},
+    ),
+    "vbln-mul-string": (
+        ["vbln-mul"],
+        {"op": "diag-left", "j": [1, 0], "element": _one_term_element(num=(("0", 1),))},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_REQUESTS))
+def test_non_integer_json_numbers_are_rejected(case, tmp_path, capsys):
+    args, payload = NON_INTEGER_REQUESTS[case]
+    code, _, out = run_cli(args, payload, tmp_path)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("input error: expected an integer")
+
+
+def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(left, right):
+        raise AssertionError("support did not shrink during peeling")
+
+    monkeypatch.setattr(S, "e_mul_upper", broken)
+    payload = {
+        "left": {"n": 2, "entries": [[1, 2, 1], [1, 1, 1]]},
+        "right": {"n": 2, "entries": [[2, 1, 1], [1, 1, 1]]},
+    }
+    code, _, out = run_cli(["schur-mul"], payload, tmp_path)
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == "internal error: support did not shrink during peeling\n"
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path):
+    payload = {
+        "left": {"n": 2, "entries": [[1, 2, 1], [1, 1, 1]]},
+        "right": {"n": 2, "entries": [[2, 1, 1], [1, 1, 1]]},
+    }
+    assert run_cli(["schur-mul", "--basis", "n"], payload, tmp_path)[1]["basis"] == "n"
+    assert run_cli(["schur-mul"], payload, tmp_path)[1]["basis"] == "e"
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--suite", "unknown"])
+    code, data, _ = run_cli(["coset"], {"n": 2, "entries": [[1, 2, 1], [2, 1, 1]]}, tmp_path)
+    assert code == 0 and data["length"] == 1
+    payload = {"alpha": [1, 0], "matrix": {"n": 2, "entries": [[1, 2, 1]]}}
+    code, data, _ = run_cli(["hall", "--q", "3"], payload, tmp_path)
+    assert code == 0 and data["terms"][0]["checks"] == [[3, 4, 4]]
+    code, data, _ = run_cli(["hall"], payload, tmp_path)
+    assert code == 0 and data["terms"][0]["checks"] == [[2, 3, 3], [3, 4, 4]]
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(20):
+            code, _, _ = run_cli(["coset"], {"n": 2, "entries": [[1, 1, 2]]}, tmp_path)
+            assert code == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_verify_command_restricted_grid(tmp_path):
