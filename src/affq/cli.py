@@ -96,8 +96,8 @@ def cmd_hall(args):
     alpha = L.json_ints(obj["alpha"])
     A = M.from_json(obj["matrix"])
     q_list = _parse_ints(args.q)
-    if any(q not in (2, 3) for q in q_list):
-        raise ValueError("brute-force comparison needs prime q <= 3")
+    if not q_list or any(q not in (2, 3) for q in q_list):
+        raise ValueError("brute-force comparison needs one or more prime q <= 3")
     prod = Ha.semisimple_hall_product(alpha, A)
     lab_alpha = M.s_alpha(alpha)
     terms = []
@@ -111,7 +111,7 @@ def cmd_hall(args):
             if closed != brute:
                 mismatch = True
         terms.append(
-            {"matrix": M.to_json(C), "poly_q": Ha.qp_json(prod[C]), "checks": checks}
+            {"matrix": M.to_json(C), "poly_q": L.json_pairs(prod[C]), "checks": checks}
         )
     _emit({"alpha": list(alpha), "matrix": M.to_json(A), "terms": terms}, args.out)
     return 1 if mismatch else 0

@@ -12,6 +12,13 @@ of a semisimple module with an arbitrary nilpotent module (polynomials in
 q), and ``twisted_route_b``, the twisted (Laurent in v) product obtained
 from those Hall polynomials.
 
+The closed-form product is the one-layer formula of the affine q-Schur
+algebra at q = v^2: ``semisimple_hall_product(alpha, A)`` sums the terms
+of ``schur.one_layer_terms`` on the cells of ``M.one_layer_cells(A,
+alpha)`` at the labels ``A - split(tilde T)[0] + T``, then halves their
+v-exponents, which are all even.  Its values are ``laurent`` dicts in q;
+the brute-force census of ``brute_hall_number`` stays its oracle.
+
 The closed form of the twisted product is not kept here: it is the
 weight-zero read-off of the level-free one-layer kernel,
 ``realization.twisted_hall_product(alpha, A)``, the numerators of
@@ -25,6 +32,7 @@ from itertools import combinations
 
 from . import laurent as L
 from . import matrices as M
+from . import schur as S
 
 
 def euler_form(lam, mu):
@@ -406,74 +414,11 @@ def u_tilde_factor(A):
 
 
 # ----------------------------------------------------------------------
-# polynomials in q
-
-
-def qpoly(items):
-    out = {}
-    for d, c in dict(items).items():
-        if c:
-            out[d] = c
-    return out
-
-
-def qp_add_inplace(acc, f, scalar=1):
-    for d, c in f.items():
-        v = acc.get(d, 0) + scalar * c
-        if v:
-            acc[d] = v
-        else:
-            acc.pop(d, None)
-
-
-def qp_mul(f, g):
-    out = {}
-    for d1, c1 in f.items():
-        for d2, c2 in g.items():
-            d = d1 + d2
-            v = out.get(d, 0) + c1 * c2
-            if v:
-                out[d] = v
-            else:
-                out.pop(d, None)
-    return out
+# closed-form semisimple products
 
 
 def qp_eval(f, q):
     return sum(c * q ** d for d, c in f.items())
-
-
-def qp_shift(f, k):
-    return {d + k: c for d, c in f.items()}
-
-
-def gauss_q(N, t):
-    """Gaussian binomial as a polynomial in q (even-degree Laurent halved)."""
-    f = L.gauss_sq(N, t)
-    return {e // 2: c for e, c in f.items()}
-
-
-def qp_to_laurent(f):
-    """Substitute q = v^2."""
-    return {2 * d: c for d, c in f.items()}
-
-
-def qp_json(f):
-    return [[d, f[d]] for d in sorted(f)]
-
-
-# ----------------------------------------------------------------------
-# closed-form semisimple products
-
-
-def _untwisted_exponent(A, T):
-    """sum over i in [1,n], l < j of a_{i,j} t_{i,l} - t_{i,j} t_{i+1,l}."""
-    total = 0
-    for i, l, t in T.entries:
-        total += t * sum(a for j, a in M.row_support(A, i) if j > l)
-    for i, j, t in T.entries:
-        total -= t * sum(tv for l, tv in M.row_support(T, i + 1) if l < j)
-    return total
 
 
 def semisimple_hall_product(alpha, A):
@@ -489,22 +434,12 @@ def semisimple_hall_product(alpha, A):
     if len(alpha) != A.n or any(x < 0 for x in alpha):
         raise ValueError("alpha must be a nonnegative vector of length n")
     out = {}
-    for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
-        coeff = {0: 1}
-        for i, j, t in T.entries:
-            coeff = qp_mul(coeff, gauss_q(A.entry(i, j) + t - T.entry(i - 1, j), t))
-            if not coeff:
-                break
-        if not coeff:
-            continue
+    for T, term in S.one_layer_terms(alpha, A, M.one_layer_cells(A, alpha)):
         label = M.madd(M.msub(A, M.split(M.tilde(T))[0]), T)
-        if not M.is_nonneg(label):
-            continue
-        acc = out.setdefault(label, {})
-        qp_add_inplace(acc, qp_shift(coeff, _untwisted_exponent(A, T)))
-        if not acc:
-            del out[label]
-    return out
+        if M.is_nonneg(label):
+            L.add_inplace(out.setdefault(label, {}), term)
+    # q = v^2: every exponent of the kernel is even
+    return {C: {e // 2: c for e, c in f.items()} for C, f in out.items() if f}
 
 
 def twisted_route_b(alpha, A):
@@ -521,7 +456,7 @@ def twisted_route_b(alpha, A):
     out = {}
     for label, phi in semisimple_hall_product(alpha, A).items():
         shift = base - (dim_end(label) - dim_rep(label))
-        out[label] = L.vshift(qp_to_laurent(phi), shift)
+        out[label] = L.vshift({2 * d: c for d, c in phi.items()}, shift)
     return out
 
 
@@ -551,5 +486,5 @@ def product_to_json(prod):
     """Canonical JSON for a Hall product map label -> q-polynomial."""
     terms = []
     for label in sorted(prod, key=lambda a: a.entries):
-        terms.append({"matrix": M.to_json(label), "poly_q": qp_json(prod[label])})
+        terms.append({"matrix": M.to_json(label), "poly_q": L.json_pairs(prod[label])})
     return {"terms": terms}

@@ -7,10 +7,17 @@ to the one-generator rules
     T_s T_w = T_{sw}                         if length(sw) > length(w),
     T_s T_w = (v^2 - 1) T_w + v^2 T_{sw}     if length(sw) < length(w),
 
-their mirror images on the right, and T_{rho^m} T_w = T_{rho^m w} for the
-length-zero shift.  General basis products factor the left operand into a
-shift times a reduced word.  Sums of T_w over block subgroups and their
-double cosets are provided for the convolution layer.
+and T_{rho^m} T_w = T_{rho^m w} for the length-zero shift.  General basis
+products factor the left operand into a shift times a reduced word.  Sums
+of T_w over block subgroups and their double cosets are provided for the
+convolution layer.
+
+Only left actions are implemented.  ``invert``, T_w -> T_{w^-1}, is an
+anti-involution (reversing words maps the relations onto their mirror
+images on the right), so ``right_mul_basis(h, w) = invert(left_mul_basis(
+w^-1, invert(h)))`` and, block subgroups being closed under inversion,
+``x_mul_right(h, lam) = invert(x_mul_left(lam, invert(h)))``.  Tests check
+both against ``mul``.
 """
 
 from __future__ import annotations
@@ -130,27 +137,6 @@ def left_mul_gen(i, h):
     return HeckeElement(r, out)
 
 
-def right_mul_gen(h, i):
-    """h * T_{s_i}."""
-    r = h.r
-    out = {}
-    for win, c in h.terms.items():
-        lst = list(win)
-        if i < r:
-            lst[i - 1], lst[i] = lst[i], lst[i - 1]
-            descent = win[i - 1] > win[i]
-        else:
-            lst[0], lst[r - 1] = win[r - 1] - r, win[0] + r
-            descent = win[r - 1] > win[0] + r
-        new = tuple(lst)
-        if not descent:
-            _acc(out, new, c)
-        else:
-            _acc(out, win, c, _V2M1)
-            _acc(out, new, c, _V2)
-    return HeckeElement(r, out)
-
-
 def left_mul_rho(m, h):
     """T_{rho^m} * h."""
     if m == 0:
@@ -158,20 +144,13 @@ def left_mul_rho(m, h):
     return HeckeElement(h.r, {tuple(x + m for x in win): dict(c) for win, c in h.terms.items()})
 
 
-def right_mul_rho(h, m):
-    """h * T_{rho^m}."""
-    if m == 0:
-        return h
-    r = h.r
-    out = {}
-    for win, c in h.terms.items():
-        new = []
-        for k in range(1, r + 1):
-            j = k + m
-            q = (j - 1) % r
-            new.append(win[q] + (j - 1 - q) // r * r)
-        out[tuple(new)] = dict(c)
-    return HeckeElement(r, out)
+def invert(h):
+    """The anti-involution T_w -> T_{w^-1}: invert(a * b) = invert(b) * invert(a)."""
+    terms = {
+        P.inverse(P.AffinePermutation(h.r, win)).window: dict(c)
+        for win, c in h.terms.items()
+    }
+    return HeckeElement(h.r, terms)
 
 
 def left_mul_basis(w, h):
@@ -185,14 +164,10 @@ def left_mul_basis(w, h):
 
 
 def right_mul_basis(h, w):
-    """h * T_w via a reduced word of w."""
+    """h * T_w, the mirror image of T_{w^-1} * invert(h)."""
     if w.r != h.r:
         raise ValueError("level mismatch")
-    m, word = P.reduced_word(w)
-    h = right_mul_rho(h, m)
-    for i in word:
-        h = right_mul_gen(h, i)
-    return h
+    return invert(left_mul_basis(P.inverse(w), invert(h)))
 
 
 def mul(a, b):
@@ -243,19 +218,6 @@ def _stair_left(h, p, m):
     return HeckeElement(h.r, total)
 
 
-def _stair_right(h, p, m):
-    if m <= 1:
-        return h
-    h1 = _stair_right(h, p, m - 1)
-    total = {win: dict(c) for win, c in h1.terms.items()}
-    g = h1
-    for j in range(p + m - 1, p, -1):
-        g = right_mul_gen(g, j)
-        for win, c in g.terms.items():
-            _acc(total, win, c)
-    return HeckeElement(h.r, total)
-
-
 def x_mul_left(lam, h):
     """x_lambda * h without expanding the block subgroup."""
     if sum(lam) != h.r:
@@ -268,14 +230,10 @@ def x_mul_left(lam, h):
 
 
 def x_mul_right(h, lam):
-    """h * x_lambda without expanding the block subgroup."""
+    """h * x_lambda, the mirror image of x_lambda * invert(h)."""
     if sum(lam) != h.r:
         raise ValueError("composition must sum to the level")
-    pos = 0
-    for part in lam:
-        h = _stair_right(h, pos, part)
-        pos += part
-    return h
+    return invert(x_mul_left(lam, invert(h)))
 
 
 def t_double_coset(lam, d, mu):

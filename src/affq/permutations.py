@@ -16,6 +16,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from . import laurent as L
 from . import matrices as M
 
 
@@ -195,7 +196,8 @@ def to_json(w):
 
 
 def from_json(obj):
-    return perm(int(obj["r"]), obj["window"])
+    (r,) = L.json_ints([obj["r"]])
+    return perm(r, L.json_ints(obj["window"]))
 
 
 def blocks(lam):

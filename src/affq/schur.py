@@ -17,12 +17,18 @@ Products are available through two independent routes:
   is diagonal plus a single superdiagonal (upper) or subdiagonal
   (lower) layer.
 
-Only the upper rule is implemented.  The index negation
-``(i, j) -> (-i, -j)`` is an automorphism of the algebra that preserves
-``d_A`` and swaps the upper and lower one-layer shapes, so both lower
-products are derived from it label by label:
-``e_mul_lower(C, A) = negate(e_mul_upper(negate C, negate A))``, and the
-same for ``n_mul_lower``.  The oracle route does not use this symmetry.
+Only the upper rule in the standard basis is implemented, by the term
+generator ``one_layer_terms`` that ``hall.semisimple_hall_product`` also
+reads.  ``n_mul_upper`` is a change of basis: ``[B][A] = v^(-d_B - d_A)
+e_B e_A``, so each label C of ``e_mul_upper`` has its coefficient shifted
+by ``d_C - d_B - d_A`` (``test_normalized_rules_match_converted_standard_rules``
+checks this basis change).  The index negation ``(i, j) -> (-i, -j)`` is
+an automorphism that preserves ``d_A`` and swaps the upper and lower
+one-layer shapes, so ``e_mul_lower(C, A) = negate(e_mul_upper(negate C,
+negate A))``, and the same for ``n_mul_lower``.  The oracles are unchanged:
+``oracle_mul`` faces the standard rules (schur-oracle), the level-free
+realization faces the normalized ones (level-coherence), and neither
+uses these derivations.
 """
 
 from dataclasses import dataclass
@@ -48,9 +54,7 @@ class SchurElement:
 
 
 def s_zero(n, r, basis="e"):
-    if basis not in ("e", "n"):
-        raise ValueError("basis must be 'e' or 'n'")
-    return SchurElement(n, r, basis, {})
+    return s_from_items(n, r, (), basis)
 
 
 def s_is_zero(x):
@@ -74,6 +78,8 @@ def _acc(terms, label, coeff, scalar=None):
 
 def s_from_items(n, r, items, basis="e"):
     """Build an element from (label, coeff) pairs, merging duplicates."""
+    if basis not in ("e", "n"):
+        raise ValueError("basis must be 'e' or 'n'")
     out = {}
     for label, coeff in items:
         if label.n != n:
@@ -173,7 +179,8 @@ def from_json(obj):
         (M.from_json(t["matrix"]), L.from_json_pairs(t["coeff"]))
         for t in obj["terms"]
     ]
-    return s_from_items(obj["n"], obj["r"], items, obj["basis"])
+    n, r = L.json_ints([obj["n"], obj["r"]])
+    return s_from_items(n, r, items, obj["basis"])
 
 
 def transpose_element(x):
@@ -255,57 +262,18 @@ def _exp_upper_e(A, T):
     return 2 * total
 
 
-def _beta_upper(A, T):
-    total = 0
-    for i, l, t in T.entries:
-        s1 = sum(a for j, a in M.row_support(A, i) if j >= l)
-        s1 -= sum(tv for j, tv in M.row_support(T, i - 1) if j >= l)
-        s2 = sum(a for j, a in M.row_support(A, i + 1) if j > l)
-        s2 -= sum(tv for j, tv in M.row_support(T, i) if j > l)
-        total += t * (s1 - s2)
-    return total
-
-
-def _coeff_upper(A, T, barred):
-    f = L.one()
-    for i, j, t in T.entries:
-        g = L.gauss_sq(A.entry(i, j) + t - T.entry(i - 1, j), t)
-        if barred:
-            g = L.bar(g)
-        f = L.mul(f, g)
-        if not f:
-            break
-    return f
-
-
-def _mul_upper(B, A, normalized):
-    """Shared engine behind the closed-form products."""
-    if B.n != A.n:
-        raise ValueError("size mismatch")
-    r = M.sigma(A)
-    if M.sigma(B) != r:
-        raise ValueError("level mismatch")
-    shape = upper_shape(B)
-    if shape is None:
-        raise ValueError("left factor is not of the required one-layer shape")
-    alpha, _ = shape
-    basis = "n" if normalized else "e"
-    n = B.n
-    if M.co(B) != M.ro(A):
-        return s_zero(n, r, basis)
-    # cell caps t_{i,j} <= a_{i+1,j}: row i of T sits under row i+1 of A
-    cells = [M.row_support(A, i + 1) for i in range(1, n + 1)]
-    out = {}
-    for T in M.capped_row_matrices(alpha, cells):
-        coeff = _coeff_upper(A, T, normalized)
-        if not coeff:
-            continue
-        expo = _beta_upper(A, T) if normalized else _exp_upper_e(A, T)
-        label = M.madd(M.msub(A, M.tilde(T)), T)
-        if not M.is_nonneg(label):
-            continue
-        _acc(out, label, L.vshift(coeff, expo))
-    return SchurElement(n, r, basis, out)
+def one_layer_terms(alpha, A, row_cells):
+    """Yield (T, nonzero term) of a left product of A by the layer alpha,
+    for T over M.capped_row_matrices(alpha, row_cells); the caller builds
+    the result label from T."""
+    for T in M.capped_row_matrices(alpha, row_cells):
+        coeff = L.one()
+        for i, j, t in T.entries:
+            coeff = L.mul(coeff, L.gauss_sq(A.entry(i, j) + t - T.entry(i - 1, j), t))
+            if not coeff:
+                break
+        if coeff:
+            yield T, L.vshift(coeff, _exp_upper_e(A, T))
 
 
 def e_mul_upper(B, A):
@@ -316,7 +284,26 @@ def e_mul_upper(B, A):
     >>> text(e_mul_upper(B, A))
     '(1 + v^2)*e[(1, 1, 2)]'
     """
-    return _mul_upper(B, A, normalized=False)
+    if B.n != A.n:
+        raise ValueError("size mismatch")
+    r = M.sigma(A)
+    if M.sigma(B) != r:
+        raise ValueError("level mismatch")
+    shape = upper_shape(B)
+    if shape is None:
+        raise ValueError("left factor is not of the required one-layer shape")
+    alpha, _ = shape
+    n = B.n
+    if M.co(B) != M.ro(A):
+        return s_zero(n, r)
+    # cell caps t_{i,j} <= a_{i+1,j}: row i of T sits under row i+1 of A
+    cells = [M.row_support(A, i + 1) for i in range(1, n + 1)]
+    out = {}
+    for T, term in one_layer_terms(alpha, A, cells):
+        label = M.madd(M.msub(A, M.tilde(T)), T)
+        if M.is_nonneg(label):
+            _acc(out, label, term)
+    return SchurElement(n, r, "e", out)
 
 
 def e_mul_lower(C, A):
@@ -328,18 +315,22 @@ def e_mul_lower(C, A):
     >>> text(e_mul_lower(C, A))
     '(1 + v^2)*e[(2, 2, 2)]'
     """
-    return negate_element(_mul_upper(M.negate(C), M.negate(A), normalized=False))
+    return negate_element(e_mul_upper(M.negate(C), M.negate(A)))
 
 
 def n_mul_upper(B, A):
-    """Product [B][A] in the normalized basis, upper one-layer left factor."""
-    return _mul_upper(B, A, normalized=True)
+    """Product [B][A] in the normalized basis, upper one-layer left factor,
+    read off e_mul_upper by the change of basis [A] = v^(-d_A) e_A."""
+    x = e_mul_upper(B, A)
+    shift = M.d_exponent(B) + M.d_exponent(A)
+    out = {C: L.vshift(c, M.d_exponent(C) - shift) for C, c in x.terms.items()}
+    return SchurElement(x.n, x.r, "n", out)
 
 
 def n_mul_lower(C, A):
     """Product [C][A] in the normalized basis, lower one-layer left factor,
     derived from the upper rule by index negation."""
-    return negate_element(_mul_upper(M.negate(C), M.negate(A), normalized=True))
+    return negate_element(n_mul_upper(M.negate(C), M.negate(A)))
 
 
 # ----------------------------------------------------------------------

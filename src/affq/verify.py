@@ -52,8 +52,8 @@ class Config:
             raise ValueError("supported sizes are n in {2, 3}")
         if self.r_min < 1 or self.r_max < self.r_min:
             raise ValueError("need 1 <= r_min <= r_max")
-        if any(q not in (2, 3) for q in self.q_list):
-            raise ValueError("brute-force suites need prime q <= 3")
+        if not self.q_list or any(q not in (2, 3) for q in self.q_list):
+            raise ValueError("brute-force suites need one or more prime q <= 3")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
 

@@ -1,9 +1,13 @@
 """Record the CLI output bytes replayed by tests/test_cli.py.
 
 The requests are drawn from seeded grids: ``schur-mul`` with a
-subdiagonal-plus-diagonal left factor in both bases, and ``vbln-mul``
+subdiagonal-plus-diagonal left factor in both bases, ``vbln-mul``
 one-layer products (lower and upper) applied to ``reduce`` outputs, whose
-coefficients carry non-trivial denominators.  The file pins the exact
+coefficients carry non-trivial denominators, then ``schur-mul`` with a
+superdiagonal-plus-diagonal left factor in both bases and ``hall``
+products checked against the census at q = 2, 3.  The later groups are
+drawn after the earlier ones from the same generator, so adding a group
+leaves the earlier records unchanged.  The file pins the exact
 ``num/den`` representation of every coefficient, which value equality of
 ``LaurentFraction`` does not.
 
@@ -21,6 +25,7 @@ import sys
 import tempfile
 
 from affq import cli
+from affq import hall as Ha
 from affq import matrices as M
 from affq import realization as R
 from affq import schur as S
@@ -29,14 +34,14 @@ from affq import verify as V
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.jsonl")
 
 
-def schur_requests(rng):
+def schur_requests(rng, shapes_for=S.lower_shapes_for, count=24):
     pool = []
     for n, r_max in ((2, 3), (3, 3)):
         for r in range(1, r_max + 1):
             for A in M.band_matrices(n, r, 1):
-                for C in S.lower_shapes_for(M.ro(A)):
+                for C in shapes_for(M.ro(A)):
                     pool.append({"left": M.to_json(C), "right": M.to_json(A)})
-    picked = rng.sample(pool, 24)
+    picked = rng.sample(pool, count)
     return [(["schur-mul", "--basis", b], p) for b in ("e", "n") for p in picked]
 
 
@@ -55,6 +60,22 @@ def vbln_requests(rng):
     return out
 
 
+def hall_requests(rng, count=16):
+    """Semisimple Hall products with |alpha| + dim M(A) <= 4, so that the
+    census at q = 2, 3 stays cheap."""
+    out = []
+    for _ in range(count):
+        n = rng.choice((2, 3))
+        A = rng.choice(Ha.enumerate_labels(n, 3, 3))
+        room = 4 - Ha.dim_rep(A)
+        alpha = [0] * n
+        for _ in range(rng.randint(1, room)):
+            alpha[rng.randrange(n)] += 1
+        payload = {"alpha": alpha, "matrix": M.to_json(A)}
+        out.append((["hall", "--q", "2,3"], payload))
+    return out
+
+
 def run(args, payload):
     """Output bytes of one CLI request, fed through --in/--out files."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -70,7 +91,9 @@ def run(args, payload):
 def main():
     rng = random.Random(20131107)
     records = []
-    for args, payload in schur_requests(rng) + vbln_requests(rng):
+    requests = schur_requests(rng) + vbln_requests(rng)
+    requests += schur_requests(rng, S.upper_shapes_for, 16) + hall_requests(rng)
+    for args, payload in requests:
         code, data = run(args, payload)
         if code != 0:
             raise SystemExit("request failed: %r" % (args,))

@@ -118,6 +118,14 @@ def test_hall_command(tmp_path):
     assert run_cli(["hall", "--q", "5"], payload, tmp_path)[0] == 2
 
 
+def test_hall_rejects_empty_q_list(tmp_path):
+    # An empty list would skip every census comparison and still exit 0.
+    payload = {"alpha": [1, 0], "matrix": {"n": 2, "entries": [[1, 2, 1]]}}
+    code, data, _ = run_cli(["hall", "--q", ","], payload, tmp_path)
+    assert code == 2
+    assert data is None
+
+
 def test_reduce_command(tmp_path):
     payload = {"matrix": {"n": 2, "entries": []}, "j": [0, 0], "lambda": [1, 0]}
     code, data, _ = run_cli(["reduce"], payload, tmp_path)
@@ -265,6 +273,15 @@ def test_verify_rejects_bad_grid():
         cli.main(["verify", "--suite", "unknown"])
 
 
+def test_verify_rejects_empty_q_list(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "hall", "--n", "2", "--r", "2", "--q", ",", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        V.Config(q_list=()).validate()
+
+
 def test_run_suite_validation():
     with pytest.raises(ValueError):
         V.run_suite("unknown")
@@ -292,7 +309,7 @@ def test_cli_output_bytes_match_golden(tmp_path):
     # Regenerate with tests/data/make_cli_golden.py.
     golden = Path(__file__).parent / "data" / "cli_golden.jsonl"
     records = [json.loads(line) for line in golden.read_text().splitlines()]
-    assert {r["args"][0] for r in records} == {"schur-mul", "vbln-mul"}
+    assert {r["args"][0] for r in records} == {"schur-mul", "vbln-mul", "hall"}
     for k, rec in enumerate(records):
         src = tmp_path / ("in-%d.json" % k)
         out = tmp_path / ("out-%d.json" % k)

@@ -15,7 +15,7 @@ def test_doctests():
 
 
 def qp(items):
-    return Ha.qpoly(items)
+    return L.poly(items)
 
 
 def test_euler_form_values_and_bilinearity():
@@ -211,7 +211,7 @@ def _scale_product(prod, poly):
     out = {}
     for k, f in prod.items():
         acc = out.setdefault(k, {})
-        Ha.qp_add_inplace(acc, Ha.qp_mul(poly, f))
+        L.add_inplace(acc, L.mul(poly, f))
         if not acc:
             del out[k]
     return out
@@ -221,7 +221,7 @@ def _add_products(a, b):
     out = {k: dict(v) for k, v in a.items()}
     for k, f in b.items():
         acc = out.setdefault(k, {})
-        Ha.qp_add_inplace(acc, f)
+        L.add_inplace(acc, f)
         if not acc:
             del out[k]
     return out

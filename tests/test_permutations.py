@@ -296,3 +296,13 @@ def test_text_and_json():
     for _ in range(50):
         w = rand_perm(rng, rng.choice([2, 3, 4]))
         assert P.from_json(P.to_json(w)) == w
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"r": 2.7, "window": [0, 3]}, {"r": True, "window": [1]}, {"r": 2, "window": [0.0, 3]}],
+    ids=["float-r", "bool-r", "float-window"],
+)
+def test_from_json_rejects_non_integers(obj):
+    with pytest.raises(ValueError):
+        P.from_json(obj)

@@ -278,3 +278,16 @@ def test_json_round_trip_and_determinism():
     y = S.A_j_r(M.pmat(2, []), (1, 0), 2)
     assert S.to_json(y)["basis"] == "n"
     assert S.s_eq(S.from_json(S.to_json(y)), y)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [{"n": 2.0}, {"r": True}, {"r": "1"}, {"basis": "zz"}],
+    ids=["float-n", "bool-r", "string-r", "unknown-basis"],
+)
+def test_from_json_is_strict(patch):
+    obj = S.to_json(S.basis_element(M.diag((1, 0))))
+    S.from_json(obj)
+    obj.update(patch)
+    with pytest.raises(ValueError):
+        S.from_json(obj)
