@@ -12,6 +12,21 @@ products factor the left operand into a shift times a reduced word.  Sums
 of T_w over block subgroups and their double cosets are provided for the
 convolution layer.
 
+The left actions also act on the permutation module H x_nu, x_nu the sum
+of T_u over the block subgroup W_nu.  An element there is a HeckeElement
+whose windows are the shortest d of their cosets d W_nu (increasing on
+every block of nu), standing for sum c_d T_d x_nu.  For the generator
+(Deodhar's lemma):
+
+    T_s T_d x_nu = (v^2 - 1) T_d x_nu + v^2 T_{sd} x_nu   if sd < d,
+    T_s T_d x_nu = T_{sd} x_nu                           if sd > d, sd shortest,
+    T_s T_d x_nu = v^2 T_d x_nu                          otherwise (sd = d s'
+                                                         with s' in W_nu).
+
+``left_mul_gen``, ``left_mul_basis`` and ``x_mul_left`` take nu; the
+regular action is the case nu = (1^r), whose block subgroup is trivial,
+and nu = () means the same.
+
 Only left actions are implemented.  ``invert``, T_w -> T_{w^-1}, is an
 anti-involution (reversing words maps the relations onto their mirror
 images on the right), so ``right_mul_basis(h, w) = invert(left_mul_basis(
@@ -123,17 +138,30 @@ def _gen_value(i, r, x):
     return x
 
 
-def left_mul_gen(i, h):
-    """T_{s_i} * h."""
+def _inner_positions(nu):
+    """0-based positions p with p and p + 1 in one block of nu."""
+    out, pos = set(), 0
+    for part in nu:
+        out.update(range(pos, pos + part - 1))
+        pos += part
+    return out
+
+
+def left_mul_gen(i, h, nu=()):
+    """T_{s_i} * h, in H x_nu when nu is given (see the module docstring)."""
     r = h.r
+    inner = _inner_positions(nu)
     out = {}
     for win, c in h.terms.items():
-        new = tuple(_gen_value(i, r, x) for x in win)
-        if _inv_pos(win, r, i) < _inv_pos(win, r, i + 1):
-            _acc(out, new, c)
-        else:
+        k = _inv_pos(win, r, i)
+        k1 = _inv_pos(win, r, i + 1)
+        if k > k1:
             _acc(out, win, c, _V2M1)
-            _acc(out, new, c, _V2)
+            _acc(out, tuple(_gen_value(i, r, x) for x in win), c, _V2)
+        elif k1 == k + 1 and (k - 1) % r in inner:
+            _acc(out, win, c, _V2)
+        else:
+            _acc(out, tuple(_gen_value(i, r, x) for x in win), c)
     return HeckeElement(r, out)
 
 
@@ -153,13 +181,13 @@ def invert(h):
     return HeckeElement(h.r, terms)
 
 
-def left_mul_basis(w, h):
-    """T_w * h via a reduced word of w."""
+def left_mul_basis(w, h, nu=()):
+    """T_w * h via a reduced word of w, in H x_nu when nu is given."""
     if w.r != h.r:
         raise ValueError("level mismatch")
     m, word = P.reduced_word(w)
     for i in reversed(word):
-        h = left_mul_gen(i, h)
+        h = left_mul_gen(i, h, nu)
     return left_mul_rho(m, h)
 
 
@@ -202,29 +230,30 @@ def x_lambda(lam):
     )
 
 
-def _stair_left(h, p, m):
+def _stair_left(h, p, m, nu):
     # T over the symmetric group on positions p+1..p+m equals
     # (sum of T over coset leaders s_j...s_{p+m-1}) times the same for m-1;
     # each leader extends the previous by one generator on the left.
     if m <= 1:
         return h
-    h1 = _stair_left(h, p, m - 1)
+    h1 = _stair_left(h, p, m - 1, nu)
     total = {win: dict(c) for win, c in h1.terms.items()}
     g = h1
     for j in range(p + m - 1, p, -1):
-        g = left_mul_gen(j, g)
+        g = left_mul_gen(j, g, nu)
         for win, c in g.terms.items():
             _acc(total, win, c)
     return HeckeElement(h.r, total)
 
 
-def x_mul_left(lam, h):
-    """x_lambda * h without expanding the block subgroup."""
+def x_mul_left(lam, h, nu=()):
+    """x_lambda * h without expanding the block subgroup, in H x_nu when nu
+    is given."""
     if sum(lam) != h.r:
         raise ValueError("composition must sum to the level")
     pos = 0
     for part in lam:
-        h = _stair_left(h, pos, part)
+        h = _stair_left(h, pos, part, nu)
         pos += part
     return h
 

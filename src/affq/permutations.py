@@ -50,10 +50,8 @@ def perm(r, window):
         ...
     ValueError: window residues mod r must form a permutation
     """
-    r = int(r)
-    if r < 1:
-        raise ValueError("period must be a positive integer")
-    w = tuple(int(x) for x in window)
+    r = _period(r)
+    w = L.json_ints(window)
     if len(w) != r:
         raise ValueError("window must list the r values w(1), ..., w(r)")
     if sorted(x % r for x in w) != list(range(r)):
@@ -61,8 +59,18 @@ def perm(r, window):
     return AffinePermutation(r, w)
 
 
+def _period(r):
+    """r when it is a positive int: as in L.json_ints, nothing is coerced."""
+    if type(r) is not int:
+        raise ValueError("expected an integer, got %s %r" % (type(r).__name__, r))
+    if r < 1:
+        raise ValueError("period must be a positive integer")
+    return r
+
+
 def identity(r):
-    return AffinePermutation(int(r), tuple(range(1, int(r) + 1)))
+    r = _period(r)
+    return AffinePermutation(r, tuple(range(1, r + 1)))
 
 
 def rho(r):
@@ -76,7 +84,8 @@ def rho(r):
 
 def rho_power(m, r):
     """The shift j -> j + m."""
-    return AffinePermutation(int(r), tuple(i + m for i in range(1, int(r) + 1)))
+    r = _period(r)
+    return AffinePermutation(r, tuple(i + m for i in range(1, r + 1)))
 
 
 def generator_s(i, r):
@@ -87,7 +96,7 @@ def generator_s(i, r):
     >>> generator_s(2, 2).window
     (0, 3)
     """
-    r = int(r)
+    r = _period(r)
     if r < 2 or not 1 <= i <= r:
         raise ValueError("generator index must satisfy 1 <= i <= r with r >= 2")
     a, b = i % r, (i + 1) % r
@@ -196,8 +205,7 @@ def to_json(w):
 
 
 def from_json(obj):
-    (r,) = L.json_ints([obj["r"]])
-    return perm(r, L.json_ints(obj["window"]))
+    return perm(obj["r"], obj["window"])
 
 
 def blocks(lam):

@@ -8,10 +8,13 @@ pairs of the label.
 
 Products are available through two independent routes:
 
-* ``oracle_mul`` realizes ``e_B e_A`` inside the extended affine Hecke
-  algebra by composing double-coset sums and peeling the result back
-  into basis labels.  It works for arbitrary label pairs and serves as
-  the reference implementation.
+* ``oracle_mul`` realizes ``e_B e_A`` by the defining action on the
+  permutation module ``H x_nu`` of the extended affine Hecke algebra,
+  ``nu = co(A)`` (see ``hecke``): an element keeps one coefficient per
+  shortest coset representative d of ``d W_nu`` instead of all
+  ``|W_nu|`` terms of the coset.  It composes double-coset sums and peels
+  the result back into basis labels.  It works for arbitrary label pairs
+  and serves as the reference implementation.
 * ``e_mul_upper`` / ``e_mul_lower`` / ``n_mul_upper`` / ``n_mul_lower``
   are closed-form multiplication rules that apply when the left factor
   is diagonal plus a single superdiagonal (upper) or subdiagonal
@@ -374,10 +377,10 @@ def A_j_lambda_r(A, j, lam, r):
 
 
 # ----------------------------------------------------------------------
-# reference product through the Hecke algebra
+# reference product through the Hecke algebra, in the modules H x_nu
 
-_COSET_SUM_CACHE = {}
-_LABEL_SUM_CACHE = {}
+_COSET_REPS_CACHE = {}
+_LABEL_REPS_CACHE = {}
 _LENGTH_CACHE = {}
 
 
@@ -389,20 +392,28 @@ def _window_length(win):
     return val
 
 
-def _coset_sum(lam, win, nu):
+def _coset_reps(lam, win, nu):
+    """Frozenset of the shortest windows of the cosets d W_nu inside
+    W_lam d W_nu: the block-sorted windows of u d for u in W_lam."""
     key = (lam, win, nu)
-    h = _COSET_SUM_CACHE.get(key)
-    if h is None:
-        r = len(win)
-        h = H.t_double_coset(lam, P.AffinePermutation(r, win), nu)
-        _COSET_SUM_CACHE[key] = h
-    return h
+    reps = _COSET_REPS_CACHE.get(key)
+    if reps is None:
+        d = P.AffinePermutation(len(win), win)
+        reps = set()
+        for u in P.young_subgroup_elements(lam):
+            ud = P.compose(u, d).window
+            reps.add(tuple(x for b in P.blocks(nu) for x in sorted(ud[p - 1] for p in b)))
+        reps = _COSET_REPS_CACHE[key] = frozenset(reps)
+    return reps
 
 
-def _h_divexact(h, f):
-    return H.HeckeElement(
-        h.r, {win: L.divexact(c, f) for win, c in h.terms.items()}
-    )
+def _label_reps(A):
+    """_coset_reps of the double coset of label A, cached per label."""
+    reps = _LABEL_REPS_CACHE.get(A)
+    if reps is None:
+        d = P.pseudo_matrix_rep(A).window
+        reps = _LABEL_REPS_CACHE[A] = _coset_reps(M.ro(A), d, M.co(A))
+    return reps
 
 
 def _factorial_product(A):
@@ -412,54 +423,32 @@ def _factorial_product(A):
     return f
 
 
-def _label_coset_sum(A):
-    """The Hecke image of e_A applied to x_{co(A)}, cached per label.
-
-    This is the full double-coset sum for (ro(A), y_A, co(A)), obtained
-    from x_mu T_{y_A} x_nu by exact division by the entry factorials.
-    """
-    h = _LABEL_SUM_CACHE.get(A)
-    if h is None:
-        mu, nu = M.ro(A), M.co(A)
-        d2 = P.pseudo_matrix_rep(A)
-        h = H.x_mul_right(H.t_basis(d2), nu)
-        h = H.x_mul_left(mu, h)
-        h = _h_divexact(h, _factorial_product(A))
-        _LABEL_SUM_CACHE[A] = h
-    return h
-
-
 def _decompose(h, lam, nu):
-    """Peel a sum of full double cosets into labels with coefficients."""
-    cur = {win: dict(c) for win, c in h.terms.items()}
+    """Peel an element of H x_nu, a sum of double cosets W_lam d W_nu, into
+    labels with coefficients."""
+    cur = dict(h.terms)
     out = {}
     while cur:
         best = min(cur, key=lambda w: (_window_length(w), w))
-        c = dict(cur[best])
-        y = P.AffinePermutation(len(best), best)
-        label = P.jmath(lam, y, nu)
-        out[label] = c
-        coset = _coset_sum(lam, best, nu)
+        c = cur[best]
         before = len(cur)
-        for win in coset.terms:
-            slot = cur.get(win)
-            if slot is None:
-                cur[win] = slot = {}
-            L.add_inplace(slot, c, -1)
-            if not slot:
-                del cur[win]
+        for win in _coset_reps(lam, best, nu):
+            if cur.pop(win, None) != c:
+                raise AssertionError("coefficients differ across a double coset")
         if len(cur) >= before:
             raise AssertionError("support did not shrink during peeling")
+        out[P.jmath(lam, P.AffinePermutation(len(best), best), nu)] = c
     return out
 
 
 def oracle_mul(B, A):
-    """Product e_B e_A computed inside the Hecke algebra.
+    """Product e_B e_A computed in the permutation module H x_nu, nu = co(A).
 
-    Realizes e_A on x_{co(A)} as a double-coset sum, applies e_B through
-    the defining formula on x_{ro(A)}-multiples (dividing by the entry
-    factorials of B, exactly), and peels the resulting Hecke element
-    into standard basis labels.
+    e_A sends x_nu to the sum of T_d x_nu over the shortest representatives
+    d of the cosets d W_nu in W_mu d_A W_nu (mu = ro(A)).  Applying T_{d_B},
+    then x_lam, gives e_B e_A (x_nu) times the entry factorials of B; the
+    result is peeled into standard basis labels, and each coefficient is
+    divided exactly by those factorials.
 
     >>> B = M.madd(M.e_unit(1, 2, 2), M.diag((1, 0)))
     >>> A = M.madd(M.e_unit(2, 1, 2), M.diag((1, 0)))
@@ -477,12 +466,12 @@ def oracle_mul(B, A):
     if M.co(B) != M.ro(A):
         return s_zero(n, r, "e")
     lam, nu = M.ro(B), M.co(A)
-    h = _label_coset_sum(A)
-    d1 = P.pseudo_matrix_rep(B)
-    g = H.left_mul_basis(d1, h)
-    g = H.x_mul_left(lam, g)
-    g = _h_divexact(g, _factorial_product(B))
-    return SchurElement(n, r, "e", _decompose(g, lam, nu))
+    g = H.HeckeElement(r, {win: L.one() for win in _label_reps(A)})
+    g = H.left_mul_basis(P.pseudo_matrix_rep(B), g, nu)
+    g = H.x_mul_left(lam, g, nu)
+    f = _factorial_product(B)
+    out = {C: L.divexact(c, f) for C, c in _decompose(g, lam, nu).items()}
+    return SchurElement(n, r, "e", out)
 
 
 def _bilinear(mul, x, y):

@@ -408,16 +408,22 @@ def _check_level_coherence(case):
 
     for j in jgrid:
         x = R.v_basis(n, A, j)
+        # the level-free products do not depend on r: one of each per case
+        diag = {jp: (R.mul_by_0j(jp, x), R.mul_0j_right(x, jp)) for jp in jgrid}
+        layer = {
+            alpha: (R.mul_by_semisimple_plus(alpha, x), R.mul_by_semisimple_minus(alpha, x))
+            for alpha in alphas
+        }
         for r in range(max(1, M.sigma(A)), r_max + 1):
             base = S.A_j_r(A, j, r)
             base_e = S.convert(base, "e")
             for jp in jgrid:
-                got = R.eval_at_level(R.mul_by_0j(jp, x), r)
+                got = R.eval_at_level(diag[jp][0], r)
                 want = S.closed_product_upper(S.A_j_r(zl, jp, r), base)
                 checked += 1
                 if not S.s_eq(got, want):
                     record("diag-left", j, jp, r, got, want)
-                got = R.eval_at_level(R.mul_0j_right(x, jp), r)
+                got = R.eval_at_level(diag[jp][1], r)
                 want = S.convert(
                     S.oracle_product(base_e, S.convert(S.A_j_r(zl, jp, r), "e")), "n"
                 )
@@ -425,14 +431,14 @@ def _check_level_coherence(case):
                 if not S.s_eq(got, want):
                     record("diag-right", j, jp, r, got, want)
             for alpha in alphas:
-                got = R.eval_at_level(R.mul_by_semisimple_plus(alpha, x), r)
+                got = R.eval_at_level(layer[alpha][0], r)
                 want = S.closed_product_upper(
                     S.A_j_r(M.s_alpha(alpha), zero_j, r), base
                 )
                 checked += 1
                 if not S.s_eq(got, want):
                     record("one-layer-upper", j, alpha, r, got, want)
-                got = R.eval_at_level(R.mul_by_semisimple_minus(alpha, x), r)
+                got = R.eval_at_level(layer[alpha][1], r)
                 want = S.closed_product_lower(
                     S.A_j_r(M.t_s_alpha(alpha), zero_j, r), base
                 )

@@ -5,9 +5,18 @@ grid and requires exact equality everywhere; any mismatch fails with the
 offending cases attached.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from affq import verify as V
+
+# (cases, checks, ok) of every suite on the smallest grid; a refactor that
+# silently drops or adds checks changes these counts.
+SUITE_COUNTS = json.loads(
+    (Path(__file__).parent / "data" / "suite_counts.json").read_text()
+)
 
 CRITERIA = (
     ("criterion-1-schur-oracle", "schur-oracle"),
@@ -32,3 +41,12 @@ def test_criterion(label, suite):
         % (label, verdict, report["checks"], report["cases"])
     )
     assert report["ok"], report["mismatches"]
+
+
+def test_suite_check_counts_are_pinned():
+    cfg = V.Config(n_list=(2,), r_min=2, r_max=2, q_list=(2,))
+    assert sorted(SUITE_COUNTS) == sorted(V.SUITE_NAMES)
+    for suite in V.SUITE_NAMES:
+        report = V.run_suite(suite, cfg)
+        got = {key: report[key] for key in ("cases", "checks", "ok")}
+        assert got == SUITE_COUNTS[suite], suite

@@ -217,3 +217,74 @@ def test_coset_product_identity():
             lam, mu = M.ro(A), M.co(A)
             assert H.coset_product_identity_check(lam, d, mu)
             assert H.coset_decomposition_identity_check(lam, d, mu)
+
+
+# ----------------------------------------------------------------------
+# the permutation module H x_nu: {window of d: c} stands for sum c T_d x_nu
+
+
+def all_nus(r_max=3):
+    return [
+        nu for parts in (1, 2, 3) for r in range(1, r_max + 1) for nu in M.compositions(parts, r)
+    ]
+
+
+def block_sorted(win, nu):
+    return tuple(x for b in P.blocks(nu) for x in sorted(win[p - 1] for p in b))
+
+
+def rand_module_elem(rng, r, nu, max_terms=4):
+    def rand_window():
+        w = P.rho_power(rng.randrange(-2, 3), r)
+        if r > 1:
+            w = P.compose(w, rand_perm(rng, r))
+        return block_sorted(w.window, nu)
+
+    items = [(rand_window(), rand_coeff(rng)) for _ in range(rng.randrange(1, max_terms + 1))]
+    return H.h_from_items(r, items)
+
+
+def expand(h, nu):
+    """T_d x_nu = sum of T_{du} over u in W_nu, computed in the whole group."""
+    items = [
+        (P.compose(P.AffinePermutation(h.r, win), u).window, c)
+        for win, c in h.terms.items()
+        for u in P.young_subgroup_elements(nu)
+    ]
+    return H.h_from_items(h.r, items)
+
+
+def assert_module_image(got, want, nu):
+    assert all(win == block_sorted(win, nu) for win in got.terms)
+    assert H.h_eq(expand(got, nu), want)
+
+
+def test_module_action_commutes_with_expansion():
+    rng = random.Random(53)
+    for nu in all_nus():
+        r = sum(nu)
+        for _ in range(6):
+            h = rand_module_elem(rng, r, nu)
+            full = expand(h, nu)
+            for i in range(1, r + 1) if r > 1 else ():
+                assert_module_image(H.left_mul_gen(i, h, nu), H.left_mul_gen(i, full), nu)
+            for m in (-2, 0, 1):
+                w = P.rho_power(m, r)
+                if r > 1:
+                    w = P.compose(w, rand_perm(rng, r))
+                assert_module_image(H.left_mul_basis(w, h, nu), H.left_mul_basis(w, full), nu)
+            for lam in M.compositions(2, r):
+                assert_module_image(H.x_mul_left(lam, h, nu), H.x_mul_left(lam, full), nu)
+
+
+def test_regular_module_is_the_group_action():
+    # nu = (1^r) has a trivial block subgroup: the module rule is the regular one
+    rng = random.Random(59)
+    for r in (2, 3):
+        ones = (1,) * r
+        for _ in range(10):
+            h = rand_elem(rng, r)
+            for i in range(1, r + 1):
+                assert H.h_eq(H.left_mul_gen(i, h, ones), H.left_mul_gen(i, h))
+            w = rand_perm(rng, r)
+            assert H.h_eq(H.left_mul_basis(w, h, ones), H.left_mul_basis(w, h))

@@ -306,3 +306,37 @@ def test_text_and_json():
 def test_from_json_rejects_non_integers(obj):
     with pytest.raises(ValueError):
         P.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: P.perm(2.7, [1.9, 2]),
+        lambda: P.perm(True, [1]),
+        lambda: P.perm("2", [1, 2]),
+        lambda: P.perm(2, [1.0, 2]),
+        lambda: P.perm(2, [True, 2]),
+        lambda: P.identity(2.0),
+        lambda: P.identity(True),
+        lambda: P.rho_power(1, 3.0),
+        lambda: P.rho_power(1, "3"),
+        lambda: P.generator_s(1, 2.0),
+        lambda: P.generator_s(1, True),
+    ],
+    ids=[
+        "perm-float",
+        "perm-bool-r",
+        "perm-string-r",
+        "perm-float-window",
+        "perm-bool-window",
+        "identity-float",
+        "identity-bool",
+        "rho-float",
+        "rho-string",
+        "generator-float",
+        "generator-bool",
+    ],
+)
+def test_constructors_reject_non_integers(call):
+    with pytest.raises(ValueError, match="expected an integer"):
+        call()

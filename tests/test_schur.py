@@ -1,10 +1,13 @@
 import doctest
+import functools
 import random
 
 import pytest
 
+from affq import hecke as H
 from affq import laurent as L
 from affq import matrices as M
+from affq import permutations as P
 from affq import schur as S
 
 
@@ -291,3 +294,59 @@ def test_from_json_is_strict(patch):
     obj.update(patch)
     with pytest.raises(ValueError):
         S.from_json(obj)
+
+
+@functools.lru_cache(maxsize=None)
+def double_coset_windows(lam, win, nu):
+    return frozenset(H.t_double_coset(lam, P.AffinePermutation(len(win), win), nu).terms)
+
+
+def full_group_oracle(B, A):
+    """e_B e_A in the whole Hecke algebra: e_A(x_nu) is the double-coset sum
+    of (ro(A), d_A, co(A)); apply x_lam T_{d_B}, divide by the entry
+    factorials of B, and peel full double-coset sums W_lam d W_nu."""
+    r, lam, nu = M.sigma(A), M.ro(B), M.co(A)
+    d_A = P.pseudo_matrix_rep(A).window
+    h = H.h_from_items(r, [(w, L.one()) for w in double_coset_windows(M.ro(A), d_A, nu)])
+    g = H.x_mul_left(lam, H.left_mul_basis(P.pseudo_matrix_rep(B), h))
+    f = L.one()
+    for _, _, b in B.entries:
+        f = L.mul(f, L.factorial_sq(b))
+    cur = {win: L.divexact(c, f) for win, c in g.terms.items()}
+    items = []
+    while cur:
+        best = min(cur, key=lambda w: (P.length(P.AffinePermutation(r, w)), w))
+        d = P.AffinePermutation(r, best)
+        c = cur[best]
+        for win in double_coset_windows(lam, best, nu):
+            assert cur.pop(win) == c
+        items.append((P.jmath(lam, d, nu), c))
+    return S.s_from_items(A.n, r, items)
+
+
+def test_module_oracle_matches_full_group_route():
+    checked = 0
+    for r in (1, 2, 3):
+        labels = list(M.band_matrices(2, r, 2))
+        for B in labels:
+            for A in labels:
+                if M.co(B) == M.ro(A):
+                    assert S.s_eq(S.oracle_mul(B, A), full_group_oracle(B, A))
+                    checked += 1
+    assert checked == 14825
+
+
+def test_peel_invariant_failures_are_internal_errors():
+    # T_{s_1} x_nu is not a module element for nu = (2, 0): its window is
+    # not the shortest in its coset, so the double coset of (2, 1) has the
+    # member (1, 2), already peeled
+    bad = H.h_from_items(2, [((1, 2), {0: 2}), ((2, 1), {0: 1})])
+    with pytest.raises(AssertionError, match="coefficients differ across a double coset"):
+        S._decompose(bad, (2, 0), (2, 0))
+    # x_nu itself is the single double coset W_lam W_nu, of label diag(2, 0)
+    x_nu = H.h_from_items(2, [((1, 2), {0: 1})])
+    assert S._decompose(x_nu, (2, 0), (2, 0)) == {M.diag((2, 0)): {0: 1}}
+    # a double coset with a missing member
+    part = H.h_from_items(2, [((0, 3), {0: 1})])
+    with pytest.raises(AssertionError, match="coefficients differ across a double coset"):
+        S._decompose(part, (2, 0), (1, 1))
