@@ -1,9 +1,14 @@
 """Command-line interface with JSON input and output.
 
 Exit codes: 0 computed or verified, 1 mathematical mismatch (a report is
-still written), 2 malformed input, 3 internal error (a failed invariant of
-the library).  Output is canonically sorted, so repeated runs with the same
-inputs produce identical bytes.
+still written), 2 malformed or oversized input, 3 internal error (a failed
+invariant of the library).  Output is canonically sorted, so repeated runs
+with the same inputs produce identical bytes.
+
+Size caps, checked before any computation: ``coset`` and ``schur-mul``
+accept matrices of period n <= MAX_N, and ``coset`` a total
+sigma(A) <= MAX_COSET_SIGMA (the window of the representative has sigma(A)
+entries and its length walk is quadratic in it).
 
 ``main`` may be called any number of times in one process: the parser is
 built on the first call and shared by the later ones.  Argparse keeps no
@@ -23,6 +28,9 @@ from . import realization as R
 from . import schur as S
 from . import verify as V
 
+MAX_N = 16
+MAX_COSET_SIGMA = 64
+
 
 def _load(path):
     if path in (None, "-"):
@@ -40,10 +48,20 @@ def _emit(obj, path):
             fh.write(data)
 
 
+def _capped_matrix(obj):
+    """The matrix of obj, rejected when its period exceeds MAX_N."""
+    A = M.from_json(obj)
+    if A.n > MAX_N:
+        raise ValueError("period n = %d exceeds the cap %d" % (A.n, MAX_N))
+    return A
+
+
 def cmd_coset(args):
-    A = M.from_json(_load(args.infile))
+    A = _capped_matrix(_load(args.infile))
     if not M.is_nonneg(A):
         raise ValueError("matrix entries must be nonnegative")
+    if M.sigma(A) > MAX_COSET_SIGMA:
+        raise ValueError("sigma = %d exceeds the cap %d" % (M.sigma(A), MAX_COSET_SIGMA))
     y = P.pseudo_matrix_rep(A)
     walked = P.length(y)
     closed = P.length_formula(A)
@@ -61,8 +79,8 @@ def cmd_coset(args):
 
 def cmd_schur_mul(args):
     obj = _load(args.infile)
-    left = M.from_json(obj["left"])
-    right = M.from_json(obj["right"])
+    left = _capped_matrix(obj["left"])
+    right = _capped_matrix(obj["right"])
     if S.upper_shape(left) is not None:
         mul = S.e_mul_upper if args.basis == "e" else S.n_mul_upper
     elif S.lower_shape(left) is not None:

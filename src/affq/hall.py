@@ -81,20 +81,6 @@ def dim_rep(A):
     return sum(dim_vector(A))
 
 
-def dual_label(A):
-    """Label of the dual module under the arrow-reversing vertex flip.
-
-    Segments map by (i, j) -> (1 - j, 1 - i); this is an involution on
-    the strictly upper labels and satisfies
-    phi^C_{A,B} = phi^{dual C}_{dual B, dual A}.
-
-    >>> sorted(dual_label(M.pmat(2, [(2, 4, 1)])).entries)
-    [(1, 3, 1)]
-    """
-    check_label(A)
-    return M.pmat(A.n, [(1 - j, 1 - i, a) for i, j, a in A.entries])
-
-
 # ----------------------------------------------------------------------
 # linear algebra over a prime field
 
@@ -401,16 +387,13 @@ def dim_end(A):
     return dim_hom(A, A)
 
 
-def dim_end_mod(A, p):
-    """The same nullity computed over F_p (field independence check)."""
-    rep = concrete_rep(A, p)
-    rows, total = _intertwiner_matrix(rep, rep)
-    return total - _rank([[x % p for x in r] for r in rows], p)
+def tilde_exponent(A):
+    """c(A) = dim End M(A) - dim M(A): the twisted basis is u~_A = v^c(A) u_A.
 
-
-def u_tilde_factor(A):
-    """Scalar v^(dim End(M(A)) - dim M(A)) relating u_A to its tilde form."""
-    return L.monomial(dim_end(A) - dim_rep(A))
+    >>> tilde_exponent(M.mscale(2, M.e_unit(1, 2, 2)))
+    2
+    """
+    return dim_end(A) - dim_rep(A)
 
 
 # ----------------------------------------------------------------------
@@ -446,16 +429,14 @@ def twisted_route_b(alpha, A):
     """Independent route to the twisted product through Hall polynomials.
 
     u~_alpha u~_A = sum_C v^(<alpha, d(A)> + c(S_alpha) + c(A) - c(C))
-    phi^C_{S_alpha, A}(v^2) u~_C with c(X) = dim End M(X) - dim M(X).
+    phi^C_{S_alpha, A}(v^2) u~_C with c = tilde_exponent.
     """
     check_label(A)
-    s_label = M.s_alpha(alpha)
     base = euler_form(alpha, dim_vector(A))
-    base += dim_end(s_label) - dim_rep(s_label)
-    base += dim_end(A) - dim_rep(A)
+    base += tilde_exponent(M.s_alpha(alpha)) + tilde_exponent(A)
     out = {}
     for label, phi in semisimple_hall_product(alpha, A).items():
-        shift = base - (dim_end(label) - dim_rep(label))
+        shift = base - tilde_exponent(label)
         out[label] = L.vshift({2 * d: c for d, c in phi.items()}, shift)
     return out
 
@@ -480,11 +461,3 @@ def enumerate_labels(n, max_sigma, max_dim):
                     yield ([(i, j, c)] if c else []) + rest
 
     return [M.pmat(n, items) for items in rec(0, 0, 0)]
-
-
-def product_to_json(prod):
-    """Canonical JSON for a Hall product map label -> q-polynomial."""
-    terms = []
-    for label in sorted(prod, key=lambda a: a.entries):
-        terms.append({"matrix": M.to_json(label), "poly_q": L.json_pairs(prod[label])})
-    return {"terms": terms}

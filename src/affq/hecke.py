@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import laurent as L
-from . import matrices as M
 from . import permutations as P
 
 _V2 = L.monomial(2)
@@ -138,19 +137,10 @@ def _gen_value(i, r, x):
     return x
 
 
-def _inner_positions(nu):
-    """0-based positions p with p and p + 1 in one block of nu."""
-    out, pos = set(), 0
-    for part in nu:
-        out.update(range(pos, pos + part - 1))
-        pos += part
-    return out
-
-
 def left_mul_gen(i, h, nu=()):
     """T_{s_i} * h, in H x_nu when nu is given (see the module docstring)."""
     r = h.r
-    inner = _inner_positions(nu)
+    inner = P.inner_positions(nu)
     out = {}
     for win, c in h.terms.items():
         k = _inv_pos(win, r, i)
@@ -275,31 +265,18 @@ def t_double_coset(lam, d, mu):
     )
 
 
-def coset_product_identity_check(lam, d, mu):
-    """Whether x_lam * T_d * x_mu equals the double-coset sum scaled by the
-    product of bracket factorials of the entries of the coset's matrix."""
-    A = P.jmath(lam, d, mu)
-    lhs = x_mul_right(x_mul_left(lam, t_basis(d)), mu)
-    factor = L.one()
+def coset_factor(A):
+    """Product of the bracket factorials [a]! over the entries a of A: the
+    scalar by which x_lam T_d x_mu exceeds the double-coset sum of A."""
+    f = L.one()
     for _, _, a in A.entries:
-        factor = L.mul(factor, L.factorial_sq(a))
-    rhs = h_scale(factor, t_double_coset(lam, d, mu))
-    return h_eq(lhs, rhs)
+        f = L.mul(f, L.factorial_sq(a))
+    return f
 
 
-def coset_decomposition_identity_check(lam, d, mu):
-    """Division-free form: the double-coset sum equals x_lam * T_d * T_X where
-    X lists the shortest representatives, inside the mu block subgroup, of the
-    cosets of the intersection d^{-1} (lam subgroup) d with that subgroup."""
-    A = P.jmath(lam, d, mu)
-    omega = M.column_parts(A)
-    tail = HeckeElement(
-        d.r,
-        {
-            w.window: L.one()
-            for w in P.young_subgroup_elements(mu)
-            if P.is_min_right_coset_rep(w, omega)
-        },
-    )
-    lhs = x_mul_left(lam, left_mul_basis(d, tail))
-    return h_eq(lhs, t_double_coset(lam, d, mu))
+def coset_product_identity_check(lam, d, mu):
+    """Whether x_lam * T_d * x_mu equals the double-coset sum scaled by
+    coset_factor of the coset's matrix."""
+    factor = coset_factor(P.jmath(lam, d, mu))
+    lhs = x_mul_right(x_mul_left(lam, t_basis(d)), mu)
+    return h_eq(lhs, h_scale(factor, t_double_coset(lam, d, mu)))

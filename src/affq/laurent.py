@@ -273,22 +273,6 @@ def gauss_sym(N, t):
     return vshift(gauss_sq(N, t), -t * (N - t))
 
 
-def vec_gauss_sq(mu, lam):
-    """Componentwise product of Gaussians gauss_sq(mu_i, lam_i).
-
-    >>> text(vec_gauss_sq((2, 1), (1, 0)))
-    '1 + v^2'
-    """
-    if len(mu) != len(lam):
-        raise ValueError("component count mismatch")
-    out = one()
-    for m, l in zip(mu, lam):
-        out = mul(out, gauss_sq(m, l))
-        if not out:
-            break
-    return out
-
-
 def multinomial_sq(lam, parts):
     """Componentwise v^2-multinomial of lam into the given list of parts.
 

@@ -324,16 +324,6 @@ def row_support(A, i):
     return sorted((j + shift, a) for k, j, a in A.entries if k == i0)
 
 
-def column_parts(A):
-    """Composition refining co(A): the entries of each fundamental column,
-    top to bottom, concatenated over columns 1..n."""
-    out = []
-    for l in range(1, A.n + 1):
-        rows = sorted((i + l - j, a) for i, j, a in A.entries if (j - l) % A.n == 0)
-        out.extend(a for _, a in rows)
-    return tuple(out)
-
-
 def to_json(A):
     return {"n": A.n, "entries": [[i, j, a] for i, j, a in A.entries]}
 

@@ -222,6 +222,19 @@ def blocks(lam):
     return out
 
 
+def inner_positions(lam):
+    """0-based positions p such that p and p + 1 lie in one block of lam.
+
+    >>> sorted(inner_positions((2, 0, 3)))
+    [0, 2, 3]
+    """
+    out, pos = set(), 0
+    for part in lam:
+        out.update(range(pos, pos + part - 1))
+        pos += part
+    return out
+
+
 def is_min_right_coset_rep(d, lam):
     """Whether d is shortest in its coset (block subgroup) * d.
 
@@ -234,29 +247,19 @@ def is_min_right_coset_rep(d, lam):
     """
     if sum(lam) != d.r:
         raise ValueError("composition must sum to the period")
-    inv = inverse(d)
-    pos = 0
-    for part in lam:
-        for p in range(pos + 1, pos + part):
-            if inv.window[p - 1] > inv.window[p]:
-                return False
-        pos += part
-    return True
+    inv = inverse(d).window
+    return all(inv[p] < inv[p + 1] for p in inner_positions(lam))
 
 
 def is_min_double_coset_rep(d, lam, mu):
-    """Whether d is shortest in (lam subgroup) * d * (mu subgroup)."""
+    """Whether d is shortest in (lam subgroup) * d * (mu subgroup): the
+    inverse increases on the blocks of lam and d on the blocks of mu."""
     if sum(mu) != d.r:
         raise ValueError("composition must sum to the period")
-    if not is_min_right_coset_rep(d, lam):
-        return False
-    pos = 0
-    for part in mu:
-        for p in range(pos + 1, pos + part):
-            if d.window[p - 1] > d.window[p]:
-                return False
-        pos += part
-    return True
+    w = d.window
+    return is_min_right_coset_rep(d, lam) and all(
+        w[p] < w[p + 1] for p in inner_positions(mu)
+    )
 
 
 def jmath(lam, d, mu):
@@ -349,82 +352,6 @@ def length_formula(A):
             if t_max >= t_min:
                 total += a * b * (t_max - t_min + 1)
     return total
-
-
-def finite_length_formula(w, lam):
-    """Length of a shortest coset representative inside the finite group.
-
-    Requires lam with two parts and w a permutation of {1..r} whose inverse
-    increases on both blocks; then the length is the total displacement of
-    the first block under the inverse.
-
-    >>> finite_length_formula(generator_s(1, 2), (1, 1))
-    1
-    """
-    if len(lam) != 2:
-        raise ValueError("composition must have exactly two parts")
-    r = w.r
-    if sum(lam) != r:
-        raise ValueError("composition must sum to the period")
-    if any(not 1 <= x <= r for x in w.window):
-        raise ValueError("window must be a permutation of 1..r")
-    if not is_min_right_coset_rep(w, lam):
-        raise ValueError("w is not a shortest coset representative")
-    inv = inverse(w)
-    return sum(inv.window[i - 1] - i for i in range(1, lam[0] + 1))
-
-
-def interleaved_composition(mu, beta, case):
-    """Refinement of mu splitting block i into two consecutive sub-blocks.
-
-    Case 1 splits off the first mu[i] - beta[i] positions, case 2 the last
-    mu[i] - beta[i] positions.
-    """
-    n = len(mu)
-    if len(beta) != n or any(not 0 <= beta[i] <= mu[i] for i in range(n)):
-        raise ValueError("beta must satisfy 0 <= beta <= mu componentwise")
-    out = []
-    for i in range(n):
-        rest = mu[i] - beta[i]
-        out.extend([rest, beta[i]] if case == 1 else [beta[i], rest])
-    return tuple(out)
-
-
-def enumerate_Ddelta_in_Smu(mu, beta, case):
-    """All shortest coset representatives for the refined composition that
-    lie in the block subgroup of mu.
-
-    Each element is determined by choosing, per block, which positions'
-    values land in the split-off sub-block; the count is the product of
-    binomial(mu[i], beta[i]).
-
-    >>> [w.window for w in enumerate_Ddelta_in_Smu((1, 1), (0, 1), 1)]
-    [(1, 2)]
-    """
-    n = len(mu)
-    r = sum(mu)
-    if case not in (1, 2):
-        raise ValueError("case must be 1 or 2")
-    if len(beta) != n or any(not 0 <= beta[i] <= mu[i] for i in range(n)):
-        raise ValueError("beta must satisfy 0 <= beta <= mu componentwise")
-    mu_blocks = blocks(mu)
-    per_block = [
-        list(itertools.combinations(mu_blocks[i], mu[i] - beta[i]))
-        for i in range(n)
-    ]
-    out = []
-    for combo in itertools.product(*per_block):
-        invw = [0] * r
-        for i in range(n):
-            block = mu_blocks[i]
-            chosen = list(combo[i])
-            rest = sorted(set(block) - set(chosen))
-            ordered = chosen + rest if case == 1 else rest + chosen
-            start = block[0] - 1 if block else 0
-            for s, val in enumerate(ordered):
-                invw[start + s] = val
-        out.append(inverse(AffinePermutation(r, tuple(invw))))
-    return out
 
 
 def young_subgroup_elements(lam):

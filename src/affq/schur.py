@@ -186,14 +186,6 @@ def from_json(obj):
     return s_from_items(n, r, items, obj["basis"])
 
 
-def transpose_element(x):
-    """Apply the transpose anti-automorphism label by label."""
-    out = {}
-    for label, c in x.terms.items():
-        _acc(out, M.transpose(label), c)
-    return SchurElement(x.n, x.r, x.basis, out)
-
-
 def negate_element(x):
     """Apply the index negation label by label.
 
@@ -416,13 +408,6 @@ def _label_reps(A):
     return reps
 
 
-def _factorial_product(A):
-    f = L.one()
-    for _, _, a in A.entries:
-        f = L.mul(f, L.factorial_sq(a))
-    return f
-
-
 def _decompose(h, lam, nu):
     """Peel an element of H x_nu, a sum of double cosets W_lam d W_nu, into
     labels with coefficients."""
@@ -469,7 +454,7 @@ def oracle_mul(B, A):
     g = H.HeckeElement(r, {win: L.one() for win in _label_reps(A)})
     g = H.left_mul_basis(P.pseudo_matrix_rep(B), g, nu)
     g = H.x_mul_left(lam, g, nu)
-    f = _factorial_product(B)
+    f = H.coset_factor(B)
     out = {C: L.divexact(c, f) for C, c in _decompose(g, lam, nu).items()}
     return SchurElement(n, r, "e", out)
 

@@ -20,17 +20,6 @@ from . import permutations as P
 from . import realization as R
 from . import schur as S
 
-SUITE_NAMES = (
-    "schur-oracle",
-    "coset-length",
-    "hecke",
-    "hall",
-    "commutator",
-    "level-coherence",
-    "triangular",
-    "laurent",
-)
-
 _BANDS = {2: 2, 3: 1}
 
 
@@ -59,22 +48,14 @@ class Config:
 
 
 def mixed_labels(n, max_sigma, max_dist):
-    """Zero-diagonal nonnegative labels with bounded support and size."""
-    cells = [
-        (i, jj)
-        for i in range(1, n + 1)
-        for jj in range(i - max_dist, i + max_dist + 1)
-        if jj != i
+    """Zero-diagonal nonnegative labels of size at most max_sigma on the
+    band |j - i| <= max_dist, sorted by their entries."""
+    labels = [
+        A
+        for sigma in range(max_sigma + 1)
+        for A in M.band_matrices(n, sigma, max_dist)
+        if M.is_zero_diagonal(A)
     ]
-    labels = set()
-    for total in range(max_sigma + 1):
-        for combo in itertools.combinations_with_replacement(
-            range(len(cells)), total
-        ):
-            items = {}
-            for k in combo:
-                items[cells[k]] = items.get(cells[k], 0) + 1
-            labels.add(M.pmat(n, [(i, jj, c) for (i, jj), c in items.items()]))
     return sorted(labels, key=lambda a: a.entries)
 
 
@@ -545,27 +526,18 @@ def _check_laurent(case):
 # ----------------------------------------------------------------------
 # driver
 
-_CASE_BUILDERS = {
-    "schur-oracle": _cases_schur_oracle,
-    "coset-length": _cases_coset_length,
-    "hecke": _cases_hecke,
-    "hall": _cases_hall,
-    "commutator": _cases_commutator,
-    "level-coherence": _cases_level_coherence,
-    "triangular": _cases_triangular,
-    "laurent": _cases_laurent,
+_SUITES = {
+    "schur-oracle": (_cases_schur_oracle, _check_schur_oracle),
+    "coset-length": (_cases_coset_length, _check_coset_length),
+    "hecke": (_cases_hecke, _check_hecke),
+    "hall": (_cases_hall, _check_hall),
+    "commutator": (_cases_commutator, _check_commutator),
+    "level-coherence": (_cases_level_coherence, _check_level_coherence),
+    "triangular": (_cases_triangular, _check_triangular),
+    "laurent": (_cases_laurent, _check_laurent),
 }
 
-_CHECKERS = {
-    "schur-oracle": _check_schur_oracle,
-    "coset-length": _check_coset_length,
-    "hecke": _check_hecke,
-    "hall": _check_hall,
-    "commutator": _check_commutator,
-    "level-coherence": _check_level_coherence,
-    "triangular": _check_triangular,
-    "laurent": _check_laurent,
-}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name, cfg=None):
@@ -574,8 +546,8 @@ def run_suite(name, cfg=None):
         raise ValueError("unknown suite %r" % name)
     cfg = cfg or Config()
     cfg.validate()
-    cases = _CASE_BUILDERS[name](cfg)
-    checker = _CHECKERS[name]
+    builder, checker = _SUITES[name]
+    cases = builder(cfg)
     if cfg.jobs > 1 and len(cases) > 1:
         with get_context("fork").Pool(cfg.jobs) as pool:
             results = pool.map(checker, cases)

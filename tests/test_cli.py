@@ -188,6 +188,42 @@ def test_non_integer_json_numbers_are_rejected(case, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: expected an integer")
 
 
+def _unit(n, a=1):
+    return {"n": n, "entries": [[1, 2, a]]}
+
+
+# (args, payload, exit code) just at and just above each size cap
+SIZE_CAP_REQUESTS = {
+    "coset-n-at-cap": (["coset"], _unit(cli.MAX_N), 0),
+    "coset-n-above-cap": (["coset"], _unit(cli.MAX_N + 1), 2),
+    "coset-sigma-at-cap": (["coset"], _unit(2, cli.MAX_COSET_SIGMA), 0),
+    "coset-sigma-above-cap": (["coset"], _unit(2, cli.MAX_COSET_SIGMA + 1), 2),
+    "schur-mul-n-at-cap": (
+        ["schur-mul"],
+        {"left": _unit(cli.MAX_N), "right": {"n": cli.MAX_N, "entries": [[2, 2, 1]]}},
+        0,
+    ),
+    "schur-mul-left-n-above-cap": (
+        ["schur-mul"],
+        {"left": _unit(cli.MAX_N + 1), "right": {"n": cli.MAX_N + 1, "entries": [[2, 2, 1]]}},
+        2,
+    ),
+    "schur-mul-right-n-above-cap": (
+        ["schur-mul"],
+        {"left": _unit(2), "right": {"n": cli.MAX_N + 1, "entries": [[2, 2, 1]]}},
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIZE_CAP_REQUESTS))
+def test_size_caps(case, tmp_path, capsys):
+    args, payload, want = SIZE_CAP_REQUESTS[case]
+    code, _, out = run_cli(args, payload, tmp_path)
+    assert code == want and out.exists() == (want == 0)
+    assert ("exceeds the cap" in capsys.readouterr().err) == (want == 2)
+
+
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     def broken(left, right):
         raise AssertionError("support did not shrink during peeling")

@@ -15,6 +15,33 @@ def test_doctests():
     assert failures == 0
 
 
+def column_parts(A):
+    """Composition refining co(A): the entries of each fundamental column,
+    top to bottom, concatenated over columns 1..n."""
+    out = []
+    for l in range(1, A.n + 1):
+        rows = sorted((i + l - j, a) for i, j, a in A.entries if (j - l) % A.n == 0)
+        out.extend(a for _, a in rows)
+    return tuple(out)
+
+
+def coset_decomposition_identity_check(lam, d, mu):
+    """Division-free form: the double-coset sum equals x_lam * T_d * T_X where
+    X lists the shortest representatives, inside the mu block subgroup, of the
+    cosets of the intersection d^{-1} (lam subgroup) d with that subgroup."""
+    omega = column_parts(P.jmath(lam, d, mu))
+    tail = H.HeckeElement(
+        d.r,
+        {
+            w.window: L.one()
+            for w in P.young_subgroup_elements(mu)
+            if P.is_min_right_coset_rep(w, omega)
+        },
+    )
+    lhs = H.x_mul_left(lam, H.left_mul_basis(d, tail))
+    return H.h_eq(lhs, H.t_double_coset(lam, d, mu))
+
+
 def rand_perm(rng, r, steps=8):
     w = P.identity(r)
     for _ in range(rng.randrange(steps + 1)):
@@ -175,7 +202,7 @@ def test_subgroup_intersection_is_column_refinement():
             for A in M.band_matrices(n, r, band):
                 d = P.pseudo_matrix_rep(A)
                 lam, mu = M.ro(A), M.co(A)
-                omega = M.column_parts(A)
+                omega = column_parts(A)
                 assert sum(omega) == r
                 lam_blocks = P.blocks(lam)
                 dinv = P.inverse(d)
@@ -198,7 +225,7 @@ def test_t_double_coset_size():
         for A in M.band_matrices(n, r, band):
             d = P.pseudo_matrix_rep(A)
             lam, mu = M.ro(A), M.co(A)
-            omega = M.column_parts(A)
+            omega = column_parts(A)
             size_lam = math.prod(math.factorial(p) for p in lam)
             size_mu = math.prod(math.factorial(p) for p in mu)
             size_omega = math.prod(math.factorial(p) for p in omega)
@@ -216,7 +243,7 @@ def test_coset_product_identity():
             d = P.pseudo_matrix_rep(A)
             lam, mu = M.ro(A), M.co(A)
             assert H.coset_product_identity_check(lam, d, mu)
-            assert H.coset_decomposition_identity_check(lam, d, mu)
+            assert coset_decomposition_identity_check(lam, d, mu)
 
 
 # ----------------------------------------------------------------------

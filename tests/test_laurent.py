@@ -37,7 +37,6 @@ def test_factorial_and_vector_values():
     assert L.factorial_sq(0) == {0: 1}
     assert L.factorial_sq(2) == {0: 1, 2: 1}
     assert L.factorial_sq(3) == L.mul({0: 1, 2: 1}, {0: 1, 2: 1, 4: 1})
-    assert L.vec_gauss_sq((2, 1), (1, 0)) == {0: 1, 2: 1}
     assert L.multinomial_sq((1, 0), [(1, 0)]) == {0: 1}
     assert L.multinomial_sq((2, 0), [(1, 0), (1, 0)]) == {0: 1, 2: 1}
     with pytest.raises(ValueError):

@@ -227,55 +227,6 @@ def test_minimality_sampling():
             assert P.length(P.compose(P.compose(u, y), v)) >= ly
 
 
-def test_finite_length_formula_exhaustive():
-    for r in range(1, 6):
-        for a in range(r + 1):
-            lam = (a, r - a)
-            for w in finite_perms(r):
-                if P.is_min_right_coset_rep(w, lam):
-                    assert P.finite_length_formula(w, lam) == P.length(w)
-    with pytest.raises(ValueError):
-        P.finite_length_formula(P.generator_s(1, 2), (2, 0))
-    with pytest.raises(ValueError):
-        P.finite_length_formula(P.perm(2, [0, 3]), (1, 1))
-    with pytest.raises(ValueError):
-        P.finite_length_formula(P.identity(3), (1, 1, 1))
-
-
-def test_enumerate_Ddelta_in_Smu():
-    out = P.enumerate_Ddelta_in_Smu((1, 1), (0, 1), 1)
-    assert [w.window for w in out] == [(1, 2)]
-    for n in (2, 3):
-        for r in range(1, 5):
-            for mu in M.compositions(n, r):
-                mu_blocks = P.blocks(mu)
-                sub = P.young_subgroup_elements(mu)
-                for beta in itertools.product(*(range(m + 1) for m in mu)):
-                    count = math.prod(
-                        math.comb(mu[i], beta[i]) for i in range(n)
-                    )
-                    for case in (1, 2):
-                        delta = P.interleaved_composition(mu, beta, case)
-                        assert sum(delta) == r and len(delta) == 2 * n
-                        out = P.enumerate_Ddelta_in_Smu(mu, beta, case)
-                        wins = {w.window for w in out}
-                        assert len(out) == len(wins) == count
-                        for w in out:
-                            assert P.is_min_right_coset_rep(w, delta)
-                            for block in mu_blocks:
-                                assert {w.apply(p) for p in block} == set(block)
-                        brute = {
-                            u.window
-                            for u in sub
-                            if P.is_min_right_coset_rep(u, delta)
-                        }
-                        assert wins == brute
-    with pytest.raises(ValueError):
-        P.enumerate_Ddelta_in_Smu((1, 1), (2, 0), 1)
-    with pytest.raises(ValueError):
-        P.enumerate_Ddelta_in_Smu((1, 1), (0, 1), 3)
-
-
 def test_young_subgroup_elements():
     for lam in ((2, 2), (3, 1), (1, 1, 2), (0, 4)):
         elements = P.young_subgroup_elements(lam)

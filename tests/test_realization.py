@@ -10,6 +10,7 @@ from affq import laurent as L
 from affq import matrices as M
 from affq import realization as R
 from affq import schur as S
+from affq import verify as V
 
 
 def mixed_labels(n, max_sigma, max_dist):
@@ -30,6 +31,12 @@ def mixed_labels(n, max_sigma, max_dist):
                 items[cells[k]] = items.get(cells[k], 0) + 1
             labels.add(M.pmat(n, [(i, jj, c) for (i, jj), c in items.items()]))
     return sorted(labels, key=lambda a: a.entries)
+
+
+def test_suite_labels_match_the_combination_enumerator():
+    # order and content of the labels the suites and the CLI golden file use
+    for args in ((2, 2, 2), (3, 2, 3), (2, 2, 1), (3, 2, 1)):
+        assert V.mixed_labels(*args) == mixed_labels(*args)
 
 
 def frac(num, den=None):
@@ -200,8 +207,12 @@ def test_eval_frozen_and_clearing_error():
     )
     lifted = R.eval_at_level(R.v_basis(2, M.s_alpha((2, 0)), (0, 0)), 1)
     assert S.s_eq(lifted, S.s_zero(2, 1, "n"))
+    # an uncleared denominator is a failed invariant, not an input error
     bad = R.v_scale(frac([(0, 1)], [(0, -1), (2, 1)]), x)
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError):
+        R.eval_at_level(bad, 2)
+    bad = R.VElement(2, {(M.pmat(2, []), (0, 0)): L.fraction({0: 1}, {0: 1, 2: 1})})
+    with pytest.raises(AssertionError):
         R.eval_at_level(bad, 2)
     with pytest.raises(ValueError):
         R.eval_at_level(x, -1)
@@ -277,9 +288,9 @@ def test_relation_e_all_pairs():
         assert [lv["r"] for lv in report["levels"]] == [2, 3, 4]
         assert all(lv["equal"] and not lv["diffs"] for lv in report["levels"])
     with pytest.raises(ValueError):
-        R.relation_e_check((1, 0), (1, 0, 0), [2])
+        R.relation_e_data((1, 0), (1, 0, 0), [2])
     with pytest.raises(ValueError):
-        R.relation_e_check((-1, 0), (1, 0), [2])
+        R.relation_e_data((-1, 0), (1, 0), [2])
 
 
 def test_relation_e_commuting_case_is_symbolically_zero():
@@ -307,11 +318,11 @@ def test_triangular_leading_grid():
 def test_triangular_validation():
     A = M.madd(M.e_unit(1, 2, 2), M.e_unit(2, 1, 2))
     with pytest.raises(ValueError):
-        R.triangular_leading_check(A, (1, 1), 1)
+        R.triangular_leading_data(A, (1, 1), 1)
     with pytest.raises(ValueError):
-        R.triangular_leading_check(A, (-1, 1), 3)
+        R.triangular_leading_data(A, (-1, 1), 3)
     with pytest.raises(ValueError):
-        R.triangular_leading_check(M.diag((1, 0)), (0, 0), 2)
+        R.triangular_leading_data(M.diag((1, 0)), (0, 0), 2)
 
 
 def test_negate_element_is_an_involution():
@@ -334,6 +345,8 @@ def test_twisted_hall_product_validation():
 
 
 def test_tilde_exponent_matches_hall_dimensions():
+    # M(S_alpha) is semisimple: dim End = sum alpha_i^2, dim = sum alpha_i
     for alpha in [(1, 0), (0, 1), (1, 1), (2, 0), (2, 2)]:
         lab = M.s_alpha(alpha)
-        assert R._tilde_exponent(alpha) == Ha.dim_end(lab) - Ha.dim_rep(lab)
+        assert Ha.tilde_exponent(lab) == Ha.dim_end(lab) - Ha.dim_rep(lab)
+        assert Ha.tilde_exponent(lab) == sum(a * a - a for a in alpha)
