@@ -5,10 +5,13 @@ still written), 2 malformed or oversized input, 3 internal error (a failed
 invariant of the library).  Output is canonically sorted, so repeated runs
 with the same inputs produce identical bytes.
 
-Size caps, checked before any computation: ``coset`` and ``schur-mul``
-accept matrices of period n <= MAX_N, and ``coset`` a total
-sigma(A) <= MAX_COSET_SIGMA (the window of the representative has sigma(A)
-entries and its length walk is quadratic in it).
+Size caps, checked before any computation: ``coset``, ``schur-mul``,
+``reduce`` and ``hall`` accept matrices of period n <= MAX_N, and ``coset``
+a total sigma(A) <= MAX_COSET_SIGMA (the window of the representative has
+sigma(A) entries and its length walk is quadratic in it).  ``reduce``
+accepts parts lambda_i <= MAX_REDUCE_PART and prod(lambda_i + 1) <=
+MAX_REDUCE_TERMS weight shifts, ``hall`` a total dimension |alpha| +
+dim M(A) <= hall.MAX_CENSUS_DIM.
 
 ``main`` may be called any number of times in one process: the parser is
 built on the first call and shared by the later ones.  Argparse keeps no
@@ -18,6 +21,7 @@ state between parses, so every call behaves as in a fresh process.
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import hall as Ha
@@ -30,6 +34,8 @@ from . import verify as V
 
 MAX_N = 16
 MAX_COSET_SIGMA = 64
+MAX_REDUCE_PART = 16
+MAX_REDUCE_TERMS = 729
 
 
 def _load(path):
@@ -112,10 +118,12 @@ def cmd_vbln_mul(args):
 def cmd_hall(args):
     obj = _load(args.infile)
     alpha = L.json_ints(obj["alpha"])
-    A = M.from_json(obj["matrix"])
+    A = _capped_matrix(obj["matrix"])
     q_list = _parse_ints(args.q)
-    if not q_list or any(q not in (2, 3) for q in q_list):
-        raise ValueError("brute-force comparison needs one or more prime q <= 3")
+    if not q_list or any(q not in Ha.CENSUS_FIELDS for q in q_list):
+        raise ValueError("the census needs one or more q in %s" % (Ha.CENSUS_FIELDS,))
+    if sum(alpha) + Ha.dim_rep(A) > Ha.MAX_CENSUS_DIM:
+        raise ValueError("total dimension exceeds the cap %d" % Ha.MAX_CENSUS_DIM)
     prod = Ha.semisimple_hall_product(alpha, A)
     lab_alpha = M.s_alpha(alpha)
     terms = []
@@ -137,11 +145,13 @@ def cmd_hall(args):
 
 def cmd_reduce(args):
     obj = _load(args.infile)
-    res = R.reduce_j_lambda(
-        M.from_json(obj["matrix"]),
-        L.json_ints(obj["j"]),
-        L.json_ints(obj["lambda"]),
-    )
+    A = _capped_matrix(obj["matrix"])
+    lam = L.json_ints(obj["lambda"])
+    if max(lam, default=0) > MAX_REDUCE_PART:
+        raise ValueError("part %d exceeds the cap %d" % (max(lam), MAX_REDUCE_PART))
+    if math.prod(t + 1 for t in lam) > MAX_REDUCE_TERMS:
+        raise ValueError("term count exceeds the cap %d" % MAX_REDUCE_TERMS)
+    res = R.reduce_j_lambda(A, L.json_ints(obj["j"]), lam)
     _emit(R.to_json(res), args.out)
     return 0
 

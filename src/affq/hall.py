@@ -26,6 +26,8 @@ weight-zero read-off of the level-free one-layer kernel,
 which imports this module.
 """
 
+import functools
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -225,7 +227,8 @@ def label_of_rep(rep):
 # ----------------------------------------------------------------------
 # brute-force Hall numbers
 
-_CENSUS_CACHE = {}
+CENSUS_FIELDS = (2, 3)
+MAX_CENSUS_DIM = 5
 
 
 def _sub_quot_labels(rep, bases):
@@ -271,15 +274,16 @@ def _sub_quot_labels(rep, bases):
 
 
 def submodule_census(C, q):
-    """Counts of (sub label, quotient label) over all submodules of M(C)."""
-    key = (C, q)
-    out = _CENSUS_CACHE.get(key)
-    if out is not None:
-        return out
-    if q not in (2, 3):
-        raise ValueError("census supports q in {2, 3}")
-    if dim_rep(C) > 5:
-        raise ValueError("census caps the total dimension at 5")
+    """Read-only counts of (sub label, quotient label) over submodules of M(C)."""
+    if q not in CENSUS_FIELDS:
+        raise ValueError("census supports q in %s" % (CENSUS_FIELDS,))
+    if dim_rep(C) > MAX_CENSUS_DIM:
+        raise ValueError("census caps the total dimension at %d" % MAX_CENSUS_DIM)
+    return _census(C, q)
+
+
+@functools.lru_cache(maxsize=L.CACHE_SIZE)
+def _census(C, q):
     rep = concrete_rep(C, q)
     if label_of_rep(rep) != C:
         raise AssertionError("segment recovery failed on the built module")
@@ -297,8 +301,7 @@ def submodule_census(C, q):
             rec(v + 1, chosen + [basis])
 
     rec(0, [])
-    _CENSUS_CACHE[key] = out
-    return out
+    return types.MappingProxyType(out)
 
 
 def brute_hall_number(A, B, C, q):
@@ -420,7 +423,7 @@ def semisimple_hall_product(alpha, A):
     for T, term in S.one_layer_terms(alpha, A, M.one_layer_cells(A, alpha)):
         label = M.madd(M.msub(A, M.split(M.tilde(T))[0]), T)
         if M.is_nonneg(label):
-            L.add_inplace(out.setdefault(label, {}), term)
+            out[label] = L.add(out.get(label, {}), term)
     # q = v^2: every exponent of the kernel is even
     return {C: {e // 2: c for e, c in f.items()} for C, f in out.items() if f}
 

@@ -1,8 +1,9 @@
 """Hecke algebra of the window-permutation group, with parameter v squared.
 
 Elements are finite sums of basis symbols T_w indexed by window
-permutations, with coefficients in the Laurent ring of v.  Products reduce
-to the one-generator rules
+permutations, with coefficients in the Laurent ring of v; elements share
+coefficient dicts, never mutated (see ``laurent``).  Products reduce to
+the one-generator rules
 
     T_s T_w = T_{sw}                         if length(sw) > length(w),
     T_s T_w = (v^2 - 1) T_w + v^2 T_{sw}     if length(sw) < length(w),
@@ -63,22 +64,21 @@ def h_is_zero(h):
 
 
 def t_basis(w, coeff=None):
-    c = L.one() if coeff is None else dict(coeff)
+    c = L.one() if coeff is None else coeff
     if L.is_zero(c):
         return h_zero(w.r)
     return HeckeElement(w.r, {w.window: c})
 
 
 def _acc(terms, win, coeff, scalar=None):
+    c = coeff if scalar is None else L.mul(coeff, scalar)
     cur = terms.get(win)
-    if cur is None:
-        c = dict(coeff) if scalar is None else L.mul(coeff, scalar)
-        if not L.is_zero(c):
-            terms[win] = c
+    if cur is not None:
+        c = L.add(cur, c)
+    if L.is_zero(c):
+        terms.pop(win, None)
     else:
-        L.add_inplace(cur, coeff if scalar is None else L.mul(coeff, scalar))
-        if L.is_zero(cur):
-            del terms[win]
+        terms[win] = c
 
 
 def h_from_items(r, items):
@@ -91,7 +91,7 @@ def h_from_items(r, items):
 def h_add(a, b):
     if a.r != b.r:
         raise ValueError("level mismatch")
-    out = {win: dict(c) for win, c in a.terms.items()}
+    out = dict(a.terms)
     for win, c in b.terms.items():
         _acc(out, win, c)
     return HeckeElement(a.r, out)
@@ -159,13 +159,13 @@ def left_mul_rho(m, h):
     """T_{rho^m} * h."""
     if m == 0:
         return h
-    return HeckeElement(h.r, {tuple(x + m for x in win): dict(c) for win, c in h.terms.items()})
+    return HeckeElement(h.r, {tuple(x + m for x in win): c for win, c in h.terms.items()})
 
 
 def invert(h):
     """The anti-involution T_w -> T_{w^-1}: invert(a * b) = invert(b) * invert(a)."""
     terms = {
-        P.inverse(P.AffinePermutation(h.r, win)).window: dict(c)
+        P.inverse(P.AffinePermutation(h.r, win)).window: c
         for win, c in h.terms.items()
     }
     return HeckeElement(h.r, terms)
@@ -227,7 +227,7 @@ def _stair_left(h, p, m, nu):
     if m <= 1:
         return h
     h1 = _stair_left(h, p, m - 1, nu)
-    total = {win: dict(c) for win, c in h1.terms.items()}
+    total = dict(h1.terms)
     g = h1
     for j in range(p + m - 1, p, -1):
         g = left_mul_gen(j, g, nu)

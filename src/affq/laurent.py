@@ -4,6 +4,12 @@ A Laurent polynomial is a dict mapping exponent (int, possibly negative) to a
 nonzero integer coefficient.  The empty dict is zero.  All operations return
 fresh dicts and never mutate their arguments.
 
+One rule holds across the package: a coefficient dict is never mutated
+after it is stored in an element, a cache or another map, and a function
+mutates only dicts it created in the same call; so values share dicts and
+nothing copies them.  Memo tables are lru_caches bounded by CACHE_SIZE,
+holding immutable values (frozensets, types.MappingProxyType).
+
 >>> text(mul(poly({0: 1, 1: 1}), poly({0: -1, 1: 1})))
 '-1 + v^2'
 >>> text(gauss_sq(2, 1))
@@ -13,6 +19,8 @@ fresh dicts and never mutate their arguments.
 """
 
 from dataclasses import dataclass
+
+CACHE_SIZE = 1 << 14
 
 
 def zero():
@@ -100,19 +108,6 @@ def smul(c, f):
 def vshift(f, k):
     """Multiply by v^k."""
     return {e + k: c for e, c in f.items()}
-
-
-def add_inplace(acc, f, scalar=1):
-    """acc += scalar * f, mutating acc (a builder-side helper)."""
-    if scalar == 0:
-        return acc
-    for e, c in f.items():
-        c = acc.get(e, 0) + scalar * c
-        if c:
-            acc[e] = c
-        else:
-            del acc[e]
-    return acc
 
 
 def bar(f):

@@ -27,6 +27,8 @@ superdiagonal cell (-p-2, -p-1)).  The twisted Hall product of
 labels (``twisted_hall_product``).
 """
 
+import functools
+import types
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -172,33 +174,27 @@ def from_json(obj):
 # ----------------------------------------------------------------------
 # reduction of Gaussian-weighted symbols to the plain basis
 
-_SHIFT_TABLE = {}
 
-
+@functools.lru_cache(maxsize=L.CACHE_SIZE)
 def _shift_coeffs(t):
-    """Coefficients c_k with (x over t)_sym = sum_k c_k v^(k*x).
+    """Read-only coefficients c_k with (x over t)_sym = sum_k c_k v^(k*x).
 
     The symmetric Gaussian in a formal exponent x is
     prod_{s=1..t} (v^(x-s+1) - v^(-x+s-1)) / (v^s - v^-s); expanding the
     numerator as a Laurent polynomial in X = v^x gives exponents
     k in {-t, -t+2, ..., t}.
     """
-    if t in _SHIFT_TABLE:
-        return _SHIFT_TABLE[t]
     num = {0: L.one()}
     for s in range(1, t + 1):
         nxt = {}
         for k, c in num.items():
             for dk, f in ((1, L.monomial(1 - s)), (-1, L.monomial(s - 1, -1))):
-                slot = nxt.setdefault(k + dk, {})
-                L.add_inplace(slot, L.mul(c, f))
+                nxt[k + dk] = L.add(nxt.get(k + dk, {}), L.mul(c, f))
         num = {k: c for k, c in nxt.items() if c}
     den = L.one()
     for s in range(1, t + 1):
         den = L.mul(den, L.sub(L.monomial(s), L.monomial(-s)))
-    out = {k: L.fraction(c, den) for k, c in num.items()}
-    _SHIFT_TABLE[t] = out
-    return out
+    return types.MappingProxyType({k: L.fraction(c, den) for k, c in num.items()})
 
 
 def reduce_j_lambda(A, j, lam):

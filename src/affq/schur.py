@@ -4,7 +4,8 @@ Elements are Laurent-coefficient combinations of basis labels drawn from
 the nonnegative periodic matrices of a fixed size ``sigma(A) = r``.  Two
 bases are supported: the standard basis ``e_A`` and the normalized basis
 ``[A] = v^(-d_A) e_A`` where ``d_A`` counts inversions between entry
-pairs of the label.
+pairs of the label.  Elements share coefficient dicts, never mutated (see
+``laurent``).
 
 Products are available through two independent routes:
 
@@ -34,6 +35,7 @@ realization faces the normalized ones (level-coherence), and neither
 uses these derivations.
 """
 
+import functools
 from dataclasses import dataclass
 
 from . import hecke as H
@@ -68,15 +70,13 @@ def _acc(terms, label, coeff, scalar=None):
     """Accumulate coeff (optionally times scalar) onto a label, dropping zeros."""
     if scalar is not None:
         coeff = L.mul(coeff, scalar)
-    if not coeff:
-        return
     cur = terms.get(label)
-    if cur is None:
-        terms[label] = dict(coeff)
-        return
-    L.add_inplace(cur, coeff)
-    if not cur:
-        del terms[label]
+    if cur is not None:
+        coeff = L.add(cur, coeff)
+    if coeff:
+        terms[label] = coeff
+    else:
+        terms.pop(label, None)
 
 
 def s_from_items(n, r, items, basis="e"):
@@ -109,7 +109,7 @@ def _check_pair(x, y):
 
 def s_add(x, y):
     _check_pair(x, y)
-    out = {label: dict(c) for label, c in x.terms.items()}
+    out = dict(x.terms)
     for label, c in y.terms.items():
         _acc(out, label, c)
     return SchurElement(x.n, x.r, x.basis, out)
@@ -146,7 +146,7 @@ def convert(x, basis):
     if basis not in ("e", "n"):
         raise ValueError("basis must be 'e' or 'n'")
     if x.basis == basis:
-        return SchurElement(x.n, x.r, x.basis, {a: dict(c) for a, c in x.terms.items()})
+        return SchurElement(x.n, x.r, x.basis, dict(x.terms))
     sign = 1 if basis == "n" else -1
     out = {}
     for label, c in x.terms.items():
@@ -371,41 +371,29 @@ def A_j_lambda_r(A, j, lam, r):
 # ----------------------------------------------------------------------
 # reference product through the Hecke algebra, in the modules H x_nu
 
-_COSET_REPS_CACHE = {}
-_LABEL_REPS_CACHE = {}
-_LENGTH_CACHE = {}
 
-
+@functools.lru_cache(maxsize=L.CACHE_SIZE)
 def _window_length(win):
-    val = _LENGTH_CACHE.get(win)
-    if val is None:
-        val = P.length(P.AffinePermutation(len(win), win))
-        _LENGTH_CACHE[win] = val
-    return val
+    return P.length(P.AffinePermutation(len(win), win))
 
 
+@functools.lru_cache(maxsize=L.CACHE_SIZE)
 def _coset_reps(lam, win, nu):
     """Frozenset of the shortest windows of the cosets d W_nu inside
     W_lam d W_nu: the block-sorted windows of u d for u in W_lam."""
-    key = (lam, win, nu)
-    reps = _COSET_REPS_CACHE.get(key)
-    if reps is None:
-        d = P.AffinePermutation(len(win), win)
-        reps = set()
-        for u in P.young_subgroup_elements(lam):
-            ud = P.compose(u, d).window
-            reps.add(tuple(x for b in P.blocks(nu) for x in sorted(ud[p - 1] for p in b)))
-        reps = _COSET_REPS_CACHE[key] = frozenset(reps)
-    return reps
+    d = P.AffinePermutation(len(win), win)
+    reps = set()
+    for u in P.young_subgroup_elements(lam):
+        ud = P.compose(u, d).window
+        reps.add(tuple(x for b in P.blocks(nu) for x in sorted(ud[p - 1] for p in b)))
+    return frozenset(reps)
 
 
+@functools.lru_cache(maxsize=L.CACHE_SIZE)
 def _label_reps(A):
     """_coset_reps of the double coset of label A, cached per label."""
-    reps = _LABEL_REPS_CACHE.get(A)
-    if reps is None:
-        d = P.pseudo_matrix_rep(A).window
-        reps = _LABEL_REPS_CACHE[A] = _coset_reps(M.ro(A), d, M.co(A))
-    return reps
+    d = P.pseudo_matrix_rep(A).window
+    return _coset_reps(M.ro(A), d, M.co(A))
 
 
 def _decompose(h, lam, nu):
@@ -455,7 +443,10 @@ def oracle_mul(B, A):
     g = H.left_mul_basis(P.pseudo_matrix_rep(B), g, nu)
     g = H.x_mul_left(lam, g, nu)
     f = H.coset_factor(B)
-    out = {C: L.divexact(c, f) for C, c in _decompose(g, lam, nu).items()}
+    try:
+        out = {C: L.divexact(c, f) for C, c in _decompose(g, lam, nu).items()}
+    except ValueError as exc:  # the labels are valid: a failed invariant
+        raise AssertionError("oracle peeling failed: %s" % exc) from None
     return SchurElement(n, r, "e", out)
 
 

@@ -21,6 +21,7 @@ from . import realization as R
 from . import schur as S
 
 _BANDS = {2: 2, 3: 1}
+COSET_SAMPLES = 200  # random coset elements per label in coset-length
 
 
 @dataclass
@@ -32,7 +33,6 @@ class Config:
     r_max: int = 4
     q_list: tuple = (2, 3)
     jobs: int = 1
-    samples: int = 200
 
     def validate(self):
         if any(n < 2 for n in self.n_list):
@@ -41,8 +41,8 @@ class Config:
             raise ValueError("supported sizes are n in {2, 3}")
         if self.r_min < 1 or self.r_max < self.r_min:
             raise ValueError("need 1 <= r_min <= r_max")
-        if not self.q_list or any(q not in (2, 3) for q in self.q_list):
-            raise ValueError("brute-force suites need one or more prime q <= 3")
+        if not self.q_list or any(q not in Ha.CENSUS_FIELDS for q in self.q_list):
+            raise ValueError("brute-force suites need one or more q in %s" % (Ha.CENSUS_FIELDS,))
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
 
@@ -118,14 +118,14 @@ def _check_schur_oracle(case):
 
 def _cases_coset_length(cfg):
     return [
-        ("coset-length", n, _BANDS[n], r, cfg.samples)
+        ("coset-length", n, _BANDS[n], r)
         for n in cfg.n_list
         for r in range(max(1, cfg.r_min), cfg.r_max + 1)
     ]
 
 
 def _check_coset_length(case):
-    _, n, band, r, samples = case
+    _, n, band, r = case
     checked = 0
     diffs = []
     for idx, A in enumerate(M.band_matrices(n, r, band)):
@@ -143,12 +143,12 @@ def _check_coset_length(case):
         us = P.young_subgroup_elements(lam)
         vs = P.young_subgroup_elements(mu)
         rng = random.Random("coset:%d:%d:%d" % (n, r, idx))
-        for _ in range(samples):
+        for _ in range(COSET_SAMPLES):
             u, v = rng.choice(us), rng.choice(vs)
             if P.length(P.compose(P.compose(u, y), v)) < ly:
                 bad.append("shorter coset element found")
                 break
-        checked += samples
+        checked += COSET_SAMPLES
         if bad:
             diffs.append({"matrix": M.to_json(A), "failures": bad})
     return _case_entry(not diffs, "n=%d,r=%d" % (n, r), checked, diffs)

@@ -12,11 +12,13 @@ import pytest
 
 from affq import verify as V
 
-# (cases, checks, ok) of every suite on the smallest grid; a refactor that
-# silently drops or adds checks changes these counts.
-SUITE_COUNTS = json.loads(
-    (Path(__file__).parent / "data" / "suite_counts.json").read_text()
-)
+# (cases, checks, ok) of every suite on the smallest grid and on the default
+# grids (tests/data/make_suite_counts.py); a refactor that silently drops or
+# adds checks changes these counts.  A passing report holds nothing else, so
+# equal default-grid counts mean a byte-identical `affq verify` report.
+DATA = Path(__file__).parent / "data"
+SUITE_COUNTS = json.loads((DATA / "suite_counts.json").read_text())
+CRITERION_COUNTS = json.loads((DATA / "criterion_counts.json").read_text())
 
 CRITERIA = (
     ("criterion-1-schur-oracle", "schur-oracle"),
@@ -41,6 +43,8 @@ def test_criterion(label, suite):
         % (label, verdict, report["checks"], report["cases"])
     )
     assert report["ok"], report["mismatches"]
+    got = {key: report[key] for key in ("cases", "checks", "ok")}
+    assert got == CRITERION_COUNTS[suite]
 
 
 def test_suite_check_counts_are_pinned():

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from affq import cli
+from affq import hall as Ha
+from affq import hecke as H
 from affq import schur as S
 from affq import verify as V
 
@@ -192,6 +194,14 @@ def _unit(n, a=1):
     return {"n": n, "entries": [[1, 2, a]]}
 
 
+def _reduce_request(n, lam):
+    return {"matrix": {"n": n, "entries": []}, "j": [0] * n, "lambda": lam}
+
+
+def _hall_request(alpha):
+    return {"alpha": alpha, "matrix": {"n": 2, "entries": [[1, 2, 2], [2, 3, 2]]}}
+
+
 # (args, payload, exit code) just at and just above each size cap
 SIZE_CAP_REQUESTS = {
     "coset-n-at-cap": (["coset"], _unit(cli.MAX_N), 0),
@@ -213,6 +223,30 @@ SIZE_CAP_REQUESTS = {
         {"left": _unit(2), "right": {"n": cli.MAX_N + 1, "entries": [[2, 2, 1]]}},
         2,
     ),
+    "reduce-n-at-cap": (["reduce"], _reduce_request(cli.MAX_N, [0] * cli.MAX_N), 0),
+    "reduce-n-above-cap": (
+        ["reduce"],
+        _reduce_request(cli.MAX_N + 1, [0] * (cli.MAX_N + 1)),
+        2,
+    ),
+    "reduce-part-at-cap": (["reduce"], _reduce_request(2, [cli.MAX_REDUCE_PART, 0]), 0),
+    "reduce-part-above-cap": (["reduce"], _reduce_request(2, [cli.MAX_REDUCE_PART + 1, 0]), 2),
+    # 3^6 = 729 weight shifts, then 3^5 * 4 = 972
+    "reduce-terms-at-cap": (["reduce"], _reduce_request(6, [2] * 6), 0),
+    "reduce-terms-above-cap": (["reduce"], _reduce_request(6, [2] * 5 + [3]), 2),
+    # |alpha| + dim M(A) = 1 + 4, then 2 + 4
+    "hall-dim-at-cap": (["hall", "--q", "2"], _hall_request([1, 0]), 0),
+    "hall-dim-above-cap": (["hall", "--q", "2"], _hall_request([2, 0]), 2),
+    "hall-n-at-cap": (
+        ["hall", "--q", "2"],
+        {"alpha": [1] + [0] * (cli.MAX_N - 1), "matrix": _unit(cli.MAX_N)},
+        0,
+    ),
+    "hall-n-above-cap": (
+        ["hall", "--q", "2"],
+        {"alpha": [1] + [0] * cli.MAX_N, "matrix": _unit(cli.MAX_N + 1)},
+        2,
+    ),
 }
 
 
@@ -222,6 +256,26 @@ def test_size_caps(case, tmp_path, capsys):
     code, _, out = run_cli(args, payload, tmp_path)
     assert code == want and out.exists() == (want == 0)
     assert ("exceeds the cap" in capsys.readouterr().err) == (want == 2)
+
+
+def test_hall_rejects_an_oversized_census_before_the_product(tmp_path, monkeypatch):
+    def never(alpha, A):
+        raise RuntimeError("the closed-form product ran")
+
+    monkeypatch.setattr(Ha, "semisimple_hall_product", never)
+    entries = [[1, 2, 20], [2, 3, 20], [1, 3, 10]]
+    payload = {"alpha": [20, 20], "matrix": {"n": 2, "entries": entries}}
+    code, _, out = run_cli(["hall", "--q", "2"], payload, tmp_path)
+    assert code == 2 and not out.exists()
+
+
+def test_failed_oracle_division_exits_3(tmp_path, monkeypatch, capsys):
+    # a wrong factorial scale makes the exact division fail on valid labels
+    monkeypatch.setattr(H, "coset_factor", lambda B: {0: 3})
+    args = ["verify", "--suite", "schur-oracle", "--n", "2", "--r", "2"]
+    code, _, out = run_cli(args, None, tmp_path)
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err.startswith("internal error: oracle peeling failed")
 
 
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):

@@ -139,6 +139,18 @@ def test_brute_hall_validation():
         Ha.brute_hall_number(M.diag((1, 1)), E, E, 2)
 
 
+def test_census_is_read_only():
+    E = M.e_unit(1, 2, 2)
+    C = M.mscale(2, E)
+    before = [Ha.brute_hall_number(A, B, C, 2) for A, B in ((E, E), (C, M.pmat(2, [])))]
+    census = Ha.submodule_census(C, 2)
+    with pytest.raises(TypeError):
+        census[(E, E)] = 0
+    assert Ha.submodule_census(C, 2) is census
+    after = [Ha.brute_hall_number(A, B, C, 2) for A, B in ((E, E), (C, M.pmat(2, [])))]
+    assert after == before == [3, 1]
+
+
 def test_semisimple_product_frozen():
     E = M.e_unit(1, 2, 2)
     assert Ha.semisimple_hall_product((1, 0), E) == {M.mscale(2, E): qp({0: 1, 1: 1})}
@@ -228,23 +240,15 @@ def test_duality_mirror_against_brute():
 
 
 def _scale_product(prod, poly):
-    out = {}
-    for k, f in prod.items():
-        acc = out.setdefault(k, {})
-        L.add_inplace(acc, L.mul(poly, f))
-        if not acc:
-            del out[k]
-    return out
+    out = {k: L.mul(poly, f) for k, f in prod.items()}
+    return {k: f for k, f in out.items() if f}
 
 
 def _add_products(a, b):
-    out = {k: dict(v) for k, v in a.items()}
+    out = dict(a)
     for k, f in b.items():
-        acc = out.setdefault(k, {})
-        L.add_inplace(acc, f)
-        if not acc:
-            del out[k]
-    return out
+        out[k] = L.add(out.get(k, {}), f)
+    return {k: f for k, f in out.items() if f}
 
 
 def _semisimple_weights(label):
