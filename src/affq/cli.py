@@ -6,12 +6,12 @@ invariant of the library).  Output is canonically sorted, so repeated runs
 with the same inputs produce identical bytes.
 
 Size caps, checked before any computation: ``coset``, ``schur-mul``,
-``reduce`` and ``hall`` accept matrices of period n <= MAX_N, and ``coset``
-a total sigma(A) <= MAX_COSET_SIGMA (the window of the representative has
-sigma(A) entries and its length walk is quadratic in it).  ``reduce``
-accepts parts lambda_i <= MAX_REDUCE_PART and prod(lambda_i + 1) <=
-MAX_REDUCE_TERMS weight shifts, ``hall`` a total dimension |alpha| +
-dim M(A) <= hall.MAX_CENSUS_DIM.
+``reduce`` and ``hall`` accept matrices, and ``vbln-mul`` elements, of
+period n <= MAX_N, and ``coset`` a total sigma(A) <= MAX_COSET_SIGMA (the
+window of the representative has sigma(A) entries and its length walk is
+quadratic in it).  ``reduce`` accepts parts lambda_i <= MAX_REDUCE_PART
+and prod(lambda_i + 1) <= MAX_REDUCE_TERMS weight shifts, ``hall`` a total
+dimension |alpha| + dim M(A) <= hall.MAX_CENSUS_DIM.
 
 ``main`` may be called any number of times in one process: the parser is
 built on the first call and shared by the later ones.  Argparse keeps no
@@ -54,11 +54,15 @@ def _emit(obj, path):
             fh.write(data)
 
 
+def _check_period(n):
+    if n > MAX_N:
+        raise ValueError("period n = %d exceeds the cap %d" % (n, MAX_N))
+
+
 def _capped_matrix(obj):
     """The matrix of obj, rejected when its period exceeds MAX_N."""
     A = M.from_json(obj)
-    if A.n > MAX_N:
-        raise ValueError("period n = %d exceeds the cap %d" % (A.n, MAX_N))
+    _check_period(A.n)
     return A
 
 
@@ -87,6 +91,8 @@ def cmd_schur_mul(args):
     obj = _load(args.infile)
     left = _capped_matrix(obj["left"])
     right = _capped_matrix(obj["right"])
+    if not (M.is_nonneg(left) and M.is_nonneg(right)):
+        raise ValueError("matrix entries must be nonnegative")
     if S.upper_shape(left) is not None:
         mul = S.e_mul_upper if args.basis == "e" else S.n_mul_upper
     elif S.lower_shape(left) is not None:
@@ -100,6 +106,7 @@ def cmd_schur_mul(args):
 def cmd_vbln_mul(args):
     obj = _load(args.infile)
     x = R.from_json(obj["element"])
+    _check_period(x.n)
     op = obj["op"]
     if op == "diag-left":
         res = R.mul_by_0j(L.json_ints(obj["j"]), x)

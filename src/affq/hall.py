@@ -423,9 +423,9 @@ def semisimple_hall_product(alpha, A):
     for T, term in S.one_layer_terms(alpha, A, M.one_layer_cells(A, alpha)):
         label = M.madd(M.msub(A, M.split(M.tilde(T))[0]), T)
         if M.is_nonneg(label):
-            out[label] = L.add(out.get(label, {}), term)
+            L.acc(out, label, term)
     # q = v^2: every exponent of the kernel is even
-    return {C: {e // 2: c for e, c in f.items()} for C, f in out.items() if f}
+    return {C: {e // 2: c for e, c in f.items()} for C, f in out.items()}
 
 
 def twisted_route_b(alpha, A):

@@ -7,8 +7,10 @@ fresh dicts and never mutate their arguments.
 One rule holds across the package: a coefficient dict is never mutated
 after it is stored in an element, a cache or another map, and a function
 mutates only dicts it created in the same call; so values share dicts and
-nothing copies them.  Memo tables are lru_caches bounded by CACHE_SIZE,
-holding immutable values (frozensets, types.MappingProxyType).
+nothing copies them.  ``acc`` is the one implementation of the rule for
+sums of Laurent coefficients: it replaces a stored coefficient by a new
+sum instead of adding into it.  Memo tables are lru_caches bounded by
+CACHE_SIZE, holding immutable values (frozensets, types.MappingProxyType).
 
 >>> text(mul(poly({0: 1, 1: 1}), poly({0: -1, 1: 1})))
 '-1 + v^2'
@@ -65,6 +67,29 @@ def add(f, g):
     return out
 
 
+def acc(terms, key, coeff):
+    """Add coeff to terms[key] by replacement: a new key stores coeff, an
+    existing one the new dict add(terms[key], coeff), and a zero sum drops
+    the key.  Only the map terms is mutated, never a stored coefficient.
+
+    >>> stored = {0: 1}
+    >>> terms = {"x": stored}
+    >>> acc(terms, "x", {2: 1})
+    >>> terms, stored
+    ({'x': {0: 1, 2: 1}}, {0: 1})
+    >>> acc(terms, "x", {0: -1, 2: -1})
+    >>> terms
+    {}
+    """
+    cur = terms.get(key)
+    if cur is not None:
+        coeff = add(cur, coeff)
+    if coeff:
+        terms[key] = coeff
+    else:
+        terms.pop(key, None)
+
+
 def neg(f):
     return {e: -c for e, c in f.items()}
 
@@ -97,12 +122,6 @@ def mul(f, g):
             else:
                 del out[e]
     return out
-
-
-def smul(c, f):
-    if c == 0:
-        return {}
-    return {e: c * k for e, k in f.items()}
 
 
 def vshift(f, k):
@@ -397,18 +416,8 @@ def frac_neg(x):
     return LaurentFraction(neg(x.num), x.den)
 
 
-def frac_sub(x, y):
-    return frac_add(x, frac_neg(y))
-
-
 def frac_mul(x, y):
     return fraction(mul(x.num, y.num), mul(x.den, y.den))
-
-
-def frac_div(x, y):
-    if not y.num:
-        raise ValueError("division by zero fraction")
-    return fraction(mul(x.num, y.den), mul(x.den, y.num))
 
 
 def frac_scale(f, x):
@@ -424,89 +433,3 @@ def frac_to_laurent(x):
     """Clear the denominator, raising ValueError when the value is not a
     Laurent polynomial."""
     return divexact(x.num, x.den)
-
-
-# ---------------------------------------------------------------------------
-# The commutator coefficient of the double Hall algebra presentation.
-# ---------------------------------------------------------------------------
-
-def _vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _compositions_nonzero(gamma, m):
-    """Ordered decompositions of gamma into m componentwise-nonnegative
-    nonzero summands."""
-    n = len(gamma)
-    if m == 0:
-        if all(c == 0 for c in gamma):
-            yield ()
-        return
-    ranges = [range(c + 1) for c in gamma]
-    from itertools import product as iproduct
-
-    for first in iproduct(*ranges):
-        if all(c == 0 for c in first):
-            continue
-        rest = _vec_sub(gamma, first)
-        if m == 1:
-            if all(c == 0 for c in rest):
-                yield (first,)
-            continue
-        for tail in _compositions_nonzero(rest, m - 1):
-            yield (first,) + tail
-
-
-def x_coeff(alpha, gamma, lam, mu):
-    """The coefficient x_{alpha,gamma} in the mixed commutation relation,
-    as a LaurentFraction.
-
-    Preconditions: 0 <= gamma <= alpha <= lam componentwise, alpha <= mu,
-    alpha != 0.  The inner alternating sum over ordered decompositions of
-    gamma is taken to be 1 when gamma = 0.
-    """
-    from .hall import euler_form
-
-    n = len(alpha)
-    if not (len(gamma) == len(lam) == len(mu) == n):
-        raise ValueError("component count mismatch")
-    if any(g < 0 or g > a for g, a in zip(gamma, alpha)):
-        raise ValueError("need 0 <= gamma <= alpha")
-    if any(a > l for a, l in zip(alpha, lam)) or any(a > m for a, m in zip(alpha, mu)):
-        raise ValueError("need alpha <= lam and alpha <= mu")
-    if all(a == 0 for a in alpha):
-        raise ValueError("need alpha != 0")
-
-    amg = _vec_sub(alpha, gamma)
-    lma = _vec_sub(lam, alpha)
-    mma = _vec_sub(mu, alpha)
-    exp = (
-        euler_form(alpha, lma)
-        + euler_form(mu, _vec_sub(tuple(2 * g for g in gamma), alpha))
-        + 2 * euler_form(gamma, _vec_sub(amg, lam))
-        + 2 * sum(alpha)
-    )
-    head = monomial(exp)
-    head = mul(head, multinomial_sq(lam, [amg, lma, gamma]))
-    head = mul(head, multinomial_sq(mu, [amg, mma, gamma]))
-    num = mul(head, mul(frak_a(amg), mul(frak_a(lma), frak_a(mma))))
-    den = mul(frak_a(lam), frak_a(mu))
-
-    if all(c == 0 for c in gamma):
-        inner = one()
-    else:
-        inner = zero()
-        total = sum(gamma)
-        for m in range(1, total + 1):
-            for decomp in _compositions_nonzero(gamma, m):
-                cross = 0
-                for i in range(m):
-                    for j in range(i + 1, m):
-                        cross += euler_form(decomp[i], decomp[j])
-                term = monomial(2 * cross, (-1) ** m)
-                for part in decomp:
-                    term = mul(term, frak_a(part))
-                mn = multinomial_sq(gamma, list(decomp))
-                term = mul(term, mul(mn, mn))
-                inner = add(inner, term)
-    return fraction(mul(num, inner), den)

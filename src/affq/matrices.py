@@ -160,16 +160,8 @@ def is_nonneg(A):
     return all(a >= 0 for _, _, a in A.entries)
 
 
-def is_diagonal(A):
-    return all(i == j for i, j, a in A.entries)
-
-
 def is_strictly_upper(A):
     return all(j > i for i, j, a in A.entries)
-
-
-def is_strictly_lower(A):
-    return all(j < i for i, j, a in A.entries)
 
 
 def is_zero_diagonal(A):
@@ -205,12 +197,6 @@ def corner_upper(A, i, j):
         if cnt > 0:
             total += a * cnt
     return total
-
-
-def corner_lower(A, i, j):
-    """sum_{s >= i, t <= j} a_{s,t}: the upper corner sum of negate(A) at
-    (-i, -j)."""
-    return corner_upper(negate(A), -i, -j)
 
 
 def _upper_corners_leq(A, B):

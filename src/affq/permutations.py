@@ -3,7 +3,7 @@
 A permutation w of the integers with w(i + r) = w(i) + r for all i is
 stored by its window (w(1), ..., w(r)).  These bijections form a group
 under composition, generated by the transpositions s_1, ..., s_r together
-with the shift rho(j) = j + 1.  The module provides the group operations,
+with the shift rho: j -> j + 1.  The module provides the group operations,
 length as inversion count, reduced words, shortest coset and double-coset
 representatives for Young subgroups attached to compositions, the matrix
 encoding of double cosets, and the shortest representative read off a
@@ -73,15 +73,6 @@ def identity(r):
     return AffinePermutation(r, tuple(range(1, r + 1)))
 
 
-def rho(r):
-    """The shift j -> j + 1.
-
-    >>> rho(3).window
-    (2, 3, 4)
-    """
-    return rho_power(1, r)
-
-
 def rho_power(m, r):
     """The shift j -> j + m."""
     r = _period(r)
@@ -134,7 +125,7 @@ def length(w):
     For fixed residues i, j0 the contributing shifts j = j0 + t*r form an
     interval in t, counted exactly.
 
-    >>> length(rho(4))
+    >>> length(rho_power(1, 4))
     0
     >>> length(generator_s(3, 3))
     1
@@ -161,12 +152,6 @@ def rho_part(w):
 def is_right_descent(w, i):
     """Whether length(compose(w, s_i)) < length(w)."""
     return w.apply(i) > w.apply(i + 1)
-
-
-def is_left_descent(w, i):
-    """Whether length(compose(s_i, w)) < length(w)."""
-    inv = inverse(w)
-    return inv.apply(i) > inv.apply(i + 1)
 
 
 def reduced_word(w):
@@ -198,14 +183,6 @@ def reduced_word(w):
 
 def text(w):
     return "w = [" + ", ".join(str(x) for x in w.window) + "] @ " + str(w.r)
-
-
-def to_json(w):
-    return {"r": w.r, "window": list(w.window)}
-
-
-def from_json(obj):
-    return perm(obj["r"], obj["window"])
 
 
 def blocks(lam):

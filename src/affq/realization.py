@@ -78,17 +78,6 @@ def _vacc(out, key, f):
         out[key] = f
 
 
-def v_from_items(n, items):
-    out = {}
-    for A, j, f in items:
-        _check_label(n, A)
-        _check_weight(n, j)
-        if isinstance(f, dict):
-            f = L.fraction(f)
-        _vacc(out, (A, tuple(j)), f)
-    return VElement(n, out)
-
-
 def v_add(x, y):
     if x.n != y.n:
         raise ValueError("size mismatch")
@@ -113,14 +102,6 @@ def v_scale(c, x):
     if L.frac_is_zero(c):
         return v_zero(x.n)
     return VElement(x.n, {k: L.frac_mul(c, f) for k, f in x.terms.items()})
-
-
-def v_is_zero(x):
-    return not x.terms
-
-
-def v_eq(x, y):
-    return x.n == y.n and x.terms == y.terms
 
 
 def text(x):
@@ -167,6 +148,7 @@ def from_json(obj):
             L.from_json_pairs(t["coeff_num"]), L.from_json_pairs(t["coeff_den"])
         )
         _check_label(n, A)
+        _check_weight(n, j)
         _vacc(out, (A, j), f)
     return VElement(n, out)
 
@@ -189,8 +171,8 @@ def _shift_coeffs(t):
         nxt = {}
         for k, c in num.items():
             for dk, f in ((1, L.monomial(1 - s)), (-1, L.monomial(s - 1, -1))):
-                nxt[k + dk] = L.add(nxt.get(k + dk, {}), L.mul(c, f))
-        num = {k: c for k, c in nxt.items() if c}
+                L.acc(nxt, k + dk, L.mul(c, f))
+        num = nxt
     den = L.one()
     for s in range(1, t + 1):
         den = L.mul(den, L.sub(L.monomial(s), L.monomial(-s)))
@@ -339,7 +321,7 @@ def mul_by_semisimple_plus(alpha, x):
     >>> text(mul_by_semisimple_plus((1, 0), v_basis(2, M.pmat(2, []), (0, 1))))
     '(v)*[(1, 2, 1)](0, 1)'
     >>> x = v_basis(2, M.e_unit(1, 2, 2), (0, 0))
-    >>> v_eq(mul_by_semisimple_plus((0, 0), x), x)
+    >>> mul_by_semisimple_plus((0, 0), x) == x
     True
     """
     _check_alpha(alpha, x.n)
@@ -418,6 +400,65 @@ def cyclic_difference(nu):
     return tuple(nu[i] - nu[i - 1] for i in range(n))
 
 
+def _vec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def x_coeff(alpha, gamma, lam, mu):
+    """The coefficient x_{alpha,gamma} in the mixed commutation relation,
+    as a LaurentFraction.
+
+    Preconditions: 0 <= gamma <= alpha <= lam componentwise, alpha <= mu,
+    alpha != 0.  The inner alternating sum I(gamma) over the ordered
+    decompositions of gamma into nonzero parts is built by its first part
+    beta: I(0) = 1 and
+
+        I(g) = -sum_{0 != beta <= g} v^(2<beta, g-beta>) frak_a(beta)
+               [g; beta, g-beta]^2 I(g-beta),
+
+    since the cross term of a decomposition is <beta, g-beta> plus that of
+    the rest (the Euler form is bilinear), and the multinomial factors as
+    [g; beta, g-beta] [g-beta; rest].
+    """
+    n = len(alpha)
+    if not (len(gamma) == len(lam) == len(mu) == n):
+        raise ValueError("component count mismatch")
+    if any(g < 0 or g > a for g, a in zip(gamma, alpha)):
+        raise ValueError("need 0 <= gamma <= alpha")
+    if any(a > l for a, l in zip(alpha, lam)) or any(a > m for a, m in zip(alpha, mu)):
+        raise ValueError("need alpha <= lam and alpha <= mu")
+    if all(a == 0 for a in alpha):
+        raise ValueError("need alpha != 0")
+
+    amg = _vec_sub(alpha, gamma)
+    lma = _vec_sub(lam, alpha)
+    mma = _vec_sub(mu, alpha)
+    exp = (
+        Ha.euler_form(alpha, lma)
+        + Ha.euler_form(mu, _vec_sub(tuple(2 * g for g in gamma), alpha))
+        + 2 * Ha.euler_form(gamma, _vec_sub(amg, lam))
+        + 2 * sum(alpha)
+    )
+    head = L.monomial(exp)
+    head = L.mul(head, L.multinomial_sq(lam, [amg, lma, gamma]))
+    head = L.mul(head, L.multinomial_sq(mu, [amg, mma, gamma]))
+    num = L.mul(head, L.mul(L.frak_a(amg), L.mul(L.frak_a(lma), L.frak_a(mma))))
+    den = L.mul(L.frak_a(lam), L.frak_a(mu))
+
+    # lexicographic order lists g - beta before g
+    inner = {}
+    for g in M.compositions_bounded(gamma):
+        total = L.zero() if any(g) else L.one()
+        for beta in M.compositions_bounded(g):
+            if any(beta):
+                rest = _vec_sub(g, beta)
+                mn = L.multinomial_sq(g, [beta, rest])
+                term = L.mul(L.monomial(2 * Ha.euler_form(beta, rest), -1), L.frak_a(beta))
+                total = L.add(total, L.mul(L.mul(term, L.mul(mn, mn)), inner[rest]))
+        inner[g] = total
+    return L.fraction(L.mul(num, inner[gamma]), den)
+
+
 def relation_e_data(lam, mu, r_list):
     """Commutator identity between lowering and raising one-layer elements.
 
@@ -453,7 +494,7 @@ def relation_e_data(lam, mu, r_list):
         twist = Ha.tilde_exponent(M.s_alpha(lam2)) + Ha.tilde_exponent(M.s_alpha(mu2))
         shift = L.monomial(-twist)
         for gamma in iproduct(*(range(a + 1) for a in alpha)):
-            x = L.x_coeff(alpha, gamma, lam, mu)
+            x = x_coeff(alpha, gamma, lam, mu)
             nu = tuple(2 * g - a for g, a in zip(gamma, alpha))
             term = mul_by_0j(cyclic_difference(nu), base)
             rhs = v_add(rhs, v_scale(L.frac_scale(shift, x), term))

@@ -62,23 +62,6 @@ def s_zero(n, r, basis="e"):
     return s_from_items(n, r, (), basis)
 
 
-def s_is_zero(x):
-    return not x.terms
-
-
-def _acc(terms, label, coeff, scalar=None):
-    """Accumulate coeff (optionally times scalar) onto a label, dropping zeros."""
-    if scalar is not None:
-        coeff = L.mul(coeff, scalar)
-    cur = terms.get(label)
-    if cur is not None:
-        coeff = L.add(cur, coeff)
-    if coeff:
-        terms[label] = coeff
-    else:
-        terms.pop(label, None)
-
-
 def s_from_items(n, r, items, basis="e"):
     """Build an element from (label, coeff) pairs, merging duplicates."""
     if basis not in ("e", "n"):
@@ -91,7 +74,7 @@ def s_from_items(n, r, items, basis="e"):
             raise ValueError("label level mismatch")
         if not M.is_nonneg(label):
             raise ValueError("labels must be nonnegative")
-        _acc(out, label, coeff)
+        L.acc(out, label, coeff)
     return SchurElement(n, r, basis, out)
 
 
@@ -111,12 +94,8 @@ def s_add(x, y):
     _check_pair(x, y)
     out = dict(x.terms)
     for label, c in y.terms.items():
-        _acc(out, label, c)
+        L.acc(out, label, c)
     return SchurElement(x.n, x.r, x.basis, out)
-
-
-def s_sub(x, y):
-    return s_add(x, s_scale(L.monomial(0, -1), y))
 
 
 def s_scale(c, x):
@@ -152,12 +131,6 @@ def convert(x, basis):
     for label, c in x.terms.items():
         out[label] = L.vshift(c, sign * M.d_exponent(label))
     return SchurElement(x.n, x.r, basis, out)
-
-
-def identity_element(n, r, basis="e"):
-    """Sum of the diagonal idempotents, the unit of the level-r algebra."""
-    items = [(M.diag(mu), L.one()) for mu in M.compositions(n, r)]
-    return s_from_items(n, r, items, basis)
 
 
 def text(x):
@@ -297,7 +270,7 @@ def e_mul_upper(B, A):
     for T, term in one_layer_terms(alpha, A, cells):
         label = M.madd(M.msub(A, M.tilde(T)), T)
         if M.is_nonneg(label):
-            _acc(out, label, term)
+            L.acc(out, label, term)
     return SchurElement(n, r, "e", out)
 
 
@@ -364,7 +337,7 @@ def A_j_lambda_r(A, j, lam, r):
             if not coeff:
                 break
         if coeff:
-            _acc(out, M.madd(A, M.diag(mu)), coeff)
+            L.acc(out, M.madd(A, M.diag(mu)), coeff)
     return SchurElement(n, r, "n", out)
 
 
@@ -458,7 +431,7 @@ def _bilinear(mul, x, y):
             piece = mul(B, A)
             scale = L.mul(cb, ca)
             for label, c in piece.terms.items():
-                _acc(out, label, c, scale)
+                L.acc(out, label, L.mul(c, scale))
     return SchurElement(x.n, x.r, x.basis, out)
 
 

@@ -202,6 +202,21 @@ def _hall_request(alpha):
     return {"alpha": alpha, "matrix": {"n": 2, "entries": [[1, 2, 2], [2, 3, 2]]}}
 
 
+def _vbln_request(n):
+    element = {
+        "n": n,
+        "terms": [
+            {
+                "matrix": {"n": n, "entries": []},
+                "j": [0] * n,
+                "coeff_num": [[0, 1]],
+                "coeff_den": [[0, 1]],
+            }
+        ],
+    }
+    return {"op": "one-layer-upper", "alpha": [1] + [0] * (n - 1), "element": element}
+
+
 # (args, payload, exit code) just at and just above each size cap
 SIZE_CAP_REQUESTS = {
     "coset-n-at-cap": (["coset"], _unit(cli.MAX_N), 0),
@@ -247,6 +262,10 @@ SIZE_CAP_REQUESTS = {
         {"alpha": [1] + [0] * cli.MAX_N, "matrix": _unit(cli.MAX_N + 1)},
         2,
     ),
+    "vbln-mul-n-at-cap": (["vbln-mul"], _vbln_request(cli.MAX_N), 0),
+    "vbln-mul-n-above-cap": (["vbln-mul"], _vbln_request(cli.MAX_N + 1), 2),
+    # the T-enumerator recurses once per row: n = 1000 overflowed the stack
+    "vbln-mul-n-far-above-cap": (["vbln-mul"], _vbln_request(1000), 2),
 }
 
 
@@ -256,6 +275,28 @@ def test_size_caps(case, tmp_path, capsys):
     code, _, out = run_cli(args, payload, tmp_path)
     assert code == want and out.exists() == (want == 0)
     assert ("exceeds the cap" in capsys.readouterr().err) == (want == 2)
+
+
+@pytest.mark.parametrize("op", ["diag-left", "diag-right", "one-layer-upper"])
+def test_vbln_mul_checks_every_weight_length(op, tmp_path, capsys):
+    # a weight longer than n is rejected on reading, not truncated by the diagonal ops
+    payload = {"op": op, "j": [0, 1], "alpha": [1, 0], "element": _one_term_element(j=(0, 1, 5))}
+    code, _, out = run_cli(["vbln-mul"], payload, tmp_path)
+    assert code == 2 and not out.exists()
+    assert "weight length mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("basis", ["e", "n"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_schur_mul_rejects_negative_entries(side, basis, tmp_path, capsys):
+    payload = {
+        "left": {"n": 2, "entries": [[1, 1, 1], [1, 2, 1]]},
+        "right": {"n": 2, "entries": [[1, 1, 2], [2, 1, 1]]},
+    }
+    payload[side]["entries"][1][2] = -1
+    code, _, out = run_cli(["schur-mul", "--basis", basis], payload, tmp_path)
+    assert code == 2 and not out.exists()
+    assert "nonnegative" in capsys.readouterr().err
 
 
 def test_hall_rejects_an_oversized_census_before_the_product(tmp_path, monkeypatch):

@@ -75,7 +75,7 @@ def test_quadratic_relation():
                 H.h_add(s, H.h_scale(L.poly({2: -1}), one)),
                 H.h_add(s, one),
             )
-            assert H.h_is_zero(lhs)
+            assert not lhs.terms
 
 
 def test_frozen_generator_square():
@@ -122,7 +122,12 @@ def test_mul_matches_one_sided_helpers():
         w = rand_perm(rng, r)
         h = rand_elem(rng, r)
         assert H.h_eq(H.mul(H.t_basis(w), h), H.left_mul_basis(w, h))
-        assert H.h_eq(H.mul(h, H.t_basis(w)), H.right_mul_basis(h, w))
+
+
+def is_left_descent(w, i):
+    """Whether length(compose(s_i, w)) < length(w)."""
+    inv = P.inverse(w)
+    return inv.apply(i) > inv.apply(i + 1)
 
 
 def left_greedy_word(w):
@@ -130,7 +135,7 @@ def left_greedy_word(w):
     sigma = P.compose(P.rho_power(-m, w.r), w)
     word = []
     while not P.is_identity(sigma):
-        i = next(i for i in range(1, w.r + 1) if P.is_left_descent(sigma, i))
+        i = next(i for i in range(1, w.r + 1) if is_left_descent(sigma, i))
         word.append(i)
         sigma = P.compose(P.generator_s(i, w.r), sigma)
     return m, tuple(word)
@@ -165,16 +170,25 @@ def test_add_scale_axioms():
         assert H.h_eq(H.h_add(a, b), H.h_add(b, a))
         assert H.h_eq(H.mul(H.h_add(a, b), c), H.h_add(H.mul(a, c), H.mul(b, c)))
         assert H.h_eq(H.mul(a, H.h_add(b, c)), H.h_add(H.mul(a, b), H.mul(a, c)))
-        assert H.h_is_zero(H.h_sub(a, a))
+        assert not H.h_add(a, H.h_scale(L.monomial(0, -1), a)).terms
     with pytest.raises(ValueError):
         H.mul(H.t_basis(P.identity(2)), H.t_basis(P.identity(3)))
 
 
+def x_lambda(lam):
+    """Sum of T_u over the block subgroup of lam: the oracle of x_mul_left
+    and x_mul_right."""
+    return H.HeckeElement(
+        sum(lam),
+        {w.window: L.one() for w in P.young_subgroup_elements(lam)},
+    )
+
+
 def test_x_lambda_frozen():
-    x = H.x_lambda((2, 0))
+    x = x_lambda((2, 0))
     assert sorted(x.terms) == [(1, 2), (2, 1)]
     assert all(f == L.one() for f in x.terms.values())
-    assert sorted(H.x_lambda((1, 1)).terms) == [(1, 2)]
+    assert sorted(x_lambda((1, 1)).terms) == [(1, 2)]
     sq = H.mul(x, x)
     assert H.h_eq(sq, H.h_scale(L.poly({0: 1, 2: 1}), x))
 
@@ -189,7 +203,7 @@ def test_stair_matches_subgroup_sum():
         r = sum(lam)
         if r < 2:
             continue
-        x = H.x_lambda(lam)
+        x = x_lambda(lam)
         for _ in range(4):
             h = rand_elem(rng, r)
             assert H.h_eq(H.x_mul_left(lam, h), H.mul(x, h))

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from affq import laurent as L
+from affq import realization as R
 
 
 def test_doctests():
@@ -60,17 +61,17 @@ def test_x_coeff_values():
     e1 = (1, 0)
     e2 = (0, 1)
     zero2 = (0, 0)
-    num_den = L.x_coeff(e1, e1, e1, e1)
+    num_den = R.x_coeff(e1, e1, e1, e1)
     assert num_den == L.fraction({1: -1}, {0: -1, 2: 1})
-    assert L.x_coeff(e1, zero2, e1, e1) == L.fraction({1: 1}, {0: -1, 2: 1})
+    assert R.x_coeff(e1, zero2, e1, e1) == L.fraction({1: 1}, {0: -1, 2: 1})
     # A fraction value exists for the larger case and is finite/nonzero.
-    val = L.x_coeff((2, 0), (2, 0), (2, 0), (2, 0))
+    val = R.x_coeff((2, 0), (2, 0), (2, 0), (2, 0))
     assert not L.frac_is_zero(val)
     with pytest.raises(ValueError):
-        L.x_coeff(zero2, zero2, e1, e1)
+        R.x_coeff(zero2, zero2, e1, e1)
     with pytest.raises(ValueError):
-        L.x_coeff(e1, e1, zero2, e1)
-    assert L.x_coeff(e2, e2, e2, e2) == num_den
+        R.x_coeff(e1, e1, zero2, e1)
+    assert R.x_coeff(e2, e2, e2, e2) == num_den
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +174,8 @@ def test_fraction_equality_cross_multiplication():
 
 def test_fraction_arithmetic():
     x = L.fraction({1: 1}, {0: -1, 2: 1})
-    y = L.frac_sub(L.FRAC_ONE, x)
+    y = L.frac_add(L.FRAC_ONE, L.frac_neg(x))
     assert L.frac_add(x, y) == L.FRAC_ONE
-    assert L.frac_mul(x, L.frac_div(L.FRAC_ONE, x)) == L.FRAC_ONE
     assert L.frac_to_laurent(L.frac_mul(x, L.fraction({0: -1, 2: 1}))) == {1: 1}
     with pytest.raises(ValueError):
         L.frac_to_laurent(x)
