@@ -11,7 +11,10 @@ period n <= MAX_N, and ``coset`` a total sigma(A) <= MAX_COSET_SIGMA (the
 window of the representative has sigma(A) entries and its length walk is
 quadratic in it).  ``reduce`` accepts parts lambda_i <= MAX_REDUCE_PART
 and prod(lambda_i + 1) <= MAX_REDUCE_TERMS weight shifts, ``hall`` a total
-dimension |alpha| + dim M(A) <= hall.MAX_CENSUS_DIM.
+dimension |alpha| + dim M(A) <= hall.MAX_CENSUS_DIM.  ``vbln-mul``
+accepts elements of at most MAX_REDUCE_TERMS terms whose labels have
+sigma(A) <= MAX_VBLN_SIZE, and one-layer weights |alpha| <= MAX_VBLN_SIZE
+(the Gaussians of the one-layer products grow with both).
 
 ``main`` may be called any number of times in one process: the parser is
 built on the first call and shared by the later ones.  Argparse keeps no
@@ -36,6 +39,7 @@ MAX_N = 16
 MAX_COSET_SIGMA = 64
 MAX_REDUCE_PART = 16
 MAX_REDUCE_TERMS = 729
+MAX_VBLN_SIZE = 16
 
 
 def _load(path):
@@ -107,15 +111,20 @@ def cmd_vbln_mul(args):
     obj = _load(args.infile)
     x = R.from_json(obj["element"])
     _check_period(x.n)
+    if len(x.terms) > MAX_REDUCE_TERMS:
+        raise ValueError("term count exceeds the cap %d" % MAX_REDUCE_TERMS)
     op = obj["op"]
+    alpha = L.json_ints(obj["alpha"]) if op in ("one-layer-upper", "one-layer-lower") else ()
+    if max([sum(alpha)] + [M.sigma(A) for A, _ in x.terms]) > MAX_VBLN_SIZE:
+        raise ValueError("|alpha| or a label's sigma exceeds the cap %d" % MAX_VBLN_SIZE)
     if op == "diag-left":
         res = R.mul_by_0j(L.json_ints(obj["j"]), x)
     elif op == "diag-right":
         res = R.mul_0j_right(x, L.json_ints(obj["j"]))
     elif op == "one-layer-upper":
-        res = R.mul_by_semisimple_plus(L.json_ints(obj["alpha"]), x)
+        res = R.mul_by_semisimple_plus(alpha, x)
     elif op == "one-layer-lower":
-        res = R.mul_by_semisimple_minus(L.json_ints(obj["alpha"]), x)
+        res = R.mul_by_semisimple_minus(alpha, x)
     else:
         raise ValueError("op must be diag-left, diag-right, one-layer-upper, or one-layer-lower")
     _emit(R.to_json(res), args.out)

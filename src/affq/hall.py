@@ -12,6 +12,9 @@ of a semisimple module with an arbitrary nilpotent module (polynomials in
 q), and ``twisted_route_b``, the twisted (Laurent in v) product obtained
 from those Hall polynomials.
 
+Endomorphism dimensions are counted over pairs of segments (Deng-Du-Fu's
+segment combinatorics); the F_q linear algebra serves only the census.
+
 The closed-form product is the one-layer formula of the affine q-Schur
 algebra at q = v^2: ``semisimple_hall_product(alpha, A)`` sums the terms
 of ``schur.one_layer_terms`` on the cells of ``M.one_layer_cells(A,
@@ -29,7 +32,6 @@ which imports this module.
 import functools
 import types
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import laurent as L
@@ -49,6 +51,11 @@ def euler_form(lam, mu):
 def check_label(A):
     if not M.is_strictly_upper(A) or not M.is_nonneg(A):
         raise ValueError("label must be strictly upper with nonnegative entries")
+
+
+def check_alpha(alpha, n):
+    if len(alpha) != n or any(c < 0 for c in alpha):
+        raise ValueError("alpha must be a nonnegative vector of length n")
 
 
 def segments(A):
@@ -325,60 +332,13 @@ def brute_hall_number(A, B, C, q):
 # endomorphism dimensions
 
 
-def _intertwiner_matrix(repA, repB):
-    """Linear system for maps phi_v: A_v -> B_v with X^B phi = phi X^A."""
-    n = repA.n
-    offs, total = [], 0
-    for v in range(n):
-        offs.append(total)
-        total += repB.dims[v] * repA.dims[v]
-    rows = []
-    for v in range(n):
-        w = (v + 1) % n
-        XA, XB = repA.maps[v], repB.maps[v]
-        for r in range(repB.dims[w]):
-            for c in range(repA.dims[v]):
-                row = [0] * total
-                # (phi_w X^A)_{r,c} = sum_a phi_w[r][a] XA[a][c]
-                for a in range(repA.dims[w]):
-                    row[offs[w] + r * repA.dims[w] + a] += XA[a][c]
-                # (X^B phi_v)_{r,c} = sum_b XB[r][b] phi_v[b][c]
-                for b in range(repB.dims[v]):
-                    row[offs[v] + b * repA.dims[v] + c] -= XB[r][b]
-                if any(row):
-                    rows.append(row)
-    return rows, total
-
-
-def _rank_rational(rows):
-    rows = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    width = len(rows[0]) if rows else 0
-    for col in range(width):
-        piv = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
-        for k in range(len(rows)):
-            if k != rank and rows[k][col]:
-                c = rows[k][col]
-                rows[k] = [x - c * y for x, y in zip(rows[k], rows[rank])]
-        rank += 1
-    return rank
-
-
-def dim_hom(A, B):
-    """dim Hom(M(A), M(B)) over the rationals."""
-    # the arrow matrices are 0/1, so the field marker q is irrelevant here
-    repA, repB = concrete_rep(A, 0), concrete_rep(B, 0)
-    rows, total = _intertwiner_matrix(repA, repB)
-    return total - _rank_rational(rows)
-
-
 def dim_end(A):
-    """dim End(M(A)) over the rationals.
+    """dim End(M(A)), counted over pairs of segments of A.
+
+    A map from the segment with top i and length l to the one with top j
+    and length m sends the top into radical layer k < m of the target, at
+    vertex j + k = i mod n, with an image of length m - k <= l; each such
+    k spans one dimension of the Hom space.
 
     >>> dim_end(M.e_unit(1, 2, 2))
     1
@@ -387,7 +347,14 @@ def dim_end(A):
     >>> dim_end(M.e_unit(1, 3, 2))
     1
     """
-    return dim_hom(A, A)
+    segs = segments(A)
+    return sum(
+        1
+        for i, l in segs
+        for j, m in segs
+        for k in range(max(0, m - l), m)
+        if (j + k - i) % A.n == 0
+    )
 
 
 def tilde_exponent(A):
@@ -417,8 +384,7 @@ def semisimple_hall_product(alpha, A):
     True
     """
     check_label(A)
-    if len(alpha) != A.n or any(x < 0 for x in alpha):
-        raise ValueError("alpha must be a nonnegative vector of length n")
+    check_alpha(alpha, A.n)
     out = {}
     for T, term in S.one_layer_terms(alpha, A, M.one_layer_cells(A, alpha)):
         label = M.madd(M.msub(A, M.split(M.tilde(T))[0]), T)

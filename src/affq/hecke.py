@@ -87,10 +87,6 @@ def h_scale(c, h):
     return HeckeElement(h.r, {win: L.mul(c, f) for win, f in h.terms.items()})
 
 
-def h_eq(a, b):
-    return a.r == b.r and a.terms == b.terms
-
-
 def text(h):
     if not h.terms:
         return "0"
@@ -238,4 +234,4 @@ def coset_product_identity_check(lam, d, mu):
     coset_factor of the coset's matrix."""
     factor = coset_factor(P.jmath(lam, d, mu))
     lhs = x_mul_right(x_mul_left(lam, t_basis(d)), mu)
-    return h_eq(lhs, h_scale(factor, t_double_coset(lam, d, mu)))
+    return lhs == h_scale(factor, t_double_coset(lam, d, mu))

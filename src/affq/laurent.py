@@ -95,14 +95,7 @@ def neg(f):
 
 
 def sub(f, g):
-    out = dict(f)
-    for e, c in g.items():
-        c = out.get(e, 0) - c
-        if c:
-            out[e] = c
-        else:
-            del out[e]
-    return out
+    return add(f, neg(g))
 
 
 def mul(f, g):

@@ -272,11 +272,6 @@ def mul_0j_right(x, jprime):
     return _mul_diag(x, jprime, M.co)
 
 
-def _check_alpha(alpha, n):
-    if len(alpha) != n or any(c < 0 for c in alpha):
-        raise ValueError("alpha must be a nonnegative vector of length n")
-
-
 def _coeff_plus(A, T):
     out = L.one()
     for i, jj, t in T.entries:
@@ -324,7 +319,7 @@ def mul_by_semisimple_plus(alpha, x):
     >>> mul_by_semisimple_plus((0, 0), x) == x
     True
     """
-    _check_alpha(alpha, x.n)
+    Ha.check_alpha(alpha, x.n)
     out = {}
     for (A, j), cf in x.terms.items():
         for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
@@ -360,7 +355,7 @@ def mul_by_semisimple_minus(alpha, x):
     """Left product by the subdiagonal one-layer element of weights alpha,
     conjugate to the plus product under index negation (module docstring).
     """
-    _check_alpha(alpha, x.n)
+    Ha.check_alpha(alpha, x.n)
     n = x.n
     alpha_neg = tuple(alpha[(-p - 3) % n] for p in range(n))
     return negate_element(mul_by_semisimple_plus(alpha_neg, negate_element(x)))

@@ -208,7 +208,7 @@ def _check_hecke(case):
                     H.h_scale(L.monomial(2), h),
                 )
                 checked += 1
-                if not H.h_eq(lhs, rhs):
+                if lhs != rhs:
                     diffs.append({"i": i, "r": r})
         return _case_entry(not diffs, "quad r=%d" % r, checked, diffs)
     if kind == "hecke-rho":
@@ -223,7 +223,7 @@ def _check_hecke(case):
                 lhs2 = H.mul(H.t_basis(w), H.t_basis(rho))
                 rhs2 = H.t_basis(P.compose(w, rho))
                 checked += 2
-                if not (H.h_eq(lhs, rhs) and H.h_eq(lhs2, rhs2)):
+                if not (lhs == rhs and lhs2 == rhs2):
                     diffs.append({"m": m, "window": list(w.window), "r": r})
         return _case_entry(not diffs, "rho r=%d" % r, checked, diffs)
     if kind == "hecke-assoc":
@@ -232,7 +232,7 @@ def _check_hecke(case):
         for _ in range(count):
             a, b, c = (_rand_elem(rng, r) for _ in range(3))
             checked += 1
-            if not H.h_eq(H.mul(H.mul(a, b), c), H.mul(a, H.mul(b, c))):
+            if H.mul(H.mul(a, b), c) != H.mul(a, H.mul(b, c)):
                 diffs.append({"r": r, "chunk": chunk})
         return _case_entry(not diffs, "assoc r=%d chunk=%d" % (r, chunk), checked, diffs)
     _, n, band, r = case

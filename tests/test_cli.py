@@ -217,6 +217,24 @@ def _vbln_request(n):
     return {"op": "one-layer-upper", "alpha": [1] + [0] * (n - 1), "element": element}
 
 
+def _vbln_size_request(op, alpha, a, terms=1):
+    """n = 2: the element sum_k [(1, 2, a)](k, 0) over k < terms."""
+    entries = [[1, 2, a]] if a else []
+    element = {
+        "n": 2,
+        "terms": [
+            {
+                "matrix": {"n": 2, "entries": entries},
+                "j": [k, 0],
+                "coeff_num": [[0, 1]],
+                "coeff_den": [[0, 1]],
+            }
+            for k in range(terms)
+        ],
+    }
+    return {"op": op, "alpha": alpha, "j": [1, 0], "element": element}
+
+
 # (args, payload, exit code) just at and just above each size cap
 SIZE_CAP_REQUESTS = {
     "coset-n-at-cap": (["coset"], _unit(cli.MAX_N), 0),
@@ -266,6 +284,42 @@ SIZE_CAP_REQUESTS = {
     "vbln-mul-n-above-cap": (["vbln-mul"], _vbln_request(cli.MAX_N + 1), 2),
     # the T-enumerator recurses once per row: n = 1000 overflowed the stack
     "vbln-mul-n-far-above-cap": (["vbln-mul"], _vbln_request(1000), 2),
+    # |alpha| and the sigma of every label are capped by MAX_VBLN_SIZE
+    "vbln-mul-alpha-at-cap": (
+        ["vbln-mul"],
+        _vbln_size_request("one-layer-upper", [cli.MAX_VBLN_SIZE, 0], cli.MAX_VBLN_SIZE),
+        0,
+    ),
+    "vbln-mul-alpha-above-cap": (
+        ["vbln-mul"],
+        _vbln_size_request("one-layer-upper", [cli.MAX_VBLN_SIZE + 1, 0], 0),
+        2,
+    ),
+    "vbln-mul-lower-alpha-above-cap": (
+        ["vbln-mul"],
+        _vbln_size_request("one-layer-lower", [0, cli.MAX_VBLN_SIZE + 1], 0),
+        2,
+    ),
+    "vbln-mul-sigma-at-cap": (
+        ["vbln-mul"],
+        _vbln_size_request("diag-left", None, cli.MAX_VBLN_SIZE),
+        0,
+    ),
+    "vbln-mul-sigma-above-cap": (
+        ["vbln-mul"],
+        _vbln_size_request("diag-left", None, cli.MAX_VBLN_SIZE + 1),
+        2,
+    ),
+    "vbln-mul-terms-at-cap": (
+        ["vbln-mul"],
+        _vbln_size_request("diag-right", None, 1, cli.MAX_REDUCE_TERMS),
+        0,
+    ),
+    "vbln-mul-terms-above-cap": (
+        ["vbln-mul"],
+        _vbln_size_request("diag-right", None, 1, cli.MAX_REDUCE_TERMS + 1),
+        2,
+    ),
 }
 
 
