@@ -7,14 +7,16 @@ with the same inputs produce identical bytes.
 
 Size caps, checked before any computation: ``coset``, ``schur-mul``,
 ``reduce`` and ``hall`` accept matrices, and ``vbln-mul`` elements, of
-period n <= MAX_N, and ``coset`` a total sigma(A) <= MAX_COSET_SIGMA (the
-window of the representative has sigma(A) entries and its length walk is
-quadratic in it).  ``reduce`` accepts parts lambda_i <= MAX_REDUCE_PART
-and prod(lambda_i + 1) <= MAX_REDUCE_TERMS weight shifts, ``hall`` a total
-dimension |alpha| + dim M(A) <= hall.MAX_CENSUS_DIM.  ``vbln-mul``
-accepts elements of at most MAX_REDUCE_TERMS terms whose labels have
+period 2 <= n <= MAX_N, and ``coset`` a total sigma(A) <= MAX_COSET_SIGMA
+(the window of the representative has sigma(A) entries and its length
+walk is quadratic in it).  ``reduce`` accepts parts
+lambda_i <= MAX_REDUCE_PART and prod(lambda_i + 1) <= MAX_REDUCE_TERMS
+weight shifts, ``hall`` a total dimension
+|alpha| + dim M(A) <= hall.MAX_CENSUS_DIM.  ``vbln-mul`` accepts elements of at most MAX_REDUCE_TERMS terms whose labels have
 sigma(A) <= MAX_VBLN_SIZE, and one-layer weights |alpha| <= MAX_VBLN_SIZE
-(the Gaussians of the one-layer products grow with both).
+(the Gaussians of the one-layer products grow with both); a one-layer
+product also caps the total size, the sum over the terms of
+sigma(A) + |alpha|, at 4 * MAX_VBLN_SIZE.
 
 ``main`` may be called any number of times in one process: the parser is
 built on the first call and shared by the later ones.  Argparse keeps no
@@ -114,9 +116,14 @@ def cmd_vbln_mul(args):
     if len(x.terms) > MAX_REDUCE_TERMS:
         raise ValueError("term count exceeds the cap %d" % MAX_REDUCE_TERMS)
     op = obj["op"]
-    alpha = L.json_ints(obj["alpha"]) if op in ("one-layer-upper", "one-layer-lower") else ()
-    if max([sum(alpha)] + [M.sigma(A) for A, _ in x.terms]) > MAX_VBLN_SIZE:
+    one_layer = op in ("one-layer-upper", "one-layer-lower")
+    alpha = L.json_ints(obj["alpha"]) if one_layer else ()
+    sizes = [M.sigma(A) for A, _ in x.terms]
+    if max([sum(alpha)] + sizes) > MAX_VBLN_SIZE:
         raise ValueError("|alpha| or a label's sigma exceeds the cap %d" % MAX_VBLN_SIZE)
+    total = sum(sizes) + len(sizes) * sum(alpha)
+    if one_layer and total > 4 * MAX_VBLN_SIZE:
+        raise ValueError("total size %d exceeds the cap %d" % (total, 4 * MAX_VBLN_SIZE))
     if op == "diag-left":
         res = R.mul_by_0j(L.json_ints(obj["j"]), x)
     elif op == "diag-right":

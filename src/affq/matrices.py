@@ -41,11 +41,15 @@ class PeriodicMatrix:
         return "pmat(%d, {%s})" % (self.n, body)
 
 
+def check_period(n):
+    if n < 2:
+        raise ValueError("period must be at least 2")
+
+
 def pmat(n, items=()):
     """Build a PeriodicMatrix from {(i, j): a} or an iterable of (i, j, a);
     indices are reduced to the fundamental domain and zeros dropped."""
-    if n < 2:
-        raise ValueError("period must be at least 2")
+    check_period(n)
     acc = {}
     pairs = (
         ((i, j, a) for (i, j), a in items.items())

@@ -314,6 +314,17 @@ def A_j_r(A, j, r):
     return A_j_lambda_r(A, j, (0,) * A.n, r)
 
 
+def check_symbol(n, A, j):
+    """The rule for a symbol A(j) of period n: A is a nonnegative label of
+    period n with zero diagonal, and j has length n."""
+    if A.n != n:
+        raise ValueError("label size mismatch")
+    if not M.is_zero_diagonal(A) or not M.is_nonneg(A):
+        raise ValueError("label must be nonnegative with zero diagonal")
+    if len(j) != n:
+        raise ValueError("weight length mismatch")
+
+
 def A_j_lambda_r(A, j, lam, r):
     """Weighted variant with symmetric Gaussian factors in the weights.
 
@@ -321,10 +332,9 @@ def A_j_lambda_r(A, j, lam, r):
     symmetric Gaussians (mu_i over lam_i).  With lam = 0 this is A_j_r.
     """
     n = A.n
-    if len(j) != n or len(lam) != n:
+    check_symbol(n, A, j)
+    if len(lam) != n:
         raise ValueError("weight length mismatch")
-    if not M.is_zero_diagonal(A) or not M.is_nonneg(A):
-        raise ValueError("label must be nonnegative with zero diagonal")
     s = M.sigma(A)
     if s > r:
         return s_zero(n, r, "n")

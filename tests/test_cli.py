@@ -320,15 +320,47 @@ SIZE_CAP_REQUESTS = {
         _vbln_size_request("diag-right", None, 1, cli.MAX_REDUCE_TERMS + 1),
         2,
     ),
+    # a one-layer product caps the sum over the terms of sigma(A) + |alpha|
+    # at 4 * MAX_VBLN_SIZE: 4 * (0 + 16) = 64, then 4 * (1 + 16) = 68
+    "vbln-mul-total-at-cap": (
+        ["vbln-mul"],
+        _vbln_size_request("one-layer-upper", [cli.MAX_VBLN_SIZE, 0], 0, 4),
+        0,
+    ),
+    "vbln-mul-total-above-cap": (
+        ["vbln-mul"],
+        _vbln_size_request("one-layer-upper", [cli.MAX_VBLN_SIZE, 0], 1, 4),
+        2,
+    ),
+    "vbln-mul-lower-total-above-cap": (
+        ["vbln-mul"],
+        _vbln_size_request("one-layer-lower", [0, cli.MAX_VBLN_SIZE], 1, 4),
+        2,
+    ),
+    # every matrix has period n >= 2, an element without terms too
+    "vbln-mul-n-below-2": (
+        ["vbln-mul"],
+        {"op": "diag-left", "j": [0], "element": {"n": 1, "terms": []}},
+        2,
+        "period must be at least 2",
+    ),
+    "vbln-mul-n-zero": (
+        ["vbln-mul"],
+        {"op": "one-layer-upper", "alpha": [], "element": {"n": 0, "terms": []}},
+        2,
+        "period must be at least 2",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SIZE_CAP_REQUESTS))
 def test_size_caps(case, tmp_path, capsys):
-    args, payload, want = SIZE_CAP_REQUESTS[case]
+    # a rejected request names its rule on stderr, "exceeds the cap" by default
+    args, payload, want, *rule = SIZE_CAP_REQUESTS[case]
     code, _, out = run_cli(args, payload, tmp_path)
     assert code == want and out.exists() == (want == 0)
-    assert ("exceeds the cap" in capsys.readouterr().err) == (want == 2)
+    message = rule[0] if rule else "exceeds the cap"
+    assert (message in capsys.readouterr().err) == (want == 2)
 
 
 @pytest.mark.parametrize("op", ["diag-left", "diag-right", "one-layer-upper"])

@@ -2,9 +2,11 @@
 
 import doctest
 import itertools
+import json
 
 import pytest
 
+from affq import cli
 from affq import hall as Ha
 from affq import laurent as L
 from affq import matrices as M
@@ -188,20 +190,6 @@ def test_reduce_frozen():
         R.reduce_j_lambda(A, (0, 0), (1, 0, 0))
 
 
-def test_reduce_matches_weighted_level_form():
-    checked = 0
-    for A in mixed_labels(2, 2, 2):
-        for j in [(0, 0), (1, 0), (1, 2)]:
-            for lam in [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1)]:
-                red = R.reduce_j_lambda(A, j, lam)
-                for r in range(max(1, M.sigma(A)), 5):
-                    got = R.eval_at_level(red, r)
-                    want = S.A_j_lambda_r(A, j, lam, r)
-                    assert S.s_eq(got, want), (A.entries, j, lam, r)
-                    checked += 1
-    assert checked > 500
-
-
 def test_eval_frozen_and_clearing_error():
     x = R.v_basis(2, M.pmat(2, []), (1, 0))
     got = R.eval_at_level(x, 2)
@@ -222,101 +210,41 @@ def test_eval_frozen_and_clearing_error():
         R.eval_at_level(x, -1)
 
 
-def test_level_coherence_left_and_right_diagonal():
-    n = 2
-    jgrid = [(0, 0), (1, 0), (0, 1), (1, 2)]
-    zl = M.pmat(n, [])
-    for A in mixed_labels(n, 2, 2):
-        for j in jgrid:
-            x = R.v_basis(n, A, j)
-            for r in range(max(1, M.sigma(A)), 5):
-                base = S.A_j_r(A, j, r)
-                base_e = S.convert(base, "e")
-                for jp in jgrid:
-                    got = R.eval_at_level(R.mul_by_0j(jp, x), r)
-                    want = S.closed_product_upper(S.A_j_r(zl, jp, r), base)
-                    assert S.s_eq(got, want), ("left", A.entries, j, jp, r)
-                    got = R.eval_at_level(R.mul_0j_right(x, jp), r)
-                    want = S.convert(
-                        S.oracle_product(base_e, S.convert(S.A_j_r(zl, jp, r), "e")),
-                        "n",
-                    )
-                    assert S.s_eq(got, want), ("right", A.entries, j, jp, r)
-
-
-def _coherence_one_layer(n, jgrid, labels, alphas, r_max):
-    zero_j = (0,) * n
-    for A in labels:
-        for j in jgrid:
-            x = R.v_basis(n, A, j)
-            for r in range(max(1, M.sigma(A)), r_max + 1):
-                base = S.A_j_r(A, j, r)
-                for alpha in alphas:
-                    got = R.eval_at_level(R.mul_by_semisimple_plus(alpha, x), r)
-                    want = S.closed_product_upper(
-                        S.A_j_r(M.s_alpha(alpha), zero_j, r), base
-                    )
-                    assert S.s_eq(got, want), ("plus", A.entries, j, alpha, r)
-                    got = R.eval_at_level(R.mul_by_semisimple_minus(alpha, x), r)
-                    want = S.closed_product_lower(
-                        S.A_j_r(M.t_s_alpha(alpha), zero_j, r), base
-                    )
-                    assert S.s_eq(got, want), ("minus", A.entries, j, alpha, r)
-
-
-def test_level_coherence_one_layer_n2():
-    alphas = [a for a in itertools.product(range(3), repeat=2) if sum(a) <= 2]
-    _coherence_one_layer(
-        2, [(0, 0), (1, 0), (0, 1), (1, 2)], mixed_labels(2, 2, 2), alphas, 4
-    )
-
-
-def test_level_coherence_one_layer_n3():
-    alphas = [a for a in itertools.product(range(3), repeat=3) if sum(a) <= 2]
-    _coherence_one_layer(
-        3, [(0, 0, 0), (0, 1, 1)], mixed_labels(3, 2, 1), alphas, 3
-    )
-
-
 def test_relation_e_all_pairs():
+    # the suite's five n = 2 pairs, then four more, three of them with n = 3
     pairs = [
         ((1, 0), (1, 0)),
         ((1, 0), (0, 1)),
         ((1, 1), (1, 1)),
         ((2, 0), (2, 0)),
         ((2, 0), (1, 0)),
+        ((2, 1), (1, 2)),
+        ((1, 0, 0), (1, 0, 0)),
+        ((1, 1, 0), (1, 0, 1)),
+        ((2, 1, 1), (1, 2, 1)),
     ]
     for lam, mu in pairs:
-        ok, report = R.relation_e_data(lam, mu, [2, 3, 4])
-        assert ok, report
-        assert [lv["r"] for lv in report["levels"]] == [2, 3, 4]
-        assert all(lv["equal"] and not lv["diffs"] for lv in report["levels"])
+        assert R.relation_e_difference(lam, mu) == R.v_zero(len(lam)), (lam, mu)
     with pytest.raises(ValueError):
-        R.relation_e_data((1, 0), (1, 0, 0), [2])
+        R.relation_e_difference((1, 0), (1, 0, 0))
     with pytest.raises(ValueError):
-        R.relation_e_data((-1, 0), (1, 0), [2])
+        R.relation_e_difference((-1, 0), (1, 0))
 
 
-def test_relation_e_commuting_case_is_symbolically_zero():
-    n = 2
-    zero_j = (0, 0)
-    lam, mu = (1, 0), (0, 1)
-    lhs = R.v_sub(
-        R.mul_by_semisimple_minus(mu, R.v_basis(n, M.s_alpha(lam), zero_j)),
-        R.mul_by_semisimple_plus(lam, R.v_basis(n, M.t_s_alpha(mu), zero_j)),
+def test_relation_e_fails_with_a_wrong_coefficient(monkeypatch, tmp_path):
+    # x_coeff scaled by v breaks every pair whose right side is not empty
+    x_coeff = R.x_coeff
+    monkeypatch.setattr(
+        R, "x_coeff", lambda *args: L.frac_scale(L.monomial(1), x_coeff(*args))
     )
-    assert not lhs.terms
-
-
-def test_triangular_leading_grid():
-    checked = 0
-    for A in mixed_labels(2, 2, 2):
-        for j in [(0, 0), (1, 0), (0, 1), (1, 2)]:
-            for r in range(max(1, M.sigma(A)), 5):
-                ok, report = R.triangular_leading_data(A, j, r)
-                assert ok, report
-                checked += 1
-    assert checked == 576
+    assert R.relation_e_difference((1, 0), (1, 0)).terms
+    report = V.run_suite("commutator")
+    assert not report["ok"]
+    assert len(report["mismatches"]) == 4
+    assert all(m["diffs"][0]["difference"]["terms"] for m in report["mismatches"])
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "commutator", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["ok"] is False
 
 
 def test_triangular_validation():
