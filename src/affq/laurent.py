@@ -9,8 +9,13 @@ after it is stored in an element, a cache or another map, and a function
 mutates only dicts it created in the same call; so values share dicts and
 nothing copies them.  ``acc`` is the one implementation of the rule for
 sums of Laurent coefficients: it replaces a stored coefficient by a new
-sum instead of adding into it.  Memo tables are lru_caches bounded by
-CACHE_SIZE, holding immutable values (frozensets, types.MappingProxyType).
+sum instead of adding into it.  Memo tables are lru_caches on private
+functions, holding immutable values: frozensets, types.MappingProxyType
+maps, ints (matrices._d_exponent), and tuples of items (schur._diag_fill,
+schur._oracle_mul), which the public wrappers copy into fresh dicts.  They
+are bounded by CACHE_SIZE, except the two whose entries hold many labels:
+ORACLE_CACHE_SIZE and FILL_CACHE_SIZE are small, since their repeats fall
+within one verify case and a larger table only raises peak memory.
 
 >>> text(mul(poly({0: 1, 1: 1}), poly({0: -1, 1: 1})))
 '-1 + v^2'
@@ -23,6 +28,10 @@ CACHE_SIZE, holding immutable values (frozensets, types.MappingProxyType).
 from dataclasses import dataclass
 
 CACHE_SIZE = 1 << 14
+# Entries of these two hold many labels, and their repeats fall within one
+# verify case, so a small bound keeps the hits and caps peak memory.
+ORACLE_CACHE_SIZE = 128  # schur._oracle_mul: a whole Schur element per entry
+FILL_CACHE_SIZE = 256  # schur._diag_fill: the labels A + diag(mu) per entry
 
 
 def zero():

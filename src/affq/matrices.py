@@ -13,6 +13,7 @@ Schur basis, the corner-sum order, and the one enumerator of the
 auxiliary T matrices of the one-layer product rules all live here.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -180,6 +181,11 @@ def d_exponent(A):
     k0+sn <= i and l0+sn > j form the integer interval
     (j-l0)/n < s <= (i-k0)/n, of size (i-k0)//n - (j-l0)//n when positive.
     """
+    return _d_exponent(A)
+
+
+@functools.lru_cache(maxsize=L.CACHE_SIZE)
+def _d_exponent(A):
     if not is_nonneg(A):
         raise ValueError("d_exponent needs a nonnegative matrix")
     n = A.n

@@ -187,6 +187,14 @@ def upper_shape(B):
     return tuple(alpha), tuple(beta)
 
 
+def _upper_layer(B):
+    """upper_shape(B), or ValueError when B is not one-layer upper."""
+    shape = upper_shape(B)
+    if shape is None:
+        raise ValueError("left factor is not of the required one-layer shape")
+    return shape
+
+
 def lower_shape(C):
     """Split C as subdiagonal weights gamma plus diagonal beta, or None;
     gamma_i sits on (i+1, i), the transpose of the cell of alpha_i."""
@@ -257,10 +265,7 @@ def e_mul_upper(B, A):
     r = M.sigma(A)
     if M.sigma(B) != r:
         raise ValueError("level mismatch")
-    shape = upper_shape(B)
-    if shape is None:
-        raise ValueError("left factor is not of the required one-layer shape")
-    alpha, _ = shape
+    alpha, _ = _upper_layer(B)
     n = B.n
     if M.co(B) != M.ro(A):
         return s_zero(n, r)
@@ -335,11 +340,8 @@ def A_j_lambda_r(A, j, lam, r):
     check_symbol(n, A, j)
     if len(lam) != n:
         raise ValueError("weight length mismatch")
-    s = M.sigma(A)
-    if s > r:
-        return s_zero(n, r, "n")
     out = {}
-    for mu in M.compositions(n, r - s):
+    for mu, label in _diag_fill(A, r):
         coeff = L.monomial(M.dot(mu, j))
         for mi, li in zip(mu, lam):
             if li:
@@ -347,8 +349,18 @@ def A_j_lambda_r(A, j, lam, r):
             if not coeff:
                 break
         if coeff:
-            L.acc(out, M.madd(A, M.diag(mu)), coeff)
+            L.acc(out, label, coeff)
     return SchurElement(n, r, "n", out)
+
+
+@functools.lru_cache(maxsize=L.FILL_CACHE_SIZE)
+def _diag_fill(A, r):
+    """Tuple of (mu, A + diag(mu)) over the compositions mu of r - sigma(A),
+    the weight-free part of A_j_lambda_r; empty when sigma(A) > r."""
+    s = M.sigma(A)
+    if s > r:
+        return ()
+    return tuple((mu, M.madd(A, M.diag(mu))) for mu in M.compositions(A.n, r - s))
 
 
 # ----------------------------------------------------------------------
@@ -411,33 +423,42 @@ def oracle_mul(B, A):
     >>> text(oracle_mul(B, A))
     '(1 + v^2)*e[(1, 1, 2)]'
     """
+    return SchurElement(B.n, M.sigma(A), "e", dict(_oracle_mul(B, A)))
+
+
+@functools.lru_cache(maxsize=L.ORACLE_CACHE_SIZE)
+def _oracle_mul(B, A):
+    """The terms of oracle_mul(B, A) as a tuple of (label, coeff) items."""
     if B.n != A.n:
         raise ValueError("size mismatch")
     r = M.sigma(A)
     if M.sigma(B) != r:
         raise ValueError("level mismatch")
-    n = B.n
     if not (M.is_nonneg(A) and M.is_nonneg(B)):
         raise ValueError("labels must be nonnegative")
     if M.co(B) != M.ro(A):
-        return s_zero(n, r, "e")
+        return ()
     lam, nu = M.ro(B), M.co(A)
     g = H.HeckeElement(r, {win: L.one() for win in _label_reps(A)})
     g = H.left_mul_basis(P.pseudo_matrix_rep(B), g, nu)
     g = H.x_mul_left(lam, g, nu)
     f = H.coset_factor(B)
     try:
-        out = {C: L.divexact(c, f) for C, c in _decompose(g, lam, nu).items()}
+        return tuple((C, L.divexact(c, f)) for C, c in _decompose(g, lam, nu).items())
     except ValueError as exc:  # the labels are valid: a failed invariant
         raise AssertionError("oracle peeling failed: %s" % exc) from None
-    return SchurElement(n, r, "e", out)
 
 
 def _bilinear(mul, x, y):
-    """Extend a product of basis labels bilinearly to x times y."""
+    """Extend a product of basis labels bilinearly to x times y.  Every mul
+    here is zero unless co(B) = ro(A), so y is bucketed by row sums and each
+    left label meets only its bucket."""
+    rows = {}
+    for A, ca in y.terms.items():
+        rows.setdefault(M.ro(A), []).append((A, ca))
     out = {}
     for B, cb in x.terms.items():
-        for A, ca in y.terms.items():
+        for A, ca in rows.get(M.co(B), ()):
             piece = mul(B, A)
             scale = L.mul(cb, ca)
             for label, c in piece.terms.items():
@@ -456,6 +477,9 @@ def oracle_product(x, y):
 def closed_product_upper(x, y):
     """Bilinear closed-form product; x labels must be one-layer upper."""
     _check_pair(x, y)
+    if y.terms:  # _bilinear skips the labels that meet no row sum of y
+        for B in x.terms:
+            _upper_layer(B)
     return _bilinear(n_mul_upper if x.basis == "n" else e_mul_upper, x, y)
 
 

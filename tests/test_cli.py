@@ -397,10 +397,15 @@ def test_hall_rejects_an_oversized_census_before_the_product(tmp_path, monkeypat
 
 
 def test_failed_oracle_division_exits_3(tmp_path, monkeypatch, capsys):
-    # a wrong factorial scale makes the exact division fail on valid labels
+    # a wrong factorial scale makes the exact division fail on valid labels;
+    # the oracle table is cleared on both sides of the patch, so that no
+    # product memoized before it skips the patch and none memoized under it
+    # outlives it
+    S._oracle_mul.cache_clear()
     monkeypatch.setattr(H, "coset_factor", lambda B: {0: 3})
     args = ["verify", "--suite", "schur-oracle", "--n", "2", "--r", "2"]
     code, _, out = run_cli(args, None, tmp_path)
+    S._oracle_mul.cache_clear()
     assert code == 3 and not out.exists()
     assert capsys.readouterr().err.startswith("internal error: oracle peeling failed")
 

@@ -92,6 +92,7 @@ def test_schur_operations_leave_their_arguments_alone():
             check_pure(S.e_mul_lower, C, A)
             check_pure(S.n_mul_upper, B, A)
             check_pure(S.oracle_mul, B, A)
+            check_pure(S.A_j_r, M.offdiag(A), tuple(rng.randrange(-1, 2) for _ in range(n)), r)
             for basis in ("e", "n"):
                 x, y = rand_schur(rng, labels, basis), rand_schur(rng, labels, basis)
                 ups = S.upper_shapes_for(M.ro(A))
@@ -102,6 +103,19 @@ def test_schur_operations_leave_their_arguments_alone():
                 check_pure(S.convert, x, "n")
                 check_pure(S.s_add, x, y)
                 check_pure(S.s_add, x, x)
+
+
+def test_a_caller_cannot_corrupt_the_memoized_schur_values():
+    B = M.madd(M.e_unit(1, 2, 2), M.diag((1, 0)))
+    A = M.madd(M.e_unit(2, 1, 2), M.diag((1, 0)))
+    for op, args in ((S.A_j_r, (M.pmat(2, []), (1, 0), 2)), (S.oracle_mul, (B, A))):
+        got = op(*args)
+        want = S.to_json(got)
+        got.terms[next(iter(got.terms))] = {7: 1}
+        got.terms[M.diag((0, 2))] = {0: 1}
+        assert S.to_json(op(*args)) == want, op.__name__
+        got.terms.clear()
+        assert S.to_json(op(*args)) == want, op.__name__
 
 
 def rand_velement(rng, n, labels):

@@ -5,9 +5,16 @@ referenced by the code of ``src/affq`` outside its own body (docstrings,
 and so doctests, are not code) or by ``bench/*.py`` as
 ``<alias or module>.<name>``.  Every uncalled public function must be on
 the allowlist below, so API that only tests reach cannot creep back.
+
+Every public top-level ``def`` must also stay a plain function at
+runtime: ``bench/tracer.py`` times only what ``inspect.isfunction``
+accepts, so a memo decorator on a public name would hide it from the
+per-layer metrics.  Memo tables go on private helpers.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,3 +97,14 @@ def uncalled_public_functions():
 
 def test_only_the_allowlist_is_uncalled():
     assert sorted(uncalled_public_functions()) == sorted(ALLOWED)
+
+
+def test_public_functions_are_plain_functions():
+    wrapped = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("affq." + path.stem)
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                if not inspect.isfunction(getattr(module, node.name)):
+                    wrapped.append("%s.%s" % (path.stem, node.name))
+    assert wrapped == []

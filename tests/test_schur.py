@@ -124,6 +124,18 @@ def test_shape_validation_and_mismatch():
         S.oracle_mul(M.diag((2, 1)), A)
 
 
+def test_closed_products_reject_a_left_label_that_meets_no_right_label():
+    # co(B) = (1, 1) meets no row sum of y, so no label pair is multiplied
+    y = elem(2, 2, [(M.diag((2, 0)), L.one())])
+    for product, bad in (
+        (S.closed_product_upper, M.pmat(2, [(1, 3, 1), (2, 2, 1)])),
+        (S.closed_product_lower, M.pmat(2, [(3, 1, 1), (2, 2, 1)])),
+    ):
+        assert M.co(bad) == (1, 1)
+        with pytest.raises(ValueError, match="one-layer shape"):
+            product(elem(2, 2, [(bad, L.one())]), y)
+
+
 def test_closed_forms_match_oracle_sweep():
     for n, band in ((2, 2), (3, 1)):
         for r in (1, 2, 3):
