@@ -12,8 +12,10 @@ period 2 <= n <= MAX_N, and ``coset`` a total sigma(A) <= MAX_COSET_SIGMA
 walk is quadratic in it).  ``reduce`` accepts parts
 lambda_i <= MAX_REDUCE_PART and prod(lambda_i + 1) <= MAX_REDUCE_TERMS
 weight shifts, ``hall`` a total dimension
-|alpha| + dim M(A) <= hall.MAX_CENSUS_DIM.  ``vbln-mul`` accepts elements of at most MAX_REDUCE_TERMS terms whose labels have
-sigma(A) <= MAX_VBLN_SIZE, and one-layer weights |alpha| <= MAX_VBLN_SIZE
+|alpha| + dim M(A) <= hall.MAX_CENSUS_DIM.  ``vbln-mul`` accepts elements
+of at most MAX_REDUCE_TERMS listed terms (counted before repeated symbols
+merge) whose labels have sigma(A) <= MAX_VBLN_SIZE, and one-layer
+weights |alpha| <= MAX_VBLN_SIZE
 (the Gaussians of the one-layer products grow with both); a one-layer
 product also caps the total size, the sum over the terms of
 sigma(A) + |alpha|, at 4 * MAX_VBLN_SIZE.
@@ -111,10 +113,10 @@ def cmd_schur_mul(args):
 
 def cmd_vbln_mul(args):
     obj = _load(args.infile)
-    x = R.from_json(obj["element"])
-    _check_period(x.n)
-    if len(x.terms) > MAX_REDUCE_TERMS:
+    _check_period(L.json_ints([obj["element"]["n"]])[0])
+    if len(obj["element"]["terms"]) > MAX_REDUCE_TERMS:
         raise ValueError("term count exceeds the cap %d" % MAX_REDUCE_TERMS)
+    x = R.from_json(obj["element"])
     op = obj["op"]
     one_layer = op in ("one-layer-upper", "one-layer-lower")
     alpha = L.json_ints(obj["alpha"]) if one_layer else ()

@@ -11,11 +11,15 @@ nothing copies them.  ``acc`` is the one implementation of the rule for
 sums of Laurent coefficients: it replaces a stored coefficient by a new
 sum instead of adding into it.  Memo tables are lru_caches on private
 functions, holding immutable values: frozensets, types.MappingProxyType
-maps, ints (matrices._d_exponent), and tuples of items (schur._diag_fill,
-schur._oracle_mul), which the public wrappers copy into fresh dicts.  They
-are bounded by CACHE_SIZE, except the two whose entries hold many labels:
-ORACLE_CACHE_SIZE and FILL_CACHE_SIZE are small, since their repeats fall
-within one verify case and a larger table only raises peak memory.
+maps, ints (matrices._d_exponent), (m, word) tuples
+(permutations._reduced_word), and tuples of items (schur._diag_fill,
+schur._oracle_mul, realization._lambda_table), which the public wrappers
+copy into fresh dicts.  One suites pass of the benchmark fills
+_reduced_word to 915 entries (20,088 hits) and _lambda_table to 8 (5,642
+hits).  They are bounded by CACHE_SIZE, except the two whose entries hold
+many labels: ORACLE_CACHE_SIZE and FILL_CACHE_SIZE are small, since their
+repeats fall within one verify case and a larger table only raises peak
+memory.
 
 >>> text(mul(poly({0: 1, 1: 1}), poly({0: -1, 1: 1})))
 '-1 + v^2'

@@ -12,6 +12,7 @@ nonnegative periodic matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -164,8 +165,14 @@ def reduced_word(w):
     >>> reduced_word(rho_power(-3, 4))
     (-3, ())
     """
+    return _reduced_word(w.r, w.window)
+
+
+@functools.lru_cache(maxsize=L.CACHE_SIZE)
+def _reduced_word(r, window):
+    w = AffinePermutation(r, window)
     m = rho_part(w)
-    sigma = compose(rho_power(-m, w.r), w)
+    sigma = compose(rho_power(-m, r), w)
     rev = []
     while True:
         i = next(

@@ -15,7 +15,7 @@ exactly when lhs - rhs is the zero element, with no level evaluated.
 
 Coefficients are quotients of Laurent polynomials: the reduction step and
 the commutation coefficients introduce denominators, while every level
-evaluation clears them (asserted).
+evaluation clears them (asserted on each label's cross-denominator sum).
 
 Only the superdiagonal product ``mul_by_semisimple_plus`` has a closed
 formula here.  The subdiagonal product is its conjugate under the index
@@ -181,15 +181,21 @@ def reduce_j_lambda(A, j, lam):
     n = A.n
     S.check_symbol(n, A, j)
     Ha.check_alpha(lam, n)
+    table = _lambda_table(tuple(lam))
+    return VElement(n, {(A, tuple(a + b for a, b in zip(j, k))): f for k, f in table})
+
+
+@functools.lru_cache(maxsize=L.CACHE_SIZE)
+def _lambda_table(lam):
+    """The (shift k, prod_i _shift_coeffs(lam_i)[k_i]) pairs of reduce_j_lambda."""
     tables = [_shift_coeffs(t) for t in lam]
-    out = {}
+    out = []
     for combo in iproduct(*(sorted(tb) for tb in tables)):
         f = L.FRAC_ONE
         for k, tb in zip(combo, tables):
             f = L.frac_mul(f, tb[k])
-        key = (A, tuple(a + b for a, b in zip(j, combo)))
-        _vacc(out, key, f)
-    return VElement(n, out)
+        out.append((combo, f))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -199,19 +205,25 @@ def reduce_j_lambda(A, j, lam):
 def eval_at_level(x, r):
     """The level-r shadow as a normalized-basis element.
 
-    Every accumulated coefficient must clear to a Laurent polynomial;
-    a remaining denominator is a failed invariant and raises
-    AssertionError.
+    Numerators are summed per label in groups of terms sharing a
+    denominator; each label's cross-group sum is cleared once and must be
+    a Laurent polynomial (one group's share need not be): a remaining
+    denominator is a failed invariant and raises AssertionError.
 
     >>> S.text(eval_at_level(v_basis(2, M.pmat(2, []), (1, 0)), 2))
     '(v)*N[(1, 1, 1), (2, 2, 1)] + (v^2)*N[(1, 1, 2)] + (1)*N[(2, 2, 2)]'
     """
     if r < 0:
         raise ValueError("level must be nonnegative")
-    acc = {}
+    groups = {}
     for (A, j), cf in x.terms.items():
+        group = groups.setdefault(tuple(sorted(cf.den.items())), (cf.den, {}))[1]
         for label, c in S.A_j_r(A, j, r).terms.items():
-            _vacc(acc, label, L.frac_scale(c, cf))
+            L.acc(group, label, L.mul(c, cf.num))
+    acc = {}
+    for den, group in groups.values():
+        for label, num in group.items():
+            _vacc(acc, label, L.LaurentFraction(num, den))
     items = []
     for label, f in acc.items():
         try:

@@ -235,6 +235,18 @@ def _vbln_size_request(op, alpha, a, terms=1):
     return {"op": op, "alpha": alpha, "j": [1, 0], "element": element}
 
 
+def _vbln_copies_request(copies):
+    """n = 2: the symbol [](0, 0) with coefficient 1 / (1 + v^2), listed
+    copies times; reading merges the copies into one term."""
+    term = {
+        "matrix": {"n": 2, "entries": []},
+        "j": [0, 0],
+        "coeff_num": [[0, 1]],
+        "coeff_den": [[0, 1], [2, 1]],
+    }
+    return {"op": "diag-left", "j": [1, 0], "element": {"n": 2, "terms": [term] * copies}}
+
+
 # (args, payload, exit code) just at and just above each size cap
 SIZE_CAP_REQUESTS = {
     "coset-n-at-cap": (["coset"], _unit(cli.MAX_N), 0),
@@ -318,6 +330,12 @@ SIZE_CAP_REQUESTS = {
     "vbln-mul-terms-above-cap": (
         ["vbln-mul"],
         _vbln_size_request("diag-right", None, 1, cli.MAX_REDUCE_TERMS + 1),
+        2,
+    ),
+    # the cap counts the terms as listed, before repeated symbols merge
+    "vbln-mul-copies-above-cap": (
+        ["vbln-mul"],
+        _vbln_copies_request(cli.MAX_REDUCE_TERMS + 1),
         2,
     ),
     # a one-layer product caps the sum over the terms of sigma(A) + |alpha|

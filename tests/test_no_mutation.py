@@ -10,6 +10,7 @@ import copy
 import random
 
 from affq import hecke as H
+from affq import laurent as L
 from affq import matrices as M
 from affq import permutations as P
 from affq import realization as R
@@ -116,6 +117,26 @@ def test_a_caller_cannot_corrupt_the_memoized_schur_values():
         assert S.to_json(op(*args)) == want, op.__name__
         got.terms.clear()
         assert S.to_json(op(*args)) == want, op.__name__
+
+
+def test_a_caller_cannot_corrupt_the_memoized_reductions():
+    # reduce_j_lambda reads one table per lambda, shared by every label and weight
+    lam = (2, 1)
+    symbols = ((M.e_unit(1, 2, 2), (1, 0)), (M.pmat(2, []), (0, -1)))
+
+    def reductions():
+        return [R.to_json(R.reduce_j_lambda(A, j, lam)) for A, j in symbols]
+
+    want = reductions()
+    for A, j in symbols:
+        got = R.reduce_j_lambda(A, j, lam)
+        first, second = list(got.terms)[:2]
+        got.terms[first] = L.fraction({7: 1})
+        del got.terms[second]
+        got.terms[(A, (9, 9))] = L.FRAC_ONE
+        assert reductions() == want
+        got.terms.clear()
+        assert reductions() == want
 
 
 def rand_velement(rng, n, labels):

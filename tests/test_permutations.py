@@ -124,6 +124,29 @@ def test_reduced_words():
         assert lengths == list(range(len(word) + 1))
 
 
+def peel(w):
+    """reduced_word without its memo: strip rho^m, then peel right descents."""
+    m = P.rho_part(w)
+    sigma = P.compose(P.rho_power(-m, w.r), w)
+    rev = []
+    while not P.is_identity(sigma):
+        i = next(i for i in range(1, w.r + 1) if P.is_right_descent(sigma, i))
+        rev.append(i)
+        sigma = P.compose(sigma, P.generator_s(i, w.r))
+    return m, tuple(reversed(rev))
+
+
+def test_reduced_word_memo_matches_the_uncached_peel():
+    # the windows of test_reduced_words, then every finite permutation
+    rng = random.Random(24)
+    grid = [rand_perm(rng, rng.choice([2, 3, 4])) for _ in range(200)]
+    grid += [w for r in (2, 3, 4) for w in finite_perms(r)]
+    for w in grid:
+        got = P.reduced_word(w)
+        assert got == peel(w) and type(got[1]) is tuple
+        assert P.reduced_word(P.perm(w.r, list(w.window))) == got
+
+
 def test_min_coset_rep_definition_oracle():
     # d is shortest in its coset exactly when length(u d) = length(u) + length(d)
     # for every u in the block subgroup.

@@ -210,6 +210,128 @@ def test_eval_frozen_and_clearing_error():
         R.eval_at_level(x, -1)
 
 
+# ----------------------------------------------------------------------
+# evaluation at a level against the term-by-term route
+
+
+def eval_reference(x, r):
+    """eval_at_level term by term: each shadow coefficient is scaled as a
+    fraction and added into its label's fraction, which is cleared last."""
+    acc = {}
+    for (A, j), cf in x.terms.items():
+        for label, c in S.A_j_r(A, j, r).terms.items():
+            f = L.frac_scale(c, cf)
+            if label in acc:
+                f = L.frac_add(acc.pop(label), f)
+            if not L.frac_is_zero(f):
+                acc[label] = f
+    items = [(label, L.frac_to_laurent(f)) for label, f in acc.items()]
+    return S.s_from_items(x.n, r, [(label, c) for label, c in items if c], "n")
+
+
+def den_groups(x, r):
+    """label -> {denominator: summed numerator} over the terms of x."""
+    out = {}
+    for (A, j), cf in x.terms.items():
+        key = tuple(sorted(cf.den.items()))
+        for label, c in S.A_j_r(A, j, r).terms.items():
+            L.acc(out.setdefault(label, {}), key, L.mul(c, cf.num))
+    return out
+
+
+def clears(num, key):
+    try:
+        L.divexact(num, dict(key))
+    except ValueError:
+        return False
+    return True
+
+
+def eval_per_group(x, r):
+    """A wrong evaluator: it clears each denominator's share on its own."""
+    items = []
+    for label, groups in den_groups(x, r).items():
+        for key, num in groups.items():
+            items.append((label, L.divexact(num, dict(key))))
+    return S.s_from_items(x.n, r, items, "n")
+
+
+def cancel_pair(A, j):
+    """f A(j) + g A(j + 2) with f = 1 / (v^2 - 1) and, over another
+    denominator, g = -v^-2 (1 + v^2) / (v^4 - 1) = -v^-2 f.
+
+    At level r the label A + diag(mu) gets f v^(mu.j) (1 - v^(2(r - s - 1)))
+    with s = sigma(A): the two groups cancel at r = s + 1 and clear only
+    together at every other level.
+    """
+    n = A.n
+    f = L.fraction({0: 1}, {0: -1, 2: 1})
+    g = L.LaurentFraction({-2: -1, 0: -1}, {0: -1, 4: 1})
+    j2 = tuple(a + 2 for a in j)
+    return R.v_add(R.v_scale(f, R.v_basis(n, A, j)), R.v_scale(g, R.v_basis(n, A, j2)))
+
+
+def denominators(x):
+    return {tuple(sorted(f.den.items())) for f in x.terms.values()}
+
+
+# mul_by_semisimple_plus((0, 2), .) of this symbol has four denominators,
+# and at level 2 labels whose groups clear only in their sum
+CROSS_SYMBOL = (M.pmat(2, [(1, 0, 2)]), (1, 2))
+
+
+def shadow_elements():
+    zl2, zl3 = M.pmat(2, []), M.pmat(3, [])
+    E12, E21 = M.e_unit(1, 2, 2), M.e_unit(2, 1, 2)
+    return [
+        R.v_add(
+            R.reduce_j_lambda(zl2, (0, 0), (1, 0)),
+            R.mul_by_semisimple_plus((1, 0), R.v_basis(2, E21, (0, 0))),
+        ),
+        R.v_add(
+            R.reduce_j_lambda(E12, (1, 0), (2, 0)),
+            R.mul_by_semisimple_minus((1, 0), R.v_basis(2, E12, (0, 0))),
+        ),
+        R.v_add(
+            R.reduce_j_lambda(zl3, (0, 1, 2), (1, 0, 1)),
+            R.mul_by_semisimple_minus((0, 1, 0), R.v_basis(3, M.e_unit(1, 2, 3), (1, 0, 0))),
+        ),
+        R.mul_by_semisimple_plus((0, 2), R.v_basis(2, *CROSS_SYMBOL)),
+    ]
+
+
+def split_element():
+    """Labels that clear only across groups, and at level 2 labels whose
+    groups cancel to zero."""
+    cross = R.mul_by_semisimple_plus((0, 2), R.v_basis(2, *CROSS_SYMBOL))
+    return R.v_add(cross, cancel_pair(M.e_unit(1, 2, 2), (0, 1)))
+
+
+def test_eval_at_level_matches_the_per_term_reference():
+    for x in shadow_elements():
+        assert 2 <= len(denominators(x)) <= 4, R.text(x)
+    for x in shadow_elements() + [split_element()]:
+        for r in range(1, 5):
+            assert S.s_eq(R.eval_at_level(x, r), eval_reference(x, r)), (R.text(x), r)
+
+
+def test_eval_at_level_clears_each_label_across_its_groups():
+    x = split_element()
+    got = R.eval_at_level(x, 2)
+    groups = den_groups(x, 2)
+    split = {
+        label
+        for label, g in groups.items()
+        if not all(clears(num, key) for key, num in g.items())
+    }
+    # some labels clear only in their cross-group sum, and some cancel to zero
+    assert split & set(got.terms)
+    assert split - set(got.terms)
+    assert all(len(groups[label]) > 1 for label in split)
+    with pytest.raises(ValueError):
+        eval_per_group(x, 2)
+
+
 def test_relation_e_all_pairs():
     # the suite's five n = 2 pairs, then four more, three of them with n = 3
     pairs = [
