@@ -18,7 +18,8 @@ merge) whose labels have sigma(A) <= MAX_VBLN_SIZE, and one-layer
 weights |alpha| <= MAX_VBLN_SIZE
 (the Gaussians of the one-layer products grow with both); a one-layer
 product also caps the total size, the sum over the terms of
-sigma(A) + |alpha|, at 4 * MAX_VBLN_SIZE.
+sigma(A) + |alpha|, at 4 * MAX_VBLN_SIZE.  ``verify`` starts at most
+verify.MAX_JOBS worker processes, and never more than a suite has cases.
 
 ``main`` may be called any number of times in one process: the parser is
 built on the first call and shared by the later ones.  Argparse keeps no
@@ -245,7 +246,7 @@ def build_parser():
     p.add_argument("--r", type=int, default=None, help="smallest level (defaults to 2)")
     p.add_argument("--r-max", dest="r_max", type=int, default=None, help="largest level")
     p.add_argument("--q", default="2,3", help="comma-separated field sizes")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (1 to %d)" % V.MAX_JOBS)
     p.add_argument("--out", default=None, help="report path (default stdout)")
     p.set_defaults(func=cmd_verify)
     return parser

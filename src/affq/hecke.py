@@ -96,38 +96,44 @@ def text(h):
     return " + ".join(parts)
 
 
-def _inv_pos(window, r, val):
-    """Position k with w(k) = val."""
-    for c in range(r):
-        if (window[c] - val) % r == 0:
-            return c + 1 + (val - window[c])
-    raise AssertionError("window residues must cover all classes")
-
-
-def _gen_value(i, r, x):
-    c = (x - i) % r
-    if c == 0:
-        return x + 1
-    if c == 1:
-        return x - 1
-    return x
+def _moved(win, pa, pb):
+    """The window of s_i w: the entries of w in the classes of i and i + 1,
+    at positions pa and pb, moved by +1 and -1."""
+    out = list(win)
+    out[pa] += 1
+    out[pb] -= 1
+    return tuple(out)
 
 
 def left_mul_gen(i, h, nu=()):
-    """T_{s_i} * h, in H x_nu when nu is given (see the module docstring)."""
+    """T_{s_i} * h, in H x_nu when nu is given (see the module docstring).
+
+    One pass over each window finds the 0-based positions pa, pb of its
+    entries in the classes of i and i + 1; then w(k) = i and w(k1) = i + 1
+    for k = pa + 1 + i - w(pa + 1) and k1 = pb + 2 + i - w(pb + 1).
+    """
     r = h.r
+    if r < 2:
+        raise ValueError("generators need a period r >= 2")
     inner = P.inner_positions(nu)
+    ra, rb = i % r, (i + 1) % r
     out = {}
     for win, c in h.terms.items():
-        k = _inv_pos(win, r, i)
-        k1 = _inv_pos(win, r, i + 1)
+        for p, x in enumerate(win):
+            m = x % r
+            if m == ra:
+                pa = p
+            elif m == rb:
+                pb = p
+        k = pa + 1 + i - win[pa]
+        k1 = pb + 2 + i - win[pb]
         if k > k1:
             L.acc(out, win, L.mul(c, _V2M1))
-            L.acc(out, tuple(_gen_value(i, r, x) for x in win), L.mul(c, _V2))
-        elif k1 == k + 1 and (k - 1) % r in inner:
+            L.acc(out, _moved(win, pa, pb), L.mul(c, _V2))
+        elif k1 == k + 1 and pa in inner:  # (k - 1) % r == pa
             L.acc(out, win, L.mul(c, _V2))
         else:
-            L.acc(out, tuple(_gen_value(i, r, x) for x in win), c)
+            L.acc(out, _moved(win, pa, pb), c)
     return HeckeElement(r, out)
 
 

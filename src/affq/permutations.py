@@ -103,7 +103,12 @@ def compose(w, y):
     """(w . y)(k) = w(y(k))."""
     if w.r != y.r:
         raise ValueError("period mismatch")
-    return AffinePermutation(w.r, tuple(w.apply(v) for v in y.window))
+    r, win = w.r, w.window
+    out = []
+    for v in y.window:
+        c = (v - 1) % r
+        out.append(win[c] + v - 1 - c)  # v - 1 - c = r * ((v - 1) // r)
+    return AffinePermutation(r, tuple(out))
 
 
 def inverse(w):

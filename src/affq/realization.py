@@ -18,8 +18,16 @@ the commutation coefficients introduce denominators, while every level
 evaluation clears them (asserted on each label's cross-denominator sum).
 
 Only the superdiagonal product ``mul_by_semisimple_plus`` has a closed
-formula here.  The subdiagonal product is its conjugate under the index
-negation (i, j) -> (-i, -j): with 0-based vertex indices p,
+formula here.  The weight j of a symbol enters that formula only through
+the power of v and the weight of each result: the candidates T, their
+Gaussian coefficients and result labels depend on alpha and A alone, the
+exponent ``_f_plus(A, T, j)`` is affine in j (its only j term is
+sum_i j_i (t_{i-1,i} - t_{i,i})), and ``_j_shift_plus(T, j)`` is j plus a
+vector fixed by T.  So the product reads one weight-free table of rows per
+(alpha, A), ``_plus_rows``, and applies it to every weight.
+
+The subdiagonal product is its conjugate under the index negation
+(i, j) -> (-i, -j): with 0-based vertex indices p,
 ``mul_by_semisimple_minus(alpha, x)`` equals
 ``negate_element(mul_by_semisimple_plus(alpha', negate_element(x)))``
 where ``negate_element`` sends A(j) to (negate A)(j') with
@@ -302,6 +310,30 @@ def _j_shift_plus(T, j):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=L.PRODUCT_CACHE_SIZE)
+def _plus_rows(alpha, A):
+    """The weight-free rows (label, coeff, f0, jc, shift, delta) of the plus
+    product on A(j), one per surviving T: the term of A(j) is coeff times
+    v^(f0 + j.jc) on the reduction of label(j + shift, delta) (see the
+    module docstring)."""
+    n = A.n
+    zero_j = (0,) * n
+    units = [tuple(int(p == q) for p in range(n)) for q in range(n)]
+    out = []
+    for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
+        coeff = _coeff_plus(A, T)
+        if not coeff:
+            continue
+        label = M.madd(M.msub(A, M.offdiag(M.tilde(T))), M.offdiag(T))
+        if not M.is_nonneg(label):
+            continue
+        f0 = _f_plus(A, T, zero_j)
+        jc = tuple(_f_plus(A, T, e) - f0 for e in units)  # _f_plus is affine in j
+        delta = tuple(T.entry(i, i) for i in range(1, n + 1))
+        out.append((label, coeff, f0, jc, _j_shift_plus(T, zero_j), delta))
+    return tuple(out)
+
+
 def mul_by_semisimple_plus(alpha, x):
     """Left product by the superdiagonal one-layer element of weights alpha.
 
@@ -316,16 +348,9 @@ def mul_by_semisimple_plus(alpha, x):
     Ha.check_alpha(alpha, x.n)
     out = {}
     for (A, j), cf in x.terms.items():
-        for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
-            coeff = _coeff_plus(A, T)
-            if not coeff:
-                continue
-            label = M.madd(M.msub(A, M.offdiag(M.tilde(T))), M.offdiag(T))
-            if not M.is_nonneg(label):
-                continue
-            delta = tuple(T.entry(i, i) for i in range(1, x.n + 1))
-            scalar = L.frac_scale(L.vshift(coeff, _f_plus(A, T, j)), cf)
-            piece = reduce_j_lambda(label, _j_shift_plus(T, j), delta)
+        for label, coeff, f0, jc, shift, delta in _plus_rows(tuple(alpha), A):
+            scalar = L.frac_scale(L.vshift(coeff, f0 + M.dot(j, jc)), cf)
+            piece = reduce_j_lambda(label, tuple(a + b for a, b in zip(j, shift)), delta)
             for key, c in piece.terms.items():
                 _vacc(out, key, L.frac_mul(scalar, c))
     return VElement(x.n, out)

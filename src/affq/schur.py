@@ -260,15 +260,23 @@ def e_mul_upper(B, A):
     >>> text(e_mul_upper(B, A))
     '(1 + v^2)*e[(1, 1, 2)]'
     """
+    items = _e_mul_upper(B, A)
+    x = s_zero(B.n, M.sigma(A))
+    x.terms.update(items)
+    return x
+
+
+@functools.lru_cache(maxsize=L.PRODUCT_CACHE_SIZE)
+def _e_mul_upper(B, A):
+    """The terms of e_mul_upper(B, A) as a tuple of (label, coeff) items."""
     if B.n != A.n:
         raise ValueError("size mismatch")
-    r = M.sigma(A)
-    if M.sigma(B) != r:
+    if M.sigma(B) != M.sigma(A):
         raise ValueError("level mismatch")
     alpha, _ = _upper_layer(B)
     n = B.n
     if M.co(B) != M.ro(A):
-        return s_zero(n, r)
+        return ()
     # cell caps t_{i,j} <= a_{i+1,j}: row i of T sits under row i+1 of A
     cells = [M.row_support(A, i + 1) for i in range(1, n + 1)]
     out = {}
@@ -276,7 +284,7 @@ def e_mul_upper(B, A):
         label = M.madd(M.msub(A, M.tilde(T)), T)
         if M.is_nonneg(label):
             L.acc(out, label, term)
-    return SchurElement(n, r, "e", out)
+    return tuple(out.items())
 
 
 def e_mul_lower(C, A):
@@ -294,10 +302,10 @@ def e_mul_lower(C, A):
 def n_mul_upper(B, A):
     """Product [B][A] in the normalized basis, upper one-layer left factor,
     read off e_mul_upper by the change of basis [A] = v^(-d_A) e_A."""
-    x = e_mul_upper(B, A)
+    items = _e_mul_upper(B, A)
     shift = M.d_exponent(B) + M.d_exponent(A)
-    out = {C: L.vshift(c, M.d_exponent(C) - shift) for C, c in x.terms.items()}
-    return SchurElement(x.n, x.r, "n", out)
+    out = {C: L.vshift(c, M.d_exponent(C) - shift) for C, c in items}
+    return SchurElement(B.n, M.sigma(A), "n", out)
 
 
 def n_mul_lower(C, A):

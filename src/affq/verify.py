@@ -22,6 +22,7 @@ from . import schur as S
 
 _BANDS = {2: 2, 3: 1}
 COSET_SAMPLES = 200  # random coset elements per label in coset-length
+MAX_JOBS = 64  # worker processes of one run
 
 
 @dataclass
@@ -43,8 +44,8 @@ class Config:
             raise ValueError("need 1 <= r_min <= r_max")
         if not self.q_list or any(q not in Ha.CENSUS_FIELDS for q in self.q_list):
             raise ValueError("brute-force suites need one or more q in %s" % (Ha.CENSUS_FIELDS,))
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
+        if not 1 <= self.jobs <= MAX_JOBS:
+            raise ValueError("jobs must be between 1 and %d" % MAX_JOBS)
 
 
 def mixed_labels(n, max_sigma, max_dist):
@@ -549,7 +550,7 @@ def run_suite(name, cfg=None):
     builder, checker = _SUITES[name]
     cases = builder(cfg)
     if cfg.jobs > 1 and len(cases) > 1:
-        with get_context("fork").Pool(cfg.jobs) as pool:
+        with get_context("fork").Pool(min(cfg.jobs, len(cases))) as pool:
             results = pool.map(checker, cases)
     else:
         results = [checker(c) for c in cases]

@@ -530,6 +530,49 @@ def test_run_suite_validation():
         cfg.validate()
 
 
+def test_verify_caps_the_worker_count(tmp_path):
+    with pytest.raises(ValueError):
+        V.Config(jobs=V.MAX_JOBS + 1).validate()
+    V.Config(jobs=V.MAX_JOBS).validate()
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "laurent", "--jobs", str(V.MAX_JOBS + 1), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+
+
+class FakeContext:
+    """Stands in for a multiprocessing context: records each pool size and
+    maps in this process, so no worker starts."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+def test_verify_pool_has_at_most_one_worker_per_case(monkeypatch):
+    ctx = FakeContext()
+    monkeypatch.setattr(V, "get_context", lambda method: ctx)
+    cfg = V.Config(n_list=(2,), r_min=2, r_max=2, jobs=V.MAX_JOBS)
+    cases = len(V._SUITES["laurent"][0](cfg))
+    assert 1 < cases < V.MAX_JOBS
+    assert V.run_suite("laurent", cfg)["cases"] == cases
+    cfg.jobs = 2
+    V.run_suite("laurent", cfg)
+    assert ctx.sizes == [cases, 2]
+
+
 def test_suite_names_cover_criteria():
     assert V.SUITE_NAMES == (
         "schur-oracle",

@@ -323,3 +323,54 @@ def test_regular_module_is_the_group_action():
                 assert H.left_mul_gen(i, h, ones) == H.left_mul_gen(i, h)
             w = rand_perm(rng, r)
             assert H.left_mul_basis(w, h, ones) == H.left_mul_basis(w, h)
+
+
+# ----------------------------------------------------------------------
+# the generator kernel against the former route: two position scans and
+# the value map of s_i on every window entry
+
+
+def inv_pos(window, r, val):
+    """Position k with w(k) = val."""
+    for c in range(r):
+        if (window[c] - val) % r == 0:
+            return c + 1 + (val - window[c])
+    raise AssertionError("window residues must cover all classes")
+
+
+def gen_value(i, r, x):
+    c = (x - i) % r
+    return x + 1 if c == 0 else x - 1 if c == 1 else x
+
+
+def left_mul_gen_scan(i, h, nu=()):
+    r = h.r
+    inner = P.inner_positions(nu)
+    out = {}
+    for win, c in h.terms.items():
+        k = inv_pos(win, r, i)
+        k1 = inv_pos(win, r, i + 1)
+        sw = tuple(gen_value(i, r, x) for x in win)
+        if k > k1:
+            L.acc(out, win, L.mul(c, H._V2M1))
+            L.acc(out, sw, L.mul(c, H._V2))
+        elif k1 == k + 1 and (k - 1) % r in inner:
+            L.acc(out, win, L.mul(c, H._V2))
+        else:
+            L.acc(out, sw, c)
+    return H.HeckeElement(r, out)
+
+
+def test_left_mul_gen_matches_the_scan_route():
+    rng = random.Random(61)
+    for r in (2, 3, 4, 5):
+        nus = [()] + [nu for parts in (1, 2, 3) for nu in M.compositions(parts, r)]
+        for nu in nus:
+            for _ in range(4):
+                h = rand_module_elem(rng, r, nu) if nu else rand_elem(rng, r)
+                for i in range(-1, r + 3):
+                    got = H.left_mul_gen(i, h, nu)
+                    want = left_mul_gen_scan(i, h, nu)
+                    assert list(got.terms.items()) == list(want.terms.items()), (i, h, nu)
+    with pytest.raises(ValueError):
+        H.left_mul_gen(1, H.t_basis(P.identity(1)))

@@ -186,3 +186,31 @@ def test_rendering():
     assert L.text({0: 1, 2: 1}) == "1 + v^2"
     assert L.json_pairs({2: 1, -1: 3}) == [[-1, 3], [2, 1]]
     assert L.from_json_pairs([[-1, 3], [2, 1]]) == {2: 1, -1: 3}
+
+
+def mul_double_loop(f, g):
+    """The product by the full double loop, with no monomial fast path."""
+    if len(f) > len(g):
+        f, g = g, f
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = e1 + e2
+            c = out.get(e, 0) + c1 * c2
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+    return out
+
+
+def test_mul_matches_the_double_loop():
+    rng = random.Random(71)
+    polys = [{}, {0: 1}, {3: -2}, {-4: 5}, {0: -1, 2: 1}, {-1: 1, 1: 1}]
+    for _ in range(60):
+        size = rng.choice((0, 1, 1, 2, 3, 5))
+        polys.append(L.poly((rng.randrange(-5, 6), rng.choice((-3, -1, 1, 2))) for _ in range(size)))
+    for f in polys:
+        for g in polys:
+            got, want = L.mul(f, g), mul_double_loop(f, g)
+            assert list(got.items()) == list(want.items()), (f, g)

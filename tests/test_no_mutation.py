@@ -109,7 +109,16 @@ def test_schur_operations_leave_their_arguments_alone():
 def test_a_caller_cannot_corrupt_the_memoized_schur_values():
     B = M.madd(M.e_unit(1, 2, 2), M.diag((1, 0)))
     A = M.madd(M.e_unit(2, 1, 2), M.diag((1, 0)))
-    for op, args in ((S.A_j_r, (M.pmat(2, []), (1, 0), 2)), (S.oracle_mul, (B, A))):
+    C = M.madd(M.e_unit(2, 1, 2), M.diag((0, 1)))
+    A2 = M.madd(M.e_unit(1, 2, 2), M.diag((0, 1)))
+    cases = (
+        (S.A_j_r, (M.pmat(2, []), (1, 0), 2)),
+        (S.oracle_mul, (B, A)),
+        (S.e_mul_upper, (B, A)),
+        (S.n_mul_upper, (B, A)),
+        (S.e_mul_lower, (C, A2)),
+    )
+    for op, args in cases:
         got = op(*args)
         want = S.to_json(got)
         got.terms[next(iter(got.terms))] = {7: 1}
@@ -117,6 +126,23 @@ def test_a_caller_cannot_corrupt_the_memoized_schur_values():
         assert S.to_json(op(*args)) == want, op.__name__
         got.terms.clear()
         assert S.to_json(op(*args)) == want, op.__name__
+
+
+def test_a_caller_cannot_corrupt_the_memoized_plus_rows():
+    # mul_by_semisimple_plus reads one table of rows per (alpha, label)
+    x = R.v_add(
+        R.v_basis(2, M.e_unit(2, 1, 2), (0, 1)),
+        R.v_basis(2, M.pmat(2, []), (1, -1)),
+    )
+    want = R.to_json(R.mul_by_semisimple_plus((1, 1), x))
+    got = R.mul_by_semisimple_plus((1, 1), x)
+    first, second = list(got.terms)[:2]
+    got.terms[first] = L.fraction({7: 1})
+    del got.terms[second]
+    got.terms[(M.pmat(2, []), (9, 9))] = L.FRAC_ONE
+    assert R.to_json(R.mul_by_semisimple_plus((1, 1), x)) == want
+    got.terms.clear()
+    assert R.to_json(R.mul_by_semisimple_plus((1, 1), x)) == want
 
 
 def test_a_caller_cannot_corrupt_the_memoized_reductions():

@@ -296,3 +296,16 @@ def test_text():
 def test_constructors_reject_non_integers(call):
     with pytest.raises(ValueError, match="expected an integer"):
         call()
+
+
+def test_compose_matches_the_apply_route():
+    # the window of w . y indexed directly against w.apply on each entry
+    rng = random.Random(67)
+    for r in (2, 3, 4, 5):
+        for _ in range(40):
+            w, y = rand_perm(rng, r), rand_perm(rng, r)
+            y = P.compose(P.rho_power(rng.randrange(-9, 10), r), y)
+            want = P.AffinePermutation(r, tuple(w.apply(v) for v in y.window))
+            assert P.compose(w, y) == want
+    for w in (P.identity(1), P.rho_power(-3, 1)):
+        assert P.compose(w, P.rho_power(2, 1)).window == (w.window[0] + 2,)

@@ -108,3 +108,54 @@ def test_public_functions_are_plain_functions():
                 if not inspect.isfunction(getattr(module, node.name)):
                     wrapped.append("%s.%s" % (path.stem, node.name))
     assert wrapped == []
+
+
+def _decorator_name(node):
+    """'functools.lru_cache' for @functools.lru_cache(...) and the like."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def unbounded_memos(tree):
+    """Names of the functions in tree whose memo table may be unbounded: an
+    lru_cache whose maxsize is not one of the *CACHE_SIZE constants of
+    laurent, or a functools.cache on a function that takes arguments."""
+    bad = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for deco in node.decorator_list:
+            name = _decorator_name(deco)
+            if name in ("functools.lru_cache", "lru_cache"):
+                # only the form lru_cache(maxsize=L.<NAME>CACHE_SIZE) passes
+                call = isinstance(deco, ast.Call) and not deco.args
+                size = [k.value for k in deco.keywords if k.arg == "maxsize"] if call else []
+                bound = _decorator_name(size[0]) if len(size) == 1 else ""
+                if not (bound.startswith("L.") and bound.endswith("CACHE_SIZE")):
+                    bad.append(node.name)
+            elif name in ("functools.cache", "cache"):
+                a = node.args
+                if a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg:
+                    bad.append(node.name)
+    return bad
+
+
+def test_every_memo_table_is_bounded():
+    bad = {path.stem: unbounded_memos(_parse(path)) for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in bad.items() if v} == {}
+    snippet = ast.parse(
+        "@functools.lru_cache(maxsize=L.CACHE_SIZE)\ndef ok(x): pass\n"
+        "@functools.cache\ndef const(): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(x): pass\n"
+        "@functools.lru_cache\ndef b(x): pass\n"
+        "@functools.lru_cache(1024)\ndef c(x): pass\n"
+        "@functools.cache\ndef d(x): pass\n"
+    )
+    assert unbounded_memos(snippet) == ["a", "b", "c", "d"]

@@ -3,6 +3,7 @@
 import doctest
 import itertools
 import json
+import random
 
 import pytest
 
@@ -468,3 +469,79 @@ def test_x_coeff_recursion_matches_the_enumeration():
             assert (got.num, got.den) == (want.num, want.den), gamma
             checked += 1
     assert checked == 43
+
+
+# ----------------------------------------------------------------------
+# the plus product from its weight-free rows against the per-T loop
+
+
+def plus_reference(alpha, x):
+    """mul_by_semisimple_plus with every T enumerated per term and the
+    exponent and weight shift evaluated at the term's own weight j."""
+    out = {}
+    for (A, j), cf in x.terms.items():
+        for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
+            coeff = R._coeff_plus(A, T)
+            if not coeff:
+                continue
+            label = M.madd(M.msub(A, M.offdiag(M.tilde(T))), M.offdiag(T))
+            if not M.is_nonneg(label):
+                continue
+            delta = tuple(T.entry(i, i) for i in range(1, x.n + 1))
+            scalar = L.frac_scale(L.vshift(coeff, R._f_plus(A, T, j)), cf)
+            piece = R.reduce_j_lambda(label, R._j_shift_plus(T, j), delta)
+            for key, c in piece.terms.items():
+                R._vacc(out, key, L.frac_mul(scalar, c))
+    return R.VElement(x.n, out)
+
+
+def plus_without_jc(alpha, x):
+    """A wrong product: the rows' exponent f0 without its j.jc term."""
+    out = {}
+    for (A, j), cf in x.terms.items():
+        for label, coeff, f0, _, shift, delta in R._plus_rows(tuple(alpha), A):
+            scalar = L.frac_scale(L.vshift(coeff, f0), cf)
+            piece = R.reduce_j_lambda(label, tuple(a + b for a, b in zip(j, shift)), delta)
+            for key, c in piece.terms.items():
+                R._vacc(out, key, L.frac_mul(scalar, c))
+    return R.VElement(x.n, out)
+
+
+def exact_terms(x):
+    """The terms in order, with each coefficient's num/den representation."""
+    return [(key, f.num, f.den) for key, f in x.terms.items()]
+
+
+def plus_cases():
+    """(n, alpha, x) over |alpha| <= 2 and seeded elements of 2-4 symbols
+    with weights in -2..2."""
+    rng = random.Random(73)
+    coeffs = [frac([(0, 1)]), frac([(1, -2)]), frac([(0, 1)], [(0, -1), (2, 1)])]
+    for n, max_sigma in ((2, 2), (3, 1)):
+        labels = V.mixed_labels(n, max_sigma, n)
+        weights = list(itertools.product(range(-2, 3), repeat=n))
+        alphas = [a for s in (1, 2) for a in M.compositions(n, s)]
+        for _ in range(8):
+            items = [
+                (rng.choice(labels), rng.choice(weights), rng.choice(coeffs))
+                for _ in range(rng.randrange(2, 5))
+            ]
+            x = velem(n, items)
+            for alpha in alphas:
+                yield n, alpha, x
+
+
+def test_plus_product_rows_match_the_per_t_loop():
+    for _, alpha, x in plus_cases():
+        got = R.mul_by_semisimple_plus(alpha, x)
+        assert exact_terms(got) == exact_terms(plus_reference(alpha, x)), (alpha, R.text(x))
+
+
+def test_plus_product_rows_need_the_weight_term():
+    # the same comparison fails for a product that drops j.jc
+    failing = {
+        n
+        for n, alpha, x in plus_cases()
+        if exact_terms(plus_without_jc(alpha, x)) != exact_terms(plus_reference(alpha, x))
+    }
+    assert failing == {2, 3}
