@@ -18,8 +18,9 @@ merge) whose labels have sigma(A) <= MAX_VBLN_SIZE, and one-layer
 weights |alpha| <= MAX_VBLN_SIZE
 (the Gaussians of the one-layer products grow with both); a one-layer
 product also caps the total size, the sum over the terms of
-sigma(A) + |alpha|, at 4 * MAX_VBLN_SIZE.  ``verify`` starts at most
-verify.MAX_JOBS worker processes, and never more than a suite has cases.
+sigma(A) + |alpha|, at 4 * MAX_VBLN_SIZE.  ``verify`` accepts levels
+r <= verify.MAX_LEVEL and starts at most verify.MAX_JOBS worker
+processes, and never more than a suite has cases.
 
 ``main`` may be called any number of times in one process: the parser is
 built on the first call and shared by the later ones.  Argparse keeps no

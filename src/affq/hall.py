@@ -16,11 +16,17 @@ Endomorphism dimensions are counted over pairs of segments (Deng-Du-Fu's
 segment combinatorics); the F_q linear algebra serves only the census.
 
 The closed-form product is the one-layer formula of the affine q-Schur
-algebra at q = v^2: ``semisimple_hall_product(alpha, A)`` sums the terms
-of ``schur.one_layer_terms`` on the cells of ``M.one_layer_cells(A,
-alpha)`` at the labels ``A - split(tilde T)[0] + T``, then halves their
-v-exponents, which are all even.  Its values are ``laurent`` dicts in q;
-the brute-force census of ``brute_hall_number`` stays its oracle.
+algebra at q = v^2, whose positive part is the Hall algebra (Deng-Du-Fu):
+``semisimple_hall_product(alpha, A)`` is the off-diagonal part of the
+Schur product ``e_B e_{A + diag(w)}`` with ``w_i = alpha_{i-1}`` and
+``B = S_alpha + diag(ro(A))``, so that co(B) = ro(A + diag(w)), with its
+v-exponents, which are all even, halved.  The diagonal w caps no T: the
+cell (i, i+1) of T sits under the entry w_{i+1} = alpha_i, and row i of T
+sums to alpha_i.  A is strictly upper, so no other Gaussian and no
+exponent of the rule reads the diagonal, and distinct labels of the
+product keep distinct off-diagonal parts (their row sums are fixed).  Its
+values are ``laurent`` dicts in q; the brute-force census of
+``brute_hall_number`` stays its oracle.
 
 The closed form of the twisted product is not kept here: it is the
 weight-zero read-off of the level-free one-layer kernel,
@@ -385,11 +391,12 @@ def semisimple_hall_product(alpha, A):
     """
     check_label(A)
     check_alpha(alpha, A.n)
+    # the diagonal w_i = alpha_{i-1} caps no T (see the module docstring)
+    wide = M.madd(A, M.diag(alpha[-1:] + alpha[:-1]))
+    B = M.madd(M.s_alpha(alpha), M.diag(M.ro(A)))
     out = {}
-    for T, term in S.one_layer_terms(alpha, A, M.one_layer_cells(A, alpha)):
-        label = M.madd(M.msub(A, M.split(M.tilde(T))[0]), T)
-        if M.is_nonneg(label):
-            L.acc(out, label, term)
+    for C, term in S.e_mul_upper(B, wide).terms.items():
+        L.acc(out, M.offdiag(C), term)
     # q = v^2: every exponent of the kernel is even
     return {C: {e // 2: c for e, c in f.items()} for C, f in out.items()}
 

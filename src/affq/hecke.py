@@ -58,11 +58,8 @@ def h_zero(r):
     return HeckeElement(r, {})
 
 
-def t_basis(w, coeff=None):
-    c = L.one() if coeff is None else coeff
-    if L.is_zero(c):
-        return h_zero(w.r)
-    return HeckeElement(w.r, {w.window: c})
+def t_basis(w):
+    return HeckeElement(w.r, {w.window: L.one()})
 
 
 def h_from_items(r, items):

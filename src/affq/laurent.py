@@ -16,8 +16,9 @@ maps, ints (matrices._d_exponent), (m, word) tuples
 schur._oracle_mul, realization._lambda_table), which the public wrappers
 copy into fresh dicts.  Two tables hold the one-layer products, keyed by
 labels and never by a weight: schur._e_mul_upper, the tuple of (label,
-coeff) terms of e_mul_upper, and realization._plus_rows, the tuple of
-weight-free rows (label, coeff, f0, jc, shift, delta) of the plus product.
+coeff) terms of e_mul_upper, which the Hall products also read, and
+realization._plus_rows, the tuple of weight-free rows (label, coeff, f0,
+jc, shift, delta) of the plus product.
 One suites pass of the benchmark fills _reduced_word to 915 entries
 (20,088 hits) and _lambda_table to 8 (5,642 hits); _e_mul_upper keeps
 7,492 of the 10,336 hits of its 2,536 label pairs, and _plus_rows 1,816 of
@@ -25,9 +26,9 @@ the 1,907 of its 270 keys.  They are bounded by CACHE_SIZE, except the
 four whose entries hold many labels: ORACLE_CACHE_SIZE, FILL_CACHE_SIZE and
 PRODUCT_CACHE_SIZE are small, since their repeats fall within one verify
 case and a larger table only raises peak memory (unbounded, the two
-product tables take that pass from 20.7 to 23.9 MB and save no time).  Running all
-eight suites (affq verify --suite all --jobs 1), _e_mul_upper answers
-73,724 of 130,010 calls and _plus_rows 9,597 of 15,187.
+product tables take that pass from 20.7 to 23.9 MB and save no time).
+Running all eight suites (affq verify --suite all --jobs 1), _e_mul_upper
+answers 74,450 of 132,346 calls and _plus_rows 9,597 of 15,187.
 
 >>> text(mul(poly({0: 1, 1: 1}), poly({0: -1, 1: 1})))
 '-1 + v^2'

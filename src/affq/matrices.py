@@ -36,10 +36,7 @@ class PeriodicMatrix:
         return 0
 
     def __repr__(self):
-        if not self.entries:
-            return "pmat(%d, [])" % self.n
-        body = ", ".join("(%d,%d):%d" % (i, j, a) for i, j, a in self.entries)
-        return "pmat(%d, {%s})" % (self.n, body)
+        return "pmat(%d, %r)" % (self.n, list(self.entries))
 
 
 def check_period(n):
@@ -48,16 +45,11 @@ def check_period(n):
 
 
 def pmat(n, items=()):
-    """Build a PeriodicMatrix from {(i, j): a} or an iterable of (i, j, a);
-    indices are reduced to the fundamental domain and zeros dropped."""
+    """Build a PeriodicMatrix from an iterable of (i, j, a); indices are
+    reduced to the fundamental domain and zeros dropped."""
     check_period(n)
     acc = {}
-    pairs = (
-        ((i, j, a) for (i, j), a in items.items())
-        if isinstance(items, dict)
-        else items
-    )
-    for i, j, a in pairs:
+    for i, j, a in items:
         i0 = (i - 1) % n + 1
         j0 = j - (i - i0)
         key = (i0, j0)

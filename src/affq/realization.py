@@ -39,7 +39,6 @@ labels (``twisted_hall_product``).
 """
 
 import functools
-import types
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -155,9 +154,8 @@ def from_json(obj):
 # reduction of Gaussian-weighted symbols to the plain basis
 
 
-@functools.lru_cache(maxsize=L.CACHE_SIZE)
 def _shift_coeffs(t):
-    """Read-only coefficients c_k with (x over t)_sym = sum_k c_k v^(k*x).
+    """The coefficients {k: c_k} with (x over t)_sym = sum_k c_k v^(k*x).
 
     The symmetric Gaussian in a formal exponent x is
     prod_{s=1..t} (v^(x-s+1) - v^(-x+s-1)) / (v^s - v^-s); expanding the
@@ -174,7 +172,7 @@ def _shift_coeffs(t):
     den = L.one()
     for s in range(1, t + 1):
         den = L.mul(den, L.sub(L.monomial(s), L.monomial(-s)))
-    return types.MappingProxyType({k: L.fraction(c, den) for k, c in num.items()})
+    return {k: L.fraction(c, den) for k, c in num.items()}
 
 
 def reduce_j_lambda(A, j, lam):

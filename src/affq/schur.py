@@ -21,11 +21,12 @@ Products are available through two independent routes:
   is diagonal plus a single superdiagonal (upper) or subdiagonal
   (lower) layer.
 
-Only the upper rule in the standard basis is implemented, by the term
-generator ``one_layer_terms`` that ``hall.semisimple_hall_product`` also
-reads.  ``n_mul_upper`` is a change of basis: ``[B][A] = v^(-d_B - d_A)
-e_B e_A``, so each label C of ``e_mul_upper`` has its coefficient shifted
-by ``d_C - d_B - d_A`` (``test_normalized_rules_match_converted_standard_rules``
+Only the upper rule in the standard basis is implemented, by
+``_e_mul_upper``, whose table ``hall.semisimple_hall_product`` also reads
+(the Hall product is a Schur product on a wide diagonal).
+``n_mul_upper`` is a change of basis: ``[B][A] = v^(-d_B - d_A) e_B
+e_A``, so each label C of ``e_mul_upper`` has its coefficient shifted by
+``d_C - d_B - d_A`` (``test_normalized_rules_match_converted_standard_rules``
 checks this basis change).  The index negation ``(i, j) -> (-i, -j)`` is
 an automorphism that preserves ``d_A`` and swaps the upper and lower
 one-layer shapes, so ``e_mul_lower(C, A) = negate(e_mul_upper(negate C,
@@ -238,20 +239,6 @@ def _exp_upper_e(A, T):
     return 2 * total
 
 
-def one_layer_terms(alpha, A, row_cells):
-    """Yield (T, nonzero term) of a left product of A by the layer alpha,
-    for T over M.capped_row_matrices(alpha, row_cells); the caller builds
-    the result label from T."""
-    for T in M.capped_row_matrices(alpha, row_cells):
-        coeff = L.one()
-        for i, j, t in T.entries:
-            coeff = L.mul(coeff, L.gauss_sq(A.entry(i, j) + t - T.entry(i - 1, j), t))
-            if not coeff:
-                break
-        if coeff:
-            yield T, L.vshift(coeff, _exp_upper_e(A, T))
-
-
 def e_mul_upper(B, A):
     """Product e_B e_A for B = superdiagonal layer plus diagonal.
 
@@ -280,10 +267,17 @@ def _e_mul_upper(B, A):
     # cell caps t_{i,j} <= a_{i+1,j}: row i of T sits under row i+1 of A
     cells = [M.row_support(A, i + 1) for i in range(1, n + 1)]
     out = {}
-    for T, term in one_layer_terms(alpha, A, cells):
+    for T in M.capped_row_matrices(alpha, cells):
+        coeff = L.one()
+        for i, j, t in T.entries:
+            coeff = L.mul(coeff, L.gauss_sq(A.entry(i, j) + t - T.entry(i - 1, j), t))
+            if not coeff:
+                break
+        if not coeff:
+            continue
         label = M.madd(M.msub(A, M.tilde(T)), T)
         if M.is_nonneg(label):
-            L.acc(out, label, term)
+            L.acc(out, label, L.vshift(coeff, _exp_upper_e(A, T)))
     return tuple(out.items())
 
 

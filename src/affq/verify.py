@@ -23,6 +23,7 @@ from . import schur as S
 _BANDS = {2: 2, 3: 1}
 COSET_SAMPLES = 200  # random coset elements per label in coset-length
 MAX_JOBS = 64  # worker processes of one run
+MAX_LEVEL = 5  # largest r; each level costs about seven times the one below
 
 
 @dataclass
@@ -40,8 +41,8 @@ class Config:
             raise ValueError("n must be at least 2")
         if not self.n_list or any(n not in _BANDS for n in self.n_list):
             raise ValueError("supported sizes are n in {2, 3}")
-        if self.r_min < 1 or self.r_max < self.r_min:
-            raise ValueError("need 1 <= r_min <= r_max")
+        if not 1 <= self.r_min <= self.r_max <= MAX_LEVEL:
+            raise ValueError("need 1 <= r_min <= r_max <= %d" % MAX_LEVEL)
         if not self.q_list or any(q not in Ha.CENSUS_FIELDS for q in self.q_list):
             raise ValueError("brute-force suites need one or more q in %s" % (Ha.CENSUS_FIELDS,))
         if not 1 <= self.jobs <= MAX_JOBS:

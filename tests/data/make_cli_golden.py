@@ -4,10 +4,11 @@ The requests are drawn from seeded grids: ``schur-mul`` with a
 subdiagonal-plus-diagonal left factor in both bases, ``vbln-mul``
 one-layer products (lower and upper) applied to ``reduce`` outputs, whose
 coefficients carry non-trivial denominators, then ``schur-mul`` with a
-superdiagonal-plus-diagonal left factor in both bases and ``hall``
-products checked against the census at q = 2, 3.  The later groups are
-drawn after the earlier ones from the same generator, so adding a group
-leaves the earlier records unchanged.  The file pins the exact
+superdiagonal-plus-diagonal left factor in both bases, ``hall`` products
+checked against the census at q = 2, 3, and last ``hall`` products at
+n = 4, a period that no verify grid reaches.  The later groups are drawn
+after the earlier ones from the same generator, so adding a group leaves
+the earlier records unchanged.  The file pins the exact
 ``num/den`` representation of every coefficient, which value equality of
 ``LaurentFraction`` does not.
 
@@ -60,12 +61,12 @@ def vbln_requests(rng):
     return out
 
 
-def hall_requests(rng, count=16):
+def hall_requests(rng, count=16, periods=(2, 3)):
     """Semisimple Hall products with |alpha| + dim M(A) <= 4, so that the
     census at q = 2, 3 stays cheap."""
     out = []
     for _ in range(count):
-        n = rng.choice((2, 3))
+        n = rng.choice(periods)
         A = rng.choice(Ha.enumerate_labels(n, 3, 3))
         room = 4 - Ha.dim_rep(A)
         alpha = [0] * n
@@ -93,6 +94,7 @@ def main():
     records = []
     requests = schur_requests(rng) + vbln_requests(rng)
     requests += schur_requests(rng, S.upper_shapes_for, 16) + hall_requests(rng)
+    requests += hall_requests(rng, 8, (4,))
     for args, payload in requests:
         code, data = run(args, payload)
         if code != 0:

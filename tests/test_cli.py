@@ -540,6 +540,18 @@ def test_verify_caps_the_worker_count(tmp_path):
     assert not out.exists()
 
 
+def test_verify_caps_the_level(tmp_path):
+    with pytest.raises(ValueError):
+        V.Config(r_max=V.MAX_LEVEL + 1).validate()
+    with pytest.raises(ValueError):
+        V.Config(r_min=V.MAX_LEVEL + 1, r_max=V.MAX_LEVEL + 1).validate()
+    V.Config(r_max=V.MAX_LEVEL).validate()
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "laurent", "--r-max", str(V.MAX_LEVEL + 1), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+
+
 class FakeContext:
     """Stands in for a multiprocessing context: records each pool size and
     maps in this process, so no worker starts."""

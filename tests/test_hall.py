@@ -7,6 +7,7 @@ from affq import hall as Ha
 from affq import laurent as L
 from affq import matrices as M
 from affq import realization as R
+from affq import schur as S
 
 
 def test_doctests():
@@ -189,6 +190,66 @@ def test_semisimple_product_frozen():
         Ha.semisimple_hall_product((1,), E)
     with pytest.raises(ValueError):
         Ha.semisimple_hall_product((-1, 0), E)
+
+
+def hall_per_t(alpha, A):
+    """The per-T closed form, the oracle of the Schur route: its own loop
+    over the T matrices on the cells of M.one_layer_cells, at the labels
+    A - split(tilde T)[0] + T."""
+    out = {}
+    for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
+        coeff = L.one()
+        for i, j, t in T.entries:
+            coeff = L.mul(coeff, L.gauss_sq(A.entry(i, j) + t - T.entry(i - 1, j), t))
+            if not coeff:
+                break
+        if not coeff:
+            continue
+        label = M.madd(M.msub(A, M.split(M.tilde(T))[0]), T)
+        if M.is_nonneg(label):
+            L.acc(out, label, L.vshift(coeff, S._exp_upper_e(A, T)))
+    return {C: {e // 2: c for e, c in f.items()} for C, f in out.items()}
+
+
+def hall_via_schur(alpha, A, w):
+    """The off-diagonal part of e_B e_{A + diag(w)}, B = S_alpha + diag(beta)
+    with co(B) = ro(A + diag(w)); None when beta is negative."""
+    wide = M.madd(A, M.diag(w))
+    beta = [r - a for r, a in zip(M.ro(wide), alpha[-1:] + alpha[:-1])]
+    if min(beta) < 0:
+        return None
+    out = {}
+    for C, c in S.e_mul_upper(M.madd(M.s_alpha(alpha), M.diag(beta)), wide).terms.items():
+        L.acc(out, M.offdiag(C), c)
+    return {C: {e // 2: c for e, c in f.items()} for C, f in out.items()}
+
+
+def _hall_grid():
+    for n, max_sigma, max_dim in ((2, 3, 5), (3, 3, 5), (4, 2, 4)):
+        labels = Ha.enumerate_labels(n, max_sigma, max_dim)
+        for alpha in [a for s in (0, 1, 2) for a in M.compositions(n, s)]:
+            for A in labels:
+                yield alpha, A
+
+
+def test_semisimple_product_matches_the_per_t_loop():
+    pairs = 0
+    for alpha, A in _hall_grid():
+        assert Ha.semisimple_hall_product(alpha, A) == hall_per_t(alpha, A), (alpha, A)
+        pairs += 1
+    assert pairs == 2645
+
+
+def test_semisimple_product_needs_a_wide_enough_diagonal():
+    differ = 0
+    for alpha, A in _hall_grid():
+        shifted = alpha[-1:] + alpha[:-1]
+        wider = hall_via_schur(alpha, A, [a + 2 for a in shifted])
+        assert wider == Ha.semisimple_hall_product(alpha, A), (alpha, A)
+        narrow = hall_via_schur(alpha, A, [a // 2 for a in shifted])
+        if narrow is not None and narrow != wider:
+            differ += 1
+    assert differ > 0
 
 
 def test_dimension_vector_conservation():
