@@ -12,23 +12,27 @@ sums of Laurent coefficients: it replaces a stored coefficient by a new
 sum instead of adding into it.  Memo tables are lru_caches on private
 functions, holding immutable values: frozensets, types.MappingProxyType
 maps, ints (matrices._d_exponent), (m, word) tuples
-(permutations._reduced_word), and tuples of items (schur._diag_fill,
-schur._oracle_mul, realization._lambda_table), which the public wrappers
-copy into fresh dicts.  Two tables hold the one-layer products, keyed by
-labels and never by a weight: schur._e_mul_upper, the tuple of (label,
-coeff) terms of e_mul_upper, which the Hall products also read, and
-realization._plus_rows, the tuple of weight-free rows (label, coeff, f0,
-jc, shift, delta) of the plus product.
+(permutations._reduced_word), tuples of (mu, label) pairs
+(schur._diag_fill, which schur.diag_fill returns as is), and tuples of
+items (schur._oracle_mul, realization._lambda_table), which the public
+wrappers copy into fresh dicts.  Two tables hold the one-layer products,
+keyed by labels and never by a weight: schur._e_mul_upper, the tuple of
+(label, coeff) terms of e_mul_upper, which the Hall products also read,
+and realization._plus_rows, the tuple of weight-free rows (label, coeff,
+f0, jc, shift, delta) of the plus product.
 One suites pass of the benchmark fills _reduced_word to 915 entries
-(20,088 hits) and _lambda_table to 8 (5,642 hits); _e_mul_upper keeps
-7,492 of the 10,336 hits of its 2,536 label pairs, and _plus_rows 1,816 of
-the 1,907 of its 270 keys.  They are bounded by CACHE_SIZE, except the
-four whose entries hold many labels: ORACLE_CACHE_SIZE, FILL_CACHE_SIZE and
-PRODUCT_CACHE_SIZE are small, since their repeats fall within one verify
-case and a larger table only raises peak memory (unbounded, the two
-product tables take that pass from 20.7 to 23.9 MB and save no time).
+(20,088 hits) and _lambda_table to 8 (5,642 hits); _diag_fill, which
+eval_at_level reads for every term, answers 29,534 of 30,928 calls at its
+bound; _e_mul_upper keeps 7,492 of the 10,336 hits of its 2,536 label
+pairs, and _plus_rows 1,816 of the 1,907 of its 270 keys.  They are
+bounded by CACHE_SIZE, except the four whose entries hold many labels:
+ORACLE_CACHE_SIZE, FILL_CACHE_SIZE and PRODUCT_CACHE_SIZE are small,
+since their repeats fall within one verify case and a larger table only
+raises peak memory (unbounded, the two product tables take that pass
+from 20.7 to 23.9 MB and save no time).
 Running all eight suites (affq verify --suite all --jobs 1), _e_mul_upper
-answers 74,450 of 132,346 calls and _plus_rows 9,597 of 15,187.
+answers 74,450 of 132,346 calls, _plus_rows 9,597 of 15,187 and _diag_fill
+184,343 of 206,120.
 
 >>> text(mul(poly({0: 1, 1: 1}), poly({0: -1, 1: 1})))
 '-1 + v^2'
@@ -430,6 +434,15 @@ FRAC_ONE = LaurentFraction({0: 1}, {0: 1})
 
 
 def frac_add(x, y):
+    """Sum of two fractions; over their common denominator when the two
+    are equal, so that repeated sums of one coefficient keep it.
+
+    >>> f = fraction({0: 1}, {0: 1, 2: 1})
+    >>> frac_add(f, f)
+    (2) / (1 + v^2)
+    """
+    if x.den == y.den:
+        return fraction(add(x.num, y.num), x.den)
     return fraction(add(mul(x.num, y.den), mul(y.num, x.den)), mul(x.den, y.den))
 
 

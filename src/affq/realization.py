@@ -211,10 +211,14 @@ def _lambda_table(lam):
 def eval_at_level(x, r):
     """The level-r shadow as a normalized-basis element.
 
-    Numerators are summed per label in groups of terms sharing a
-    denominator; each label's cross-group sum is cleared once and must be
-    a Laurent polynomial (one group's share need not be): a remaining
-    denominator is a failed invariant and raises AssertionError.
+    A term A(j) with coefficient num/den is den^-1 times the sum of
+    v^(mu.j) num [A + diag(mu)] over the diagonal fills of S.A_j_r: each
+    symbol is checked by S.check_symbol, the rule A_j_r applies, and each
+    fill adds the shifted numerator straight into the group of terms
+    sharing its denominator, so no Schur element and no monomial product
+    is built per term.  Each label's cross-group sum is cleared once and
+    must be a Laurent polynomial (one group's share need not be): a
+    remaining denominator is a failed invariant and raises AssertionError.
 
     >>> S.text(eval_at_level(v_basis(2, M.pmat(2, []), (1, 0)), 2))
     '(v)*N[(1, 1, 1), (2, 2, 1)] + (v^2)*N[(1, 1, 2)] + (1)*N[(2, 2, 2)]'
@@ -223,9 +227,10 @@ def eval_at_level(x, r):
         raise ValueError("level must be nonnegative")
     groups = {}
     for (A, j), cf in x.terms.items():
+        S.check_symbol(x.n, A, j)
         group = groups.setdefault(tuple(sorted(cf.den.items())), (cf.den, {}))[1]
-        for label, c in S.A_j_r(A, j, r).terms.items():
-            L.acc(group, label, L.mul(c, cf.num))
+        for mu, label in S.diag_fill(A, r):
+            L.acc(group, label, L.vshift(cf.num, M.dot(mu, j)))
     acc = {}
     for den, group in groups.values():
         for label, num in group.items():

@@ -343,7 +343,7 @@ def A_j_lambda_r(A, j, lam, r):
     if len(lam) != n:
         raise ValueError("weight length mismatch")
     out = {}
-    for mu, label in _diag_fill(A, r):
+    for mu, label in diag_fill(A, r):
         coeff = L.monomial(M.dot(mu, j))
         for mi, li in zip(mu, lam):
             if li:
@@ -355,10 +355,19 @@ def A_j_lambda_r(A, j, lam, r):
     return SchurElement(n, r, "n", out)
 
 
+def diag_fill(A, r):
+    """Tuple of (mu, A + diag(mu)) over the compositions mu of r - sigma(A),
+    the weight-free part of A_j_lambda_r; empty when sigma(A) > r.  The
+    tuple is a shared memo entry, read-only like every cached value.
+
+    >>> [(mu, sorted(B.entries)) for mu, B in diag_fill(M.e_unit(1, 2, 2), 2)]
+    [((0, 1), [(1, 2, 1), (2, 2, 1)]), ((1, 0), [(1, 1, 1), (1, 2, 1)])]
+    """
+    return _diag_fill(A, r)
+
+
 @functools.lru_cache(maxsize=L.FILL_CACHE_SIZE)
 def _diag_fill(A, r):
-    """Tuple of (mu, A + diag(mu)) over the compositions mu of r - sigma(A),
-    the weight-free part of A_j_lambda_r; empty when sigma(A) > r."""
     s = M.sigma(A)
     if s > r:
         return ()

@@ -5,6 +5,15 @@ both sides of its identity and reports every mismatch with the inputs
 and both values.  Cases are picklable so they can be distributed over a
 worker pool; reports are sorted before aggregation, so the output does
 not depend on the degree of parallelism.
+
+A case does its repeated work once, in locals that die with it: the
+length of each sampled coset element u y v per pair (u, v), the
+generators of level-coherence per level, the left shapes of schur-oracle
+per row-sum vector.  Nothing is kept across cases: with ``--jobs`` above
+1 the cases of a suite run in different workers, so a table shared
+between cases would hit in one process and miss in another, and a table
+keyed by the weight j holds the whole run (one on ``schur.A_j_r`` raised
+the peak memory of a benchmark ``suites`` pass by 64%).
 """
 
 import itertools
@@ -95,9 +104,12 @@ def _check_schur_oracle(case):
     _, n, band, r = case
     checked = 0
     diffs = []
+    shapes = {}  # row sums -> the left factors of both shapes
     for A in M.band_matrices(n, r, band):
         mu = M.ro(A)
-        for upper, factors in ((True, S.upper_shapes_for(mu)), (False, S.lower_shapes_for(mu))):
+        if mu not in shapes:
+            shapes[mu] = ((True, S.upper_shapes_for(mu)), (False, S.lower_shapes_for(mu)))
+        for upper, factors in shapes[mu]:
             for B in factors:
                 got = S.e_mul_upper(B, A) if upper else S.e_mul_lower(B, A)
                 want = S.oracle_mul(B, A)
@@ -145,9 +157,14 @@ def _check_coset_length(case):
         us = P.young_subgroup_elements(lam)
         vs = P.young_subgroup_elements(mu)
         rng = random.Random("coset:%d:%d:%d" % (n, r, idx))
+        uys = {u.window: P.compose(u, y) for u in us}
+        lengths = {}  # (u.window, v.window) -> length of u y v
         for _ in range(COSET_SAMPLES):
             u, v = rng.choice(us), rng.choice(vs)
-            if P.length(P.compose(P.compose(u, y), v)) < ly:
+            key = (u.window, v.window)
+            if key not in lengths:
+                lengths[key] = P.length(P.compose(uys[u.window], v))
+            if lengths[key] < ly:
                 bad.append("shorter coset element found")
                 break
         checked += COSET_SAMPLES
@@ -389,6 +406,24 @@ def _check_level_coherence(case):
             }
         )
 
+    # The level-r generators depend on the level alone: each is built once
+    # per level of the case, 0(jp) also in the standard basis.
+    levels = range(max(1, M.sigma(A)), r_max + 1)
+    gens = {}
+    for r in levels:
+        diag_gens = {}
+        for jp in jgrid:
+            g = S.A_j_r(zl, jp, r)
+            diag_gens[jp] = (g, S.convert(g, "e"))
+        layer_gens = {
+            alpha: (
+                S.A_j_r(M.s_alpha(alpha), zero_j, r),
+                S.A_j_r(M.t_s_alpha(alpha), zero_j, r),
+            )
+            for alpha in alphas
+        }
+        gens[r] = (diag_gens, layer_gens)
+
     for j in jgrid:
         x = R.v_basis(n, A, j)
         # the level-free products do not depend on r: one of each per case
@@ -397,40 +432,37 @@ def _check_level_coherence(case):
             alpha: (R.mul_by_semisimple_plus(alpha, x), R.mul_by_semisimple_minus(alpha, x))
             for alpha in alphas
         }
-        for r in range(max(1, M.sigma(A)), r_max + 1):
+        for r in levels:
+            diag_gens, layer_gens = gens[r]
             base = S.A_j_r(A, j, r)
             base_e = S.convert(base, "e")
             for jp in jgrid:
+                gen, gen_e = diag_gens[jp]
                 got = R.eval_at_level(diag[jp][0], r)
-                want = S.closed_product_upper(S.A_j_r(zl, jp, r), base)
+                want = S.closed_product_upper(gen, base)
                 checked += 1
                 if not S.s_eq(got, want):
                     record("diag-left", j, jp, r, got, want)
                 got = R.eval_at_level(diag[jp][1], r)
-                want = S.convert(
-                    S.oracle_product(base_e, S.convert(S.A_j_r(zl, jp, r), "e")), "n"
-                )
+                want = S.convert(S.oracle_product(base_e, gen_e), "n")
                 checked += 1
                 if not S.s_eq(got, want):
                     record("diag-right", j, jp, r, got, want)
             for alpha in alphas:
+                plus, minus = layer_gens[alpha]
                 got = R.eval_at_level(layer[alpha][0], r)
-                want = S.closed_product_upper(
-                    S.A_j_r(M.s_alpha(alpha), zero_j, r), base
-                )
+                want = S.closed_product_upper(plus, base)
                 checked += 1
                 if not S.s_eq(got, want):
                     record("one-layer-upper", j, alpha, r, got, want)
                 got = R.eval_at_level(layer[alpha][1], r)
-                want = S.closed_product_lower(
-                    S.A_j_r(M.t_s_alpha(alpha), zero_j, r), base
-                )
+                want = S.closed_product_lower(minus, base)
                 checked += 1
                 if not S.s_eq(got, want):
                     record("one-layer-lower", j, alpha, r, got, want)
         for lam in _lambda_grid(n):
             red = R.reduce_j_lambda(A, j, lam)
-            for r in range(max(1, M.sigma(A)), r_max + 1):
+            for r in levels:
                 got = R.eval_at_level(red, r)
                 want = S.A_j_lambda_r(A, j, lam, r)
                 checked += 1

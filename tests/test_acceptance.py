@@ -10,6 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from affq import laurent as L
+from affq import matrices as M
+from affq import permutations as P
+from affq import realization as R
+from affq import schur as S
 from affq import verify as V
 
 # (cases, checks, ok) of every suite on the smallest grid and on the default
@@ -54,3 +59,58 @@ def test_suite_check_counts_are_pinned():
         report = V.run_suite(suite, cfg)
         got = {key: report[key] for key in ("cases", "checks", "ok")}
         assert got == SUITE_COUNTS[suite], suite
+
+
+# ----------------------------------------------------------------------
+# negative controls: a broken side must show up as a reported mismatch
+
+SMALL = V.Config(n_list=(2,), r_min=2, r_max=2, q_list=(2,))
+
+
+def test_coset_length_reports_a_shorter_coset_element(monkeypatch):
+    # y = (0, 3) has length 1; u y with u the transposition of W_(2,0)
+    # lies in the same double coset, and the patch reads it as length 0
+    A = M.pmat(2, [(1, 0, 1), (1, 3, 1)])
+    y = P.pseudo_matrix_rep(A)
+    u = [u for u in P.young_subgroup_elements(M.ro(A)) if u != P.identity(2)][0]
+    shorter = P.compose(u, y).window
+    assert P.length(y) == 1 and shorter != y.window
+    length = P.length
+    monkeypatch.setattr(P, "length", lambda w: 0 if w.window == shorter else length(w))
+    report = V.run_suite("coset-length", SMALL)
+    assert not report["ok"]
+    diffs = [d for m in report["mismatches"] for d in m["diffs"]]
+    # other labels' cosets hold the window too, so A is not the only mismatch
+    assert {"matrix": M.to_json(A), "failures": ["shorter coset element found"]} in diffs
+
+
+def test_level_coherence_reports_a_wrong_diagonal_product(monkeypatch):
+    # 0(j') x scaled by v differs from the level-r product wherever it is nonzero
+    mul_by_0j = R.mul_by_0j
+    monkeypatch.setattr(
+        R, "mul_by_0j", lambda jp, x: R.v_scale(L.fraction({1: 1}), mul_by_0j(jp, x))
+    )
+    report = V.run_suite("level-coherence", SMALL)
+    assert not report["ok"]
+    ops = {d["op"] for m in report["mismatches"] for d in m["diffs"]}
+    assert ops == {"diag-left"}
+    assert len(report["mismatches"]) == report["cases"]
+
+
+def test_schur_oracle_reports_a_dropped_term(monkeypatch):
+    # the lower closed form loses the first term of every product
+    e_mul_lower = S.e_mul_lower
+
+    def dropped(C, A):
+        x = e_mul_lower(C, A)
+        return S.SchurElement(x.n, x.r, x.basis, dict(list(x.terms.items())[1:]))
+
+    monkeypatch.setattr(S, "e_mul_lower", dropped)
+    report = V.run_suite("schur-oracle", SMALL)
+    assert not report["ok"]
+    diffs = [d for m in report["mismatches"] for d in m["diffs"]]
+    assert diffs and all(
+        len(d["closed"]["terms"]) == len(d["oracle"]["terms"]) - 1 for d in diffs
+    )
+    lefts = [M.from_json(d["left"]) for d in diffs]
+    assert all(B in S.lower_shapes_for(M.co(B)) for B in lefts)

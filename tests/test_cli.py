@@ -381,6 +381,21 @@ def test_size_caps(case, tmp_path, capsys):
     assert (message in capsys.readouterr().err) == (want == 2)
 
 
+def test_vbln_mul_merges_copies_over_their_common_denominator(tmp_path):
+    # 729 copies of 1 / (1 + v^2) sum to 729 / (1 + v^2), not to a
+    # fraction over (1 + v^2)^729
+    code, data, _ = run_cli(["vbln-mul"], _vbln_copies_request(cli.MAX_REDUCE_TERMS), tmp_path)
+    assert code == 0
+    assert data["terms"] == [
+        {
+            "coeff_den": [[0, 1], [2, 1]],
+            "coeff_num": [[0, 729]],
+            "j": [1, 0],
+            "matrix": {"entries": [], "n": 2},
+        }
+    ]
+
+
 @pytest.mark.parametrize("op", ["diag-left", "diag-right", "one-layer-upper"])
 def test_vbln_mul_checks_every_weight_length(op, tmp_path, capsys):
     # a weight longer than n is rejected on reading, not truncated by the diagonal ops

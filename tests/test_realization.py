@@ -211,6 +211,22 @@ def test_eval_frozen_and_clearing_error():
         R.eval_at_level(x, -1)
 
 
+@pytest.mark.parametrize(
+    "A, j, message",
+    [
+        (M.pmat(2, [(1, 1, 1)]), (0, 0), "nonnegative with zero diagonal"),
+        (M.pmat(2, [(1, 2, -1)]), (0, 0), "nonnegative with zero diagonal"),
+        (M.e_unit(1, 2, 2), (0, 0, 0), "weight length"),
+    ],
+    ids=["diagonal-entry", "negative-entry", "weight-length"],
+)
+def test_eval_at_level_checks_every_symbol(A, j, message):
+    # built directly, so no reader has checked the symbol before evaluation
+    x = R.VElement(2, {(A, j): L.FRAC_ONE})
+    with pytest.raises(ValueError, match=message):
+        R.eval_at_level(x, 2)
+
+
 # ----------------------------------------------------------------------
 # evaluation at a level against the term-by-term route
 
