@@ -15,6 +15,17 @@ from those Hall polynomials.
 Endomorphism dimensions are counted over pairs of segments (Deng-Du-Fu's
 segment combinatorics); the F_q linear algebra serves only the census.
 
+The census counts the submodules N = (N_v) of M(C) over F_q from rank
+tables, without building N or M(C)/N.  A label is read off the ranks
+f(i, m) of its m-step composites P_{i,m}: V_i -> V_{i+m} (f(i, 0) = dim V_i):
+the segment with top i and length m occurs
+f(i, m-1) - f(i, m) - f(i-1, m) + f(i-1, m+1) times.  For each subspace of
+each vertex the census tables, once, the ranks dim P_{i,m}(N_i) of the
+submodule, the ranks dim(im P_{i,m} + N_w) - dim N_w of the quotient (with
+w = i + m), and which subspaces of the next vertex hold its image.  The
+arrow-stable tuples are then walked edge by edge and counted by their
+rank key, and each distinct key becomes a (sub, quotient) label pair once.
+
 The closed-form product is the one-layer formula of the affine q-Schur
 algebra at q = v^2, whose positive part is the Hall algebra (Deng-Du-Fu):
 ``semisimple_hall_product(alpha, A)`` is the off-diagonal part of the
@@ -101,9 +112,8 @@ def dim_rep(A):
 
 
 def _rref(rows, q):
-    """Row-reduce over F_q; returns (rref rows without zero rows, pivots)."""
+    """Row-reduce over F_q; returns the rref rows without zero rows."""
     rows = [list(r) for r in rows]
-    pivots = []
     rank = 0
     width = len(rows[0]) if rows else 0
     for col in range(width):
@@ -121,13 +131,12 @@ def _rref(rows, q):
             if k != rank and rows[k][col] % q:
                 c = rows[k][col] % q
                 rows[k] = [(x - c * y) % q for x, y in zip(rows[k], rows[rank])]
-        pivots.append(col)
         rank += 1
-    return [tuple(r) for r in rows[:rank]], pivots
+    return [tuple(r) for r in rows[:rank]]
 
 
 def _rank(rows, q):
-    return len(_rref(rows, q)[0])
+    return len(_rref(rows, q))
 
 
 def _mat_vec(X, u, q):
@@ -135,15 +144,14 @@ def _mat_vec(X, u, q):
 
 
 def _reduce_by(basis, pivots, w, q):
-    """Subtract the basis multiples matching the pivot coordinates of w."""
+    """w less the basis multiples matching its pivot coordinates: zero
+    exactly when w lies in the span of the rref basis."""
     w = list(w)
-    coords = []
     for row, p in zip(basis, pivots):
         c = w[p] % q
-        coords.append(c)
         if c:
             w = [(x - c * y) % q for x, y in zip(w, row)]
-    return tuple(w), tuple(coords)
+    return tuple(w)
 
 
 def subspaces(d, q):
@@ -206,35 +214,50 @@ def concrete_rep(A, q):
     return ConcreteRep(q, n, tuple(dims), tuple(tuple(tuple(r) for r in m) for m in maps))
 
 
-def label_of_rep(rep):
-    """Recover the segment multiset from arrow-composition ranks.
+def _image(X, rows, q):
+    """The rref basis, as a tuple of rows, of X applied to span(rows)."""
+    return tuple(_rref([_mat_vec(X, b, q) for b in rows], q))
 
-    With f(i, m) the rank of the m-step composite starting at vertex i,
-    the count of segments with top i and length m is
+
+def _images(rep):
+    """Per vertex i, rref bases of the images P_{i,m}(V_i) of the m-step
+    composites P_{i,m}: V_i -> V_{i+m}, for m = 0, 1, ... while nonzero."""
+    n, q = rep.n, rep.q
+    out = []
+    for i, d in enumerate(rep.dims):
+        rows, chain = [tuple(int(a == b) for b in range(d)) for a in range(d)], []
+        for m in range(sum(rep.dims) + 1):
+            if not rows:
+                break
+            chain.append(rows)
+            rows = _image(rep.maps[(i + m) % n], rows, q)
+        out.append(chain)
+    return out
+
+
+def _segment_label(f):
+    """The label whose m-step composite from vertex i has rank f[i][m].
+
+    f[i][0] is the dimension at vertex i, and ranks past the end of f[i]
+    are zero.  The count of segments with top i and length m is
     f(i, m-1) - f(i, m) - f(i-1, m) + f(i-1, m+1).
     """
-    n, q = rep.n, rep.q
-    total = sum(rep.dims)
-    f = [[0] * (total + 2) for _ in range(n)]
-    for i in range(n):
-        f[i][0] = rep.dims[i]
-        cur = [[1 if a == b else 0 for b in range(rep.dims[i])] for a in range(rep.dims[i])]
-        for m in range(1, total + 1):
-            X = rep.maps[(i + m - 1) % n]
-            cur = [
-                [sum(X[r][k] * cur[k][c] for k in range(len(cur))) % q for c in range(rep.dims[i])]
-                for r in range(len(X))
-            ]
-            f[i][m] = _rank(cur, q)
-    items = []
-    for i in range(n):
-        for m in range(1, total + 1):
-            c = f[i][m - 1] - f[i][m] - f[i - 1][m] + f[i - 1][m + 1]
-            if c < 0:
-                raise AssertionError("negative segment multiplicity")
-            if c:
-                items.append((i + 1, i + 1 + m, c))
-    return M.pmat(n, items)
+    top = max(map(len, f))
+    f = [list(row) + [0] * (top + 2 - len(row)) for row in f]
+    items = [
+        (i + 1, i + 1 + m, f[i][m - 1] - f[i][m] - f[i - 1][m] + f[i - 1][m + 1])
+        for i in range(len(f))
+        for m in range(1, top + 1)
+    ]
+    if any(c < 0 for _, _, c in items):
+        raise AssertionError("negative segment multiplicity")
+    return M.pmat(len(f), items)
+
+
+def label_of_rep(rep):
+    """Recover the segment multiset from arrow-composition ranks
+    (``_segment_label``)."""
+    return _segment_label([[len(rows) for rows in chain] for chain in _images(rep)])
 
 
 # ----------------------------------------------------------------------
@@ -242,48 +265,6 @@ def label_of_rep(rep):
 
 CENSUS_FIELDS = (2, 3)
 MAX_CENSUS_DIM = 5
-
-
-def _sub_quot_labels(rep, bases):
-    """Labels of the subrepresentation spanned by bases and its quotient.
-
-    bases[v] = (rref rows, pivots) per vertex; returns None if the span
-    is not stable under the arrows.
-    """
-    n, q = rep.n, rep.q
-    sub_dims, sub_maps = [], []
-    quot_dims, quot_maps = [], []
-    nonpiv = []
-    for v in range(n):
-        rows, pivots = bases[v]
-        sub_dims.append(len(rows))
-        quot_dims.append(rep.dims[v] - len(rows))
-        nonpiv.append([c for c in range(rep.dims[v]) if c not in pivots])
-    for v in range(n):
-        w = (v + 1) % n
-        rows, _ = bases[v]
-        trows, tpivots = bases[w]
-        smap = [[0] * sub_dims[v] for _ in range(sub_dims[w])]
-        for col, b in enumerate(rows):
-            img = _mat_vec(rep.maps[v], b, q)
-            resid, coords = _reduce_by(trows, tpivots, img, q)
-            if any(resid):
-                return None
-            for r, c in enumerate(coords):
-                smap[r][col] = c
-        qmap = [[0] * quot_dims[v] for _ in range(quot_dims[w])]
-        for col, src in enumerate(nonpiv[v]):
-            e = [0] * rep.dims[v]
-            e[src] = 1
-            img = _mat_vec(rep.maps[v], e, q)
-            resid, _ = _reduce_by(trows, tpivots, img, q)
-            for r, c in enumerate(nonpiv[w]):
-                qmap[r][col] = resid[c]
-        sub_maps.append(tuple(tuple(r) for r in smap))
-        quot_maps.append(tuple(tuple(r) for r in qmap))
-    sub = ConcreteRep(q, n, tuple(sub_dims), tuple(sub_maps))
-    quot = ConcreteRep(q, n, tuple(quot_dims), tuple(quot_maps))
-    return label_of_rep(sub), label_of_rep(quot)
 
 
 def submodule_census(C, q):
@@ -297,23 +278,73 @@ def submodule_census(C, q):
 
 @functools.lru_cache(maxsize=L.CACHE_SIZE)
 def _census(C, q):
+    """The rank-table census of M(C) (see the module docstring)."""
     rep = concrete_rep(C, q)
     if label_of_rep(rep) != C:
         raise AssertionError("segment recovery failed on the built module")
-    per_vertex = [list(subspaces(d, q)) for d in rep.dims]
+    n, dims, chains = rep.n, rep.dims, _images(rep)
+    subs = [list(subspaces(d, q)) for d in dims]
+    index = [{rows: a for a, (rows, _) in enumerate(s)} for s in subs]
+    # step[v][a]: X_v(N_a), as an index among the subspaces of vertex v + 1
+    step = [
+        [index[(v + 1) % n][_image(X, N, q)] for N, _ in subs[v]]
+        for v, X in enumerate(rep.maps)
+    ]
+    # into[w]: (i, m, basis of im P_{i,m}) for the composites ending at w
+    into = [[] for _ in range(n)]
+    for i, chain in enumerate(chains):
+        for m in range(1, len(chain)):
+            into[(i + m) % n].append((i, m, chain[m]))
 
-    out = {}
+    def excess(rows, w, b):
+        """dim(span(rows) + N_b) - dim N_b, for subspace b of vertex w."""
+        T, pivots = subs[w][b]
+        return _rank([_reduce_by(T, pivots, x, q) for x in rows], q)
 
-    def rec(v, chosen):
-        if v == rep.n:
-            pair = _sub_quot_labels(rep, chosen)
-            if pair is not None:
-                out[pair] = out.get(pair, 0) + 1
+    def ranks(v, a):
+        """Subspace a of vertex v's share of the key: dim N_a, the ranks
+        dim P_{v,m}(N_a), and the quotient ranks of the composites into v."""
+        down, c = [], a
+        for m in range(1, len(chains[v])):
+            c = step[(v + m - 1) % n][c]
+            down.append(len(subs[(v + m) % n][c][0]))
+        up = tuple(excess(img, v, a) for _, _, img in into[v])
+        return len(subs[v][a][0]), tuple(down), up
+
+    sig = [[ranks(v, a) for a in range(len(subs[v]))] for v in range(n)]
+    # succ[v][a]: the subspaces b of vertex w = v + 1 with X_v(N_a) inside N_b
+    succ = []
+    for v, row in enumerate(step):
+        w = (v + 1) % n
+        above = {
+            c: [b for b in range(len(subs[w])) if not excess(subs[w][c][0], w, b)]
+            for c in set(row)
+        }
+        succ.append([above[c] for c in row])
+    closing = [set(row) for row in succ[-1]]
+    counts = {}
+
+    def rec(v, first, prev, key):
+        if v == n:
+            if first in closing[prev]:
+                counts[key] = counts.get(key, 0) + 1
             return
-        for basis in per_vertex[v]:
-            rec(v + 1, chosen + [basis])
+        for b in succ[v - 1][prev]:
+            rec(v + 1, first, b, key + (sig[v][b],))
 
-    rec(0, [])
+    for a in range(len(subs[0])):
+        rec(1, a, a, (sig[0][a],))
+    out = {}
+    for key, c in counts.items():
+        f_sub = [[k, *down] for k, down, _ in key]
+        f_quot = [[d - k] + [0] * (len(ch) - 1) for d, (k, _, _), ch in zip(dims, key, chains)]
+        for w, (_, _, up) in enumerate(key):
+            for (i, m, _), r in zip(into[w], up):
+                f_quot[i][m] = r
+        sub, quot = _segment_label(f_sub), _segment_label(f_quot)
+        if tuple(x + y for x, y in zip(dim_vector(sub), dim_vector(quot))) != dims:
+            raise AssertionError("census pair dimensions do not add up to d(C)")
+        out[sub, quot] = out.get((sub, quot), 0) + c
     return types.MappingProxyType(out)
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from affq import hall as Ha
 from affq import laurent as L
 from affq import matrices as M
 from affq import permutations as P
@@ -114,3 +115,28 @@ def test_schur_oracle_reports_a_dropped_term(monkeypatch):
     )
     lefts = [M.from_json(d["left"]) for d in diffs]
     assert all(B in S.lower_shapes_for(M.co(B)) for B in lefts)
+
+
+def test_hall_reports_a_miscounted_hall_number(monkeypatch):
+    # the census answers one count of 2E = E + E at q = 2 one too high
+    E = M.e_unit(1, 2, 2)
+    target = M.mscale(2, E)
+    brute = Ha.brute_hall_number
+
+    def off_by_one(A, B, C, q):
+        return brute(A, B, C, q) + ((A, B, C, q) == (E, E, target, 2))
+
+    monkeypatch.setattr(Ha, "brute_hall_number", off_by_one)
+    report = V.run_suite("hall", SMALL)
+    assert not report["ok"]
+    diffs = [d for m in report["mismatches"] for d in m["diffs"]]
+    assert diffs == [
+        {
+            "alpha": [1, 0],
+            "matrix": M.to_json(E),
+            "target": M.to_json(target),
+            "q": 2,
+            "closed": 3,
+            "brute": 4,
+        }
+    ]

@@ -1,4 +1,5 @@
 import doctest
+import itertools
 import random
 
 import pytest
@@ -163,6 +164,110 @@ def test_brute_hall_validation():
         Ha.submodule_census(M.mscale(6, E), 2)
     with pytest.raises(ValueError):
         Ha.brute_hall_number(M.diag((1, 1)), E, E, 2)
+
+
+def _reduce_with_coords(basis, pivots, w, q):
+    """w less the basis multiples at its pivot coordinates, and those
+    multiples (the coordinates of w when it lies in the span)."""
+    w = list(w)
+    coords = []
+    for row, p in zip(basis, pivots):
+        c = w[p] % q
+        coords.append(c)
+        if c:
+            w = [(x - c * y) % q for x, y in zip(w, row)]
+    return tuple(w), tuple(coords)
+
+
+def sub_quot_labels(rep, bases):
+    """Labels of the subrepresentation spanned by bases and of its quotient,
+    through explicit representations; None if the span is not arrow-stable.
+
+    bases[v] = (rref rows, pivots) per vertex.
+    """
+    n, q = rep.n, rep.q
+    sub_dims = [len(rows) for rows, _ in bases]
+    quot_dims = [d - k for d, k in zip(rep.dims, sub_dims)]
+    nonpiv = [[c for c in range(d) if c not in piv] for d, (_, piv) in zip(rep.dims, bases)]
+    sub_maps, quot_maps = [], []
+    for v in range(n):
+        w = (v + 1) % n
+        rows, _ = bases[v]
+        trows, tpivots = bases[w]
+        smap = [[0] * sub_dims[v] for _ in range(sub_dims[w])]
+        for col, b in enumerate(rows):
+            img = Ha._mat_vec(rep.maps[v], b, q)
+            resid, coords = _reduce_with_coords(trows, tpivots, img, q)
+            if any(resid):
+                return None
+            for r, c in enumerate(coords):
+                smap[r][col] = c
+        qmap = [[0] * quot_dims[v] for _ in range(quot_dims[w])]
+        for col, src in enumerate(nonpiv[v]):
+            e = [int(c == src) for c in range(rep.dims[v])]
+            img = Ha._mat_vec(rep.maps[v], e, q)
+            resid, _ = _reduce_with_coords(trows, tpivots, img, q)
+            for r, c in enumerate(nonpiv[w]):
+                qmap[r][col] = resid[c]
+        sub_maps.append(tuple(tuple(r) for r in smap))
+        quot_maps.append(tuple(tuple(r) for r in qmap))
+    sub = Ha.ConcreteRep(q, n, tuple(sub_dims), tuple(sub_maps))
+    quot = Ha.ConcreteRep(q, n, tuple(quot_dims), tuple(quot_maps))
+    return Ha.label_of_rep(sub), Ha.label_of_rep(quot)
+
+
+def census_by_representations(C, q):
+    """The census through a sub- and a quotient representation per
+    arrow-stable tuple of subspaces: the reference for the rank tables."""
+    rep = Ha.concrete_rep(C, q)
+    out = {}
+    for bases in itertools.product(*(list(Ha.subspaces(d, q)) for d in rep.dims)):
+        pair = sub_quot_labels(rep, bases)
+        if pair is not None:
+            out[pair] = out.get(pair, 0) + 1
+    return out
+
+
+def test_census_matches_the_representation_route():
+    labels = [C for n in (2, 3) for C in Ha.enumerate_labels(n, 4, 4)]
+    assert len(labels) == 124
+    for C in labels:
+        for q in (2, 3):
+            assert Ha.submodule_census(C, q) == census_by_representations(C, q), (C, q)
+
+
+def gaussian_binomial(d, k, q):
+    num = den = 1
+    for j in range(k):
+        num *= q ** (d - j) - 1
+        den *= q ** (j + 1) - 1
+    return num // den
+
+
+def test_semisimple_census_counts_every_subspace_tuple():
+    # every tuple of subspaces is a submodule of S_alpha: N = S_k with
+    # quotient S_(alpha - k) in prod_i [alpha_i choose k_i]_q ways
+    assert sum(Ha.submodule_census(M.s_alpha((2, 1)), 2).values()) == 10
+    for n in (2, 3):
+        for alpha in [a for s in range(1, 6) for a in M.compositions(n, s)]:
+            for q in (2, 3):
+                census = Ha.submodule_census(M.s_alpha(alpha), q)
+                total = 1
+                for a in alpha:
+                    total *= sum(gaussian_binomial(a, k, q) for k in range(a + 1))
+                assert sum(census.values()) == total, (alpha, q)
+                for k in itertools.product(*(range(a + 1) for a in alpha)):
+                    rest = tuple(a - b for a, b in zip(alpha, k))
+                    count = 1
+                    for a, b in zip(alpha, k):
+                        count *= gaussian_binomial(a, b, q)
+                    assert census[M.s_alpha(k), M.s_alpha(rest)] == count
+
+
+def test_census_rejects_pairs_that_miss_the_dimension_vector(monkeypatch):
+    monkeypatch.setattr(Ha, "dim_vector", lambda A: (0,) * A.n)
+    with pytest.raises(AssertionError, match="do not add up"):
+        Ha._census.__wrapped__(M.mscale(2, M.e_unit(1, 2, 2)), 2)
 
 
 def test_census_is_read_only():
