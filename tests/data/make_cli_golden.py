@@ -5,8 +5,11 @@ subdiagonal-plus-diagonal left factor in both bases, ``vbln-mul``
 one-layer products (lower and upper) applied to ``reduce`` outputs, whose
 coefficients carry non-trivial denominators, then ``schur-mul`` with a
 superdiagonal-plus-diagonal left factor in both bases, ``hall`` products
-checked against the census at q = 2, 3, and last ``hall`` products at
-n = 4, a period that no verify grid reaches.  The later groups are drawn
+checked against the census at q = 2, 3, ``hall`` products at n = 4, a
+period that no verify grid reaches, and last ``vbln-mul`` one-layer
+products at n = 2, 3, 4 on labels with an entry at distance 2, with a
+part 2 in alpha, applied to elements that are one-layer products
+themselves.  The later groups are drawn
 after the earlier ones from the same generator, so adding a group leaves
 the earlier records unchanged.  The file pins the exact
 ``num/den`` representation of every coefficient, which value equality of
@@ -61,6 +64,33 @@ def vbln_requests(rng):
     return out
 
 
+def vbln_wide_requests(rng, count=12):
+    """One-layer products beyond the distance-1 labels and 0/1 weights of
+    ``vbln_requests``: the label has an entry at distance 2, alpha has a
+    part 2, and the input element is a one-layer product (either side) of
+    a reduce output.  A draw over the total-size cap is drawn again."""
+    out = []
+    while len(out) < count:
+        n = (2, 3, 4)[len(out) % 3]
+        labels = [
+            A for A in V.mixed_labels(n, 2, 2) if any(abs(j - i) == 2 for i, j, _ in A.entries)
+        ]
+        A = rng.choice(labels)
+        j = tuple(rng.randrange(-1, 2) for _ in range(n))
+        lam = tuple(rng.randrange(0, 2) for _ in range(n))
+        beta = tuple(rng.randrange(0, 2) for _ in range(n))
+        inner = rng.choice((R.mul_by_semisimple_plus, R.mul_by_semisimple_minus))
+        x = inner(beta, R.reduce_j_lambda(A, j, lam))
+        alpha = [rng.randrange(0, 2) for _ in range(n)]
+        alpha[rng.randrange(n)] = 2
+        sizes = [M.sigma(B) for B, _ in x.terms]
+        if not sizes or sum(sizes) + len(sizes) * sum(alpha) > 4 * cli.MAX_VBLN_SIZE:
+            continue
+        op = rng.choice(("one-layer-lower", "one-layer-upper"))
+        out.append((["vbln-mul"], {"op": op, "alpha": alpha, "element": R.to_json(x)}))
+    return out
+
+
 def hall_requests(rng, count=16, periods=(2, 3)):
     """Semisimple Hall products with |alpha| + dim M(A) <= 4, so that the
     census at q = 2, 3 stays cheap."""
@@ -94,7 +124,7 @@ def main():
     records = []
     requests = schur_requests(rng) + vbln_requests(rng)
     requests += schur_requests(rng, S.upper_shapes_for, 16) + hall_requests(rng)
-    requests += hall_requests(rng, 8, (4,))
+    requests += hall_requests(rng, 8, (4,)) + vbln_wide_requests(rng)
     for args, payload in requests:
         code, data = run(args, payload)
         if code != 0:
