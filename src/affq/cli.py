@@ -9,7 +9,9 @@ Size caps, checked before any computation: ``coset``, ``schur-mul``,
 ``reduce`` and ``hall`` accept matrices, and ``vbln-mul`` elements, of
 period 2 <= n <= MAX_N, and ``coset`` a total sigma(A) <= MAX_COSET_SIGMA
 (the window of the representative has sigma(A) entries and its length
-walk is quadratic in it).  ``reduce`` accepts parts
+walk is quadratic in it), and ``schur-mul`` labels of sigma <=
+MAX_VBLN_SIZE (the one-layer kernel's candidates and Gaussians grow with
+it).  ``reduce`` accepts parts
 lambda_i <= MAX_REDUCE_PART and prod(lambda_i + 1) <= MAX_REDUCE_TERMS
 weight shifts, ``hall`` a total dimension
 |alpha| + dim M(A) <= hall.MAX_CENSUS_DIM.  ``vbln-mul`` accepts elements
@@ -103,6 +105,8 @@ def cmd_schur_mul(args):
     right = _capped_matrix(obj["right"])
     if not (M.is_nonneg(left) and M.is_nonneg(right)):
         raise ValueError("matrix entries must be nonnegative")
+    if max(M.sigma(left), M.sigma(right)) > MAX_VBLN_SIZE:
+        raise ValueError("a label's sigma exceeds the cap %d" % MAX_VBLN_SIZE)
     if S.upper_shape(left) is not None:
         mul = S.e_mul_upper if args.basis == "e" else S.n_mul_upper
     elif S.lower_shape(left) is not None:

@@ -19,7 +19,7 @@ wrappers copy into fresh dicts.  Two tables hold the one-layer products,
 keyed by labels and never by a weight: schur._e_mul_upper, the tuple of
 (label, coeff) terms of e_mul_upper, which the Hall products also read,
 and realization._plus_rows, the tuple of weight-free rows (label, coeff,
-f0, jc, shift, delta) of the plus product.
+jc, shift, delta) of the plus product.
 One suites pass of the benchmark fills _reduced_word to 915 entries
 (20,088 hits) and _lambda_table to 8 (5,642 hits); _diag_fill, which
 eval_at_level reads for every term, answers 29,534 of 30,928 calls at its

@@ -18,13 +18,21 @@ the commutation coefficients introduce denominators, while every level
 evaluation clears them (asserted on each label's cross-denominator sum).
 
 Only the superdiagonal product ``mul_by_semisimple_plus`` has a closed
-formula here.  The weight j of a symbol enters that formula only through
-the power of v and the weight of each result: the candidates T, their
-Gaussian coefficients and result labels depend on alpha and A alone, the
-exponent ``_f_plus(A, T, j)`` is affine in j (its only j term is
-sum_i j_i (t_{i-1,i} - t_{i,i})), and ``_j_shift_plus(T, j)`` is j plus a
-vector fixed by T.  So the product reads one weight-free table of rows per
-(alpha, A), ``_plus_rows``, and applies it to every weight.
+formula here, read off the level-r rule: the level-free structure
+constants are the level-r ones with the diagonal made formal
+(Beilinson-Lusztig-MacPherson).  For each candidate T (row sums alpha on
+``M.one_layer_cells``), ``S.upper_term(wide, T)`` on Hall's wide diagonal
+wide = A + diag(w), w_i = alpha_{i-1}, gives the label C and coefficient c
+of T in e_B e_wide, B = S_alpha + diag(ro A).  The term of A(j) is
+(offdiag C)(j + shift, delta) with delta = diag(T) and shift =
+``_j_shift_plus(T)``; its coefficient is c divided exactly by the
+Gaussians gauss_sym(nu_i, t_ii), nu = diag(C), which the reduction of the
+weighted symbol applies, times v^(d_C - d_wide - d_B - nu.shift + j.(w -
+nu)).  The weight j enters only through v^(j.(w - nu)), so the product
+reads one weight-free table of rows (label, coeff, jc, shift, delta) per
+(alpha, A), ``_plus_rows``, and applies it to every weight.  The test
+suite keeps the hand-derived per-T rule, evaluated at each weight, as its
+reference.
 
 The subdiagonal product is its conjugate under the index negation
 (i, j) -> (-i, -j): with 0-based vertex indices p,
@@ -277,63 +285,36 @@ def mul_0j_right(x, jprime):
     return _mul_diag(x, jprime, M.co)
 
 
-def _coeff_plus(A, T):
-    out = L.one()
-    for i, jj, t in T.entries:
-        if jj == i:
-            continue
-        N = A.entry(i, jj) + t - T.entry(i - 1, jj)
-        out = L.mul(out, L.bar(L.gauss_sq(N, t)))
-        if not out:
-            break
-    return out
-
-
-def _f_plus(A, T, j):
-    total = 0
-    for i, l, t in T.entries:
-        s = sum(a for jj, a in M.row_support(A, i) if jj >= l and jj != i)
-        s -= sum(a for jj, a in M.row_support(A, i + 1) if jj > l and jj != i + 1)
-        s -= sum(tv for jj, tv in M.row_support(T, i - 1) if jj >= l and jj != i)
-        s += sum(tv for jj, tv in M.row_support(T, i) if jj > l and jj != i and jj != i + 1)
-        total += t * s
-        if l < i + 1:
-            total += t * T.entry(i + 1, i + 1)
-    for i in range(1, A.n + 1):
-        total += j[i - 1] * (T.entry(i - 1, i) - T.entry(i, i))
-    return total
-
-
-def _j_shift_plus(T, j):
-    out = list(j)
+def _j_shift_plus(T):
+    out = []
     for i in range(1, T.n + 1):
         s = sum(tv for l, tv in M.row_support(T, i) if l < i)
         s -= sum(tv for l, tv in M.row_support(T, i - 1) if l < i)
-        out[i - 1] += s
+        out.append(s)
     return tuple(out)
 
 
 @functools.lru_cache(maxsize=L.PRODUCT_CACHE_SIZE)
 def _plus_rows(alpha, A):
-    """The weight-free rows (label, coeff, f0, jc, shift, delta) of the plus
-    product on A(j), one per surviving T: the term of A(j) is coeff times
-    v^(f0 + j.jc) on the reduction of label(j + shift, delta) (see the
-    module docstring)."""
+    """The weight-free rows (label, coeff, jc, shift, delta) of the plus
+    product on A(j), one per T, read off ``S.upper_term`` on Hall's wide
+    diagonal: the term of A(j) is coeff times v^(j.jc) on the reduction of
+    label(j + shift, delta) (see the module docstring)."""
     n = A.n
-    zero_j = (0,) * n
-    units = [tuple(int(p == q) for p in range(n)) for q in range(n)]
+    w = alpha[-1:] + alpha[:-1]
+    wide = M.madd(A, M.diag(w))
+    base = M.d_exponent(wide) + M.d_exponent(M.madd(M.s_alpha(alpha), M.diag(M.ro(A))))
     out = []
     for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
-        coeff = _coeff_plus(A, T)
-        if not coeff:
-            continue
-        label = M.madd(M.msub(A, M.offdiag(M.tilde(T))), M.offdiag(T))
-        if not M.is_nonneg(label):
-            continue
-        f0 = _f_plus(A, T, zero_j)
-        jc = tuple(_f_plus(A, T, e) - f0 for e in units)  # _f_plus is affine in j
+        C, coeff = S.upper_term(wide, T)
+        nu = tuple(C.entry(i, i) for i in range(1, n + 1))
         delta = tuple(T.entry(i, i) for i in range(1, n + 1))
-        out.append((label, coeff, f0, jc, _j_shift_plus(T, zero_j), delta))
+        for x, t in zip(nu, delta):
+            if t:
+                coeff = L.divexact(coeff, L.gauss_sym(x, t))
+        shift = _j_shift_plus(T)
+        coeff = L.vshift(coeff, M.d_exponent(C) - base - M.dot(nu, shift))
+        out.append((M.offdiag(C), coeff, _vec_sub(w, nu), shift, delta))
     return tuple(out)
 
 
@@ -351,8 +332,8 @@ def mul_by_semisimple_plus(alpha, x):
     Ha.check_alpha(alpha, x.n)
     out = {}
     for (A, j), cf in x.terms.items():
-        for label, coeff, f0, jc, shift, delta in _plus_rows(tuple(alpha), A):
-            scalar = L.frac_scale(L.vshift(coeff, f0 + M.dot(j, jc)), cf)
+        for label, coeff, jc, shift, delta in _plus_rows(tuple(alpha), A):
+            scalar = L.frac_scale(L.vshift(coeff, M.dot(j, jc)), cf)
             piece = reduce_j_lambda(label, tuple(a + b for a, b in zip(j, shift)), delta)
             for key, c in piece.terms.items():
                 _vacc(out, key, L.frac_mul(scalar, c))
@@ -502,7 +483,7 @@ def relation_e_difference(lam, mu):
 
     rhs = v_zero(n)
     caps = [min(a, b) for a, b in zip(lam, mu)]
-    for alpha in iproduct(*(range(c + 1) for c in caps)):
+    for alpha in M.compositions_bounded(caps):
         if not any(alpha):
             continue
         lam2 = tuple(a - b for a, b in zip(lam, alpha))
@@ -510,7 +491,7 @@ def relation_e_difference(lam, mu):
         base = mul_by_semisimple_plus(lam2, v_basis(n, M.t_s_alpha(mu2), zero_j))
         twist = Ha.tilde_exponent(M.s_alpha(lam2)) + Ha.tilde_exponent(M.s_alpha(mu2))
         shift = L.monomial(-twist)
-        for gamma in iproduct(*(range(a + 1) for a in alpha)):
+        for gamma in M.compositions_bounded(alpha):
             x = x_coeff(alpha, gamma, lam, mu)
             nu = tuple(2 * g - a for g, a in zip(gamma, alpha))
             term = mul_by_0j(cyclic_difference(nu), base)

@@ -21,9 +21,12 @@ Products are available through two independent routes:
   is diagonal plus a single superdiagonal (upper) or subdiagonal
   (lower) layer.
 
-Only the upper rule in the standard basis is implemented, by
-``_e_mul_upper``, whose table ``hall.semisimple_hall_product`` also reads
-(the Hall product is a Schur product on a wide diagonal).
+Only the upper rule in the standard basis is implemented, and one per-T
+rule, ``upper_term(A, T)``, serves three products: ``_e_mul_upper`` sums
+it over the capped T, ``hall.semisimple_hall_product`` reads that table on
+a wide diagonal (the Hall product is a Schur product there), and
+``realization._plus_rows`` reads the level-free plus product off it on the
+same wide diagonal.
 ``n_mul_upper`` is a change of basis: ``[B][A] = v^(-d_B - d_A) e_B
 e_A``, so each label C of ``e_mul_upper`` has its coefficient shifted by
 ``d_C - d_B - d_A`` (``test_normalized_rules_match_converted_standard_rules``
@@ -268,17 +271,25 @@ def _e_mul_upper(B, A):
     cells = [M.row_support(A, i + 1) for i in range(1, n + 1)]
     out = {}
     for T in M.capped_row_matrices(alpha, cells):
-        coeff = L.one()
-        for i, j, t in T.entries:
-            coeff = L.mul(coeff, L.gauss_sq(A.entry(i, j) + t - T.entry(i - 1, j), t))
-            if not coeff:
-                break
-        if not coeff:
-            continue
-        label = M.madd(M.msub(A, M.tilde(T)), T)
-        if M.is_nonneg(label):
-            L.acc(out, label, L.vshift(coeff, _exp_upper_e(A, T)))
+        L.acc(out, *upper_term(A, T))
     return tuple(out.items())
+
+
+def upper_term(A, T):
+    """The term of one candidate T in a one-layer product e_B e_A: the
+    label A - tilde(T) + T and the coefficient v^(_exp_upper_e(A, T))
+    times the Gaussians [a_{i,j} + t_{i,j} - t_{i-1,j}, t_{i,j}] in v^2.
+    Under the caps t_{i-1,j} <= a_{i,j} of its T the label is nonnegative
+    and every Gaussian is nonzero.
+
+    >>> C, c = upper_term(M.madd(M.e_unit(2, 1, 2), M.diag((1, 0))), M.e_unit(1, 1, 2))
+    >>> sorted(C.entries), L.text(c)
+    ([(1, 1, 2)], '1 + v^2')
+    """
+    coeff = L.one()
+    for i, j, t in T.entries:
+        coeff = L.mul(coeff, L.gauss_sq(A.entry(i, j) + t - T.entry(i - 1, j), t))
+    return M.madd(M.msub(A, M.tilde(T)), T), L.vshift(coeff, _exp_upper_e(A, T))
 
 
 def e_mul_lower(C, A):

@@ -1,6 +1,7 @@
 """Tests for the level-free realization elements and their products."""
 
 import doctest
+import functools
 import itertools
 import json
 import random
@@ -491,36 +492,107 @@ def test_x_coeff_recursion_matches_the_enumeration():
 # the plus product from its weight-free rows against the per-T loop
 
 
+def _coeff_plus(A, T):
+    out = L.one()
+    for i, jj, t in T.entries:
+        if jj == i:
+            continue
+        N = A.entry(i, jj) + t - T.entry(i - 1, jj)
+        out = L.mul(out, L.bar(L.gauss_sq(N, t)))
+        if not out:
+            break
+    return out
+
+
+def _f_plus(A, T, j):
+    total = 0
+    for i, l, t in T.entries:
+        s = sum(a for jj, a in M.row_support(A, i) if jj >= l and jj != i)
+        s -= sum(a for jj, a in M.row_support(A, i + 1) if jj > l and jj != i + 1)
+        s -= sum(tv for jj, tv in M.row_support(T, i - 1) if jj >= l and jj != i)
+        s += sum(tv for jj, tv in M.row_support(T, i) if jj > l and jj != i and jj != i + 1)
+        total += t * s
+        if l < i + 1:
+            total += t * T.entry(i + 1, i + 1)
+    for i in range(1, A.n + 1):
+        total += j[i - 1] * (T.entry(i - 1, i) - T.entry(i, i))
+    return total
+
+
+def _j_shift_plus(T, j):
+    out = list(j)
+    for i in range(1, T.n + 1):
+        s = sum(tv for l, tv in M.row_support(T, i) if l < i)
+        s -= sum(tv for l, tv in M.row_support(T, i - 1) if l < i)
+        out[i - 1] += s
+    return tuple(out)
+
+
 def plus_reference(alpha, x):
     """mul_by_semisimple_plus with every T enumerated per term and the
-    exponent and weight shift evaluated at the term's own weight j."""
+    hand-derived level-free rule (Gaussians _coeff_plus, exponent _f_plus,
+    weight shift _j_shift_plus) evaluated at the term's own weight j."""
     out = {}
     for (A, j), cf in x.terms.items():
         for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
-            coeff = R._coeff_plus(A, T)
+            coeff = _coeff_plus(A, T)
             if not coeff:
                 continue
             label = M.madd(M.msub(A, M.offdiag(M.tilde(T))), M.offdiag(T))
             if not M.is_nonneg(label):
                 continue
             delta = tuple(T.entry(i, i) for i in range(1, x.n + 1))
-            scalar = L.frac_scale(L.vshift(coeff, R._f_plus(A, T, j)), cf)
-            piece = R.reduce_j_lambda(label, R._j_shift_plus(T, j), delta)
+            scalar = L.frac_scale(L.vshift(coeff, _f_plus(A, T, j)), cf)
+            piece = R.reduce_j_lambda(label, _j_shift_plus(T, j), delta)
+            for key, c in piece.terms.items():
+                R._vacc(out, key, L.frac_mul(scalar, c))
+    return R.VElement(x.n, out)
+
+
+def plus_from_rows(rows, alpha, x):
+    """mul_by_semisimple_plus with rows(alpha, A) in place of R._plus_rows."""
+    out = {}
+    for (A, j), cf in x.terms.items():
+        for label, coeff, jc, shift, delta in rows(tuple(alpha), A):
+            scalar = L.frac_scale(L.vshift(coeff, M.dot(j, jc)), cf)
+            piece = R.reduce_j_lambda(label, tuple(a + b for a, b in zip(j, shift)), delta)
             for key, c in piece.terms.items():
                 R._vacc(out, key, L.frac_mul(scalar, c))
     return R.VElement(x.n, out)
 
 
 def plus_without_jc(alpha, x):
-    """A wrong product: the rows' exponent f0 without its j.jc term."""
-    out = {}
-    for (A, j), cf in x.terms.items():
-        for label, coeff, f0, _, shift, delta in R._plus_rows(tuple(alpha), A):
-            scalar = L.frac_scale(L.vshift(coeff, f0), cf)
-            piece = R.reduce_j_lambda(label, tuple(a + b for a, b in zip(j, shift)), delta)
-            for key, c in piece.terms.items():
-                R._vacc(out, key, L.frac_mul(scalar, c))
-    return R.VElement(x.n, out)
+    """A wrong product: the rows' coefficients without their v^(j.jc)."""
+
+    def rows(alpha, A):
+        return [(C, c, (0,) * A.n, s, d) for C, c, _, s, d in R._plus_rows(alpha, A)]
+
+    return plus_from_rows(rows, alpha, x)
+
+
+def wide_rows(alpha, A, normalize=True, divide=True):
+    """The rows of R._plus_rows rebuilt from S.upper_term on the wide
+    diagonal; normalize=False drops the shift d_C - d_wide - d_B, and
+    divide=False the division by the Gaussians gauss_sym(nu_i, t_ii)."""
+    n = A.n
+    w = alpha[-1:] + alpha[:-1]
+    wide = M.madd(A, M.diag(w))
+    B = M.madd(M.s_alpha(alpha), M.diag(M.ro(A)))
+    out = []
+    for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
+        C, c = S.upper_term(wide, T)
+        nu = tuple(C.entry(i, i) for i in range(1, n + 1))
+        delta = tuple(T.entry(i, i) for i in range(1, n + 1))
+        if divide:
+            for x, t in zip(nu, delta):
+                c = L.divexact(c, L.gauss_sym(x, t))
+        shift = _j_shift_plus(T, (0,) * n)
+        expo = -M.dot(nu, shift)
+        if normalize:
+            expo += M.d_exponent(C) - M.d_exponent(wide) - M.d_exponent(B)
+        jc = tuple(a - b for a, b in zip(w, nu))
+        out.append((M.offdiag(C), L.vshift(c, expo), jc, shift, delta))
+    return out
 
 
 def exact_terms(x):
@@ -533,7 +605,7 @@ def plus_cases():
     with weights in -2..2."""
     rng = random.Random(73)
     coeffs = [frac([(0, 1)]), frac([(1, -2)]), frac([(0, 1)], [(0, -1), (2, 1)])]
-    for n, max_sigma in ((2, 2), (3, 1)):
+    for n, max_sigma in ((2, 2), (3, 1), (4, 1)):
         labels = V.mixed_labels(n, max_sigma, n)
         weights = list(itertools.product(range(-2, 3), repeat=n))
         alphas = [a for s in (1, 2) for a in M.compositions(n, s)]
@@ -553,11 +625,40 @@ def test_plus_product_rows_match_the_per_t_loop():
         assert exact_terms(got) == exact_terms(plus_reference(alpha, x)), (alpha, R.text(x))
 
 
+@functools.cache
+def reference_cases():
+    """plus_cases() with the exact terms of plus_reference on each case."""
+    return tuple(
+        (n, alpha, x, exact_terms(plus_reference(alpha, x))) for n, alpha, x in plus_cases()
+    )
+
+
 def test_plus_product_rows_need_the_weight_term():
     # the same comparison fails for a product that drops j.jc
     failing = {
         n
-        for n, alpha, x in plus_cases()
-        if exact_terms(plus_without_jc(alpha, x)) != exact_terms(plus_reference(alpha, x))
+        for n, alpha, x, want in reference_cases()
+        if exact_terms(plus_without_jc(alpha, x)) != want
     }
-    assert failing == {2, 3}
+    assert failing == {2, 3, 4}
+
+
+@pytest.mark.parametrize(
+    "drop, fails",
+    [({}, set()), ({"normalize": False}, {2, 3, 4}), ({"divide": False}, {2})],
+    ids=["none", "d-exponent", "gauss_sym"],
+)
+def test_plus_rows_need_both_wide_diagonal_normalizations(drop, fails):
+    # the rows read off S.upper_term match the per-T loop; without the
+    # d-exponent shift or without the gauss_sym division they fail it (the
+    # division is by 1 unless some t_ii > 0 lies under a diagonal entry
+    # nu_i > t_ii, which these cases reach only at n = 2)
+    def rows(alpha, A):
+        return wide_rows(alpha, A, **drop)
+
+    failing = {
+        n
+        for n, alpha, x, want in reference_cases()
+        if exact_terms(plus_from_rows(rows, alpha, x)) != want
+    }
+    assert failing == fails

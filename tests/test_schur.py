@@ -9,6 +9,7 @@ from affq import laurent as L
 from affq import matrices as M
 from affq import permutations as P
 from affq import schur as S
+from affq import verify as V
 
 
 def test_doctests():
@@ -145,6 +146,47 @@ def test_closed_forms_match_oracle_sweep():
                     assert S.s_eq(S.e_mul_upper(B, A), S.oracle_mul(B, A))
                 for C in S.lower_shapes_for(mu):
                     assert S.s_eq(S.e_mul_lower(C, A), S.oracle_mul(C, A))
+
+
+def upper_term_cases(capped=True):
+    """(A, T) for every candidate T of _e_mul_upper on the schur-oracle grid
+    (band matrices A of size <= 3, every upper_shapes_for factor of ro(A))
+    and of _plus_rows on the wide diagonals A + diag(w), w_i = alpha_{i-1},
+    of the level-free grid.  capped=False lifts every cell cap of the
+    schur-oracle grid to alpha_i."""
+    for n in (2, 3):
+        for r in range(1, 4):
+            for A in M.band_matrices(n, r, V._BANDS[n]):
+                for B in S.upper_shapes_for(M.ro(A)):
+                    alpha, _ = S.upper_shape(B)
+                    cells = [
+                        [(j, a if capped else alpha[i - 1]) for j, a in M.row_support(A, i + 1)]
+                        for i in range(1, n + 1)
+                    ]
+                    for T in M.capped_row_matrices(alpha, cells):
+                        yield A, T
+        if not capped:
+            continue
+        for A in V.mixed_labels(n, 2, n):
+            for alpha in V._alpha_grid(n, 2):
+                wide = M.madd(A, M.diag(alpha[-1:] + alpha[:-1]))
+                for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
+                    yield wide, T
+
+
+def test_upper_terms_need_no_zero_or_sign_guard():
+    # the caps t_{i-1,j} <= a_{i,j} keep every label nonnegative and every
+    # Gaussian nonzero, so _e_mul_upper and _plus_rows keep every term
+    count = 0
+    for A, T in upper_term_cases():
+        C, c = S.upper_term(A, T)
+        assert M.is_nonneg(C) and c, (A, T)
+        count += 1
+    assert count == 7060
+    # without the caps the same check finds both kinds of bad term
+    terms = [S.upper_term(A, T) for A, T in upper_term_cases(capped=False)]
+    assert any(not M.is_nonneg(C) for C, _ in terms)
+    assert any(not c for _, c in terms)
 
 
 def test_normalized_rules_match_converted_standard_rules():
