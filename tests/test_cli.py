@@ -195,8 +195,8 @@ def _unit(n, a=1):
 
 
 def _schur_size_request(d_left, a, d_right):
-    """n = 2: one-layer-plus-diagonal left and right factors, each with the
-    entries a on (1, 2) and (2, 3), diagonal (d, a) on the left and (a, d) on the right."""
+    """n = 2: upper one-layer-plus-diagonal factors with the entries a on
+    (1, 2) and (2, 3), and diagonals (d_left, a) and (a, d_right)."""
     return {
         "left": {"n": 2, "entries": [[1, 1, d_left], [1, 2, a], [2, 2, a], [2, 3, a]]},
         "right": {"n": 2, "entries": [[1, 1, a], [1, 2, a], [2, 2, d_right], [2, 3, a]]},
@@ -277,7 +277,7 @@ SIZE_CAP_REQUESTS = {
         {"left": _unit(2), "right": {"n": cli.MAX_N + 1, "entries": [[2, 2, 1]]}},
         2,
     ),
-    # sigma(left) = sigma(right) = 4a: the entries a = 4, then 5 on the diagonal
+    # sigma = d + 3a on each side: 16 with every entry 4, then 17 with a diagonal 5
     "schur-mul-sigma-at-cap": (["schur-mul"], _schur_size_request(4, 4, 4), 0),
     "schur-mul-sigma-above-cap": (["schur-mul"], _schur_size_request(5, 4, 5), 2),
     "schur-mul-right-sigma-above-cap": (["schur-mul"], _schur_size_request(4, 4, 5), 2),
