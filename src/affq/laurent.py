@@ -14,25 +14,28 @@ functions, holding immutable values: frozensets, types.MappingProxyType
 maps, ints (matrices._d_exponent), (m, word) tuples
 (permutations._reduced_word), tuples of (mu, label) pairs
 (schur._diag_fill, which schur.diag_fill returns as is), and tuples of
-items (schur._oracle_mul, realization._lambda_table), which the public
-wrappers copy into fresh dicts.  Two tables hold the one-layer products,
+items (_gauss_sq and _factorial_sq here, schur._oracle_mul,
+realization._lambda_table), which the public wrappers copy into fresh
+dicts.  Two tables hold the one-layer products,
 keyed by labels and never by a weight: schur._e_mul_upper, the tuple of
 (label, coeff) terms of e_mul_upper, which the Hall products also read,
 and realization._plus_rows, the tuple of weight-free rows (label, coeff,
 jc, shift, delta) of the plus product.
-One suites pass of the benchmark fills _reduced_word to 915 entries
-(20,088 hits) and _lambda_table to 8 (5,642 hits); _diag_fill, which
-eval_at_level reads for every term, answers 29,534 of 30,928 calls at its
-bound; _e_mul_upper keeps 7,492 of the 10,336 hits of its 2,536 label
+One suites pass of the benchmark fills _gauss_sq to 10 entries (14,718
+hits), _factorial_sq to 5 (12,704 hits), _reduced_word to 915 (20,088
+hits) and _lambda_table to 8 (5,642 hits); _diag_fill, which
+eval_at_level reads for every term, answers 29,237 of 30,631 calls at its
+bound; _e_mul_upper keeps 1,612 of the 4,456 hits of its 2,536 label
 pairs, and _plus_rows 1,816 of the 1,907 of its 270 keys.  They are
 bounded by CACHE_SIZE, except the four whose entries hold many labels:
 ORACLE_CACHE_SIZE, FILL_CACHE_SIZE and PRODUCT_CACHE_SIZE are small,
 since their repeats fall within one verify case and a larger table only
 raises peak memory (unbounded, the two product tables take that pass
 from 20.7 to 23.9 MB and save no time).
-Running all eight suites (affq verify --suite all --jobs 1), _e_mul_upper
-answers 74,450 of 132,346 calls, _plus_rows 9,597 of 15,187 and _diag_fill
-184,343 of 206,120.
+Running all eight suites (affq verify --suite all --jobs 1), _gauss_sq
+answers 195,848 of 196,035 calls (187 entries), _factorial_sq 73,809 of
+73,814, _e_mul_upper 10,938 of 61,182, _plus_rows 9,597 of 15,187 and
+_diag_fill 182,733 of 204,510.
 
 >>> text(mul(poly({0: 1, 1: 1}), poly({0: -1, 1: 1})))
 '-1 + v^2'
@@ -42,6 +45,7 @@ answers 74,450 of 132,346 calls, _plus_rows 9,597 of 15,187 and _diag_fill
 'v^-2 + 1'
 """
 
+import functools
 from dataclasses import dataclass
 
 CACHE_SIZE = 1 << 14
@@ -270,10 +274,15 @@ def factorial_sq(t):
     >>> text(factorial_sq(2))
     '1 + v^2'
     """
+    return dict(_factorial_sq(t))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _factorial_sq(t):
     out = one()
     for m in range(1, t + 1):
         out = mul(out, bracket_sq(m))
-    return out
+    return tuple(out.items())
 
 
 def gauss_sq(N, t):
@@ -292,13 +301,18 @@ def gauss_sq(N, t):
     """
     if t < 0:
         raise ValueError("gauss_sq needs t >= 0")
+    return dict(_gauss_sq(N, t))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _gauss_sq(N, t):
     out = one()
     for i in range(1, t + 1):
         num = mul(out, add(monomial(2 * (N - i + 1)), monomial(0, -1)))
         out = divexact(num, add(monomial(2 * i), monomial(0, -1)))
         if not out:
             break
-    return out
+    return tuple(out.items())
 
 
 def gauss_sym(N, t):

@@ -7,13 +7,22 @@ worker pool; reports are sorted before aggregation, so the output does
 not depend on the degree of parallelism.
 
 A case does its repeated work once, in locals that die with it: the
-length of each sampled coset element u y v per pair (u, v), the
-generators of level-coherence per level, the left shapes of schur-oracle
-per row-sum vector.  Nothing is kept across cases: with ``--jobs`` above
-1 the cases of a suite run in different workers, so a table shared
-between cases would hit in one process and miss in another, and a table
-keyed by the weight j holds the whole run (one on ``schur.A_j_r`` raised
-the peak memory of a benchmark ``suites`` pass by 64%).
+length of each sampled coset element u y v per pair (u, v), the level-r
+products of level-coherence per level, the left shapes of schur-oracle
+per row-sum vector.  Level-coherence builds each level-r product on
+A_j_r(A, 0, r) and reads it at every weight j by shifting each label C by
+v^((co(C) - co(A)).j), or by ro for diag-right, where A_j_r is the left
+factor.  The shift is exact: a product keeps the column sums of its right
+factor and the row sums of its left one, so co(C) - co(A) (ro(C) - ro(A))
+is the fill mu of the one term v^(mu.j) [A + diag(mu)] of A_j_r(A, j, r)
+that reaches C.  The weight j = 0 is on every grid, and there the product
+is compared as built, with no shift.
+
+Nothing is kept across cases: with ``--jobs`` above 1 the cases of a
+suite run in different workers, so a table shared between cases would
+hit in one process and miss in another, and a table keyed by the weight
+j holds the whole run (one on ``schur.A_j_r`` raised the peak memory of
+a benchmark ``suites`` pass by 64%).
 """
 
 import itertools
@@ -384,14 +393,46 @@ def _lambda_grid(n):
     ]
 
 
+def _level_products(A, r, jgrid, alphas):
+    """The level-r products of level-coherence on A_j_r(A, 0, r), keyed by
+    (op, arg): each value is the product and the sums (M.co or M.ro) that
+    its factor A_j_r keeps, so that _at_weight reads it at any weight."""
+    n = A.n
+    zero_j = (0,) * n
+    base = S.A_j_r(A, zero_j, r)
+    base_e = S.convert(base, "e")
+    out = {}
+    for jp in jgrid:
+        gen = S.A_j_r(M.pmat(n, []), jp, r)
+        out["diag-left", jp] = (S.closed_product_upper(gen, base), M.co)
+        right = S.oracle_product(base_e, S.convert(gen, "e"))
+        out["diag-right", jp] = (S.convert(right, "n"), M.ro)
+    for alpha in alphas:
+        plus = S.A_j_r(M.s_alpha(alpha), zero_j, r)
+        minus = S.A_j_r(M.t_s_alpha(alpha), zero_j, r)
+        out["one-layer-upper", alpha] = (S.closed_product_upper(plus, base), M.co)
+        out["one-layer-lower", alpha] = (S.closed_product_lower(minus, base), M.co)
+    return out
+
+
+def _at_weight(product, A, j):
+    """A product of _level_products at weight j: the label C takes
+    v^((sums(C) - sums(A)).j), since sums(C) - sums(A) is the fill mu of
+    the term v^(mu.j) [A + diag(mu)] of A_j_r(A, j, r) that gives C."""
+    x, sums = product
+    if not any(j):
+        return x
+    shift = M.dot(sums(A), j)
+    terms = {C: L.vshift(c, M.dot(sums(C), j) - shift) for C, c in x.terms.items()}
+    return S.SchurElement(x.n, x.r, x.basis, terms)
+
+
 def _check_level_coherence(case):
     _, n, A, r_max = case
     checked = 0
     diffs = []
     jgrid = _weight_grid(n)
     alphas = _alpha_grid(n, 2)
-    zl = M.pmat(n, [])
-    zero_j = (0,) * n
 
     def record(tag, j, other, r, got, want):
         diffs.append(
@@ -406,60 +447,28 @@ def _check_level_coherence(case):
             }
         )
 
-    # The level-r generators depend on the level alone: each is built once
-    # per level of the case, 0(jp) also in the standard basis.
+    # The level-r products are built once per level of the case, at
+    # weight 0, and read at each weight j by _at_weight.
     levels = range(max(1, M.sigma(A)), r_max + 1)
-    gens = {}
-    for r in levels:
-        diag_gens = {}
-        for jp in jgrid:
-            g = S.A_j_r(zl, jp, r)
-            diag_gens[jp] = (g, S.convert(g, "e"))
-        layer_gens = {
-            alpha: (
-                S.A_j_r(M.s_alpha(alpha), zero_j, r),
-                S.A_j_r(M.t_s_alpha(alpha), zero_j, r),
-            )
-            for alpha in alphas
-        }
-        gens[r] = (diag_gens, layer_gens)
+    products = {r: _level_products(A, r, jgrid, alphas) for r in levels}
 
     for j in jgrid:
         x = R.v_basis(n, A, j)
         # the level-free products do not depend on r: one of each per case
-        diag = {jp: (R.mul_by_0j(jp, x), R.mul_0j_right(x, jp)) for jp in jgrid}
-        layer = {
-            alpha: (R.mul_by_semisimple_plus(alpha, x), R.mul_by_semisimple_minus(alpha, x))
-            for alpha in alphas
-        }
+        frees = []
+        for jp in jgrid:
+            frees.append(("diag-left", jp, R.mul_by_0j(jp, x)))
+            frees.append(("diag-right", jp, R.mul_0j_right(x, jp)))
+        for alpha in alphas:
+            frees.append(("one-layer-upper", alpha, R.mul_by_semisimple_plus(alpha, x)))
+            frees.append(("one-layer-lower", alpha, R.mul_by_semisimple_minus(alpha, x)))
         for r in levels:
-            diag_gens, layer_gens = gens[r]
-            base = S.A_j_r(A, j, r)
-            base_e = S.convert(base, "e")
-            for jp in jgrid:
-                gen, gen_e = diag_gens[jp]
-                got = R.eval_at_level(diag[jp][0], r)
-                want = S.closed_product_upper(gen, base)
+            for op, arg, free in frees:
+                got = R.eval_at_level(free, r)
+                want = _at_weight(products[r][op, arg], A, j)
                 checked += 1
                 if not S.s_eq(got, want):
-                    record("diag-left", j, jp, r, got, want)
-                got = R.eval_at_level(diag[jp][1], r)
-                want = S.convert(S.oracle_product(base_e, gen_e), "n")
-                checked += 1
-                if not S.s_eq(got, want):
-                    record("diag-right", j, jp, r, got, want)
-            for alpha in alphas:
-                plus, minus = layer_gens[alpha]
-                got = R.eval_at_level(layer[alpha][0], r)
-                want = S.closed_product_upper(plus, base)
-                checked += 1
-                if not S.s_eq(got, want):
-                    record("one-layer-upper", j, alpha, r, got, want)
-                got = R.eval_at_level(layer[alpha][1], r)
-                want = S.closed_product_lower(minus, base)
-                checked += 1
-                if not S.s_eq(got, want):
-                    record("one-layer-lower", j, alpha, r, got, want)
+                    record(op, j, arg, r, got, want)
         for lam in _lambda_grid(n):
             red = R.reduce_j_lambda(A, j, lam)
             for r in levels:

@@ -98,6 +98,60 @@ def test_level_coherence_reports_a_wrong_diagonal_product(monkeypatch):
     assert len(report["mismatches"]) == report["cases"]
 
 
+def direct_product(op, A, j, arg, r):
+    """The level-r product of level-coherence taken on A_j_r(A, j, r) at the
+    weight j itself: the route that reweighting the weight-0 product replaces."""
+    base = S.A_j_r(A, j, r)
+    zero_j = (0,) * A.n
+    if op == "diag-left":
+        return S.closed_product_upper(S.A_j_r(M.pmat(A.n, []), arg, r), base)
+    if op == "diag-right":
+        gen = S.convert(S.A_j_r(M.pmat(A.n, []), arg, r), "e")
+        return S.convert(S.oracle_product(S.convert(base, "e"), gen), "n")
+    if op == "one-layer-upper":
+        return S.closed_product_upper(S.A_j_r(M.s_alpha(arg), zero_j, r), base)
+    assert op == "one-layer-lower"
+    return S.closed_product_lower(S.A_j_r(M.t_s_alpha(arg), zero_j, r), base)
+
+
+def test_reweighted_level_products_match_the_products_at_each_weight():
+    moved = 0  # products whose reweighting changes a coefficient
+    for n in (2, 3):
+        jgrid, alphas = V._weight_grid(n), V._alpha_grid(n, 2)
+        ops = [(op, jp) for jp in jgrid for op in ("diag-left", "diag-right")]
+        ops += [(op, a) for a in alphas for op in ("one-layer-upper", "one-layer-lower")]
+        for A in V.mixed_labels(n, 2, n):
+            for r in range(max(1, M.sigma(A)), 4):
+                products = V._level_products(A, r, jgrid, alphas)
+                assert list(products) == ops
+                for (op, arg), product in products.items():
+                    for j in jgrid:
+                        got = V._at_weight(product, A, j)
+                        assert S.s_eq(got, direct_product(op, A, j, arg, r)), (op, A, j, arg, r)
+                        moved += not S.s_eq(got, product[0])
+    assert moved > 10000  # 10,528 of them
+
+
+def test_level_coherence_reports_a_dropped_lower_term(monkeypatch):
+    # the lower closed product loses the first term of every product
+    closed_product_lower = S.closed_product_lower
+
+    def dropped(x, y):
+        z = closed_product_lower(x, y)
+        return S.SchurElement(z.n, z.r, z.basis, dict(list(z.terms.items())[1:]))
+
+    monkeypatch.setattr(S, "closed_product_lower", dropped)
+    report = V.run_suite("level-coherence", SMALL)
+    assert not report["ok"]
+    diffs = [d for m in report["mismatches"] for d in m["diffs"]]
+    assert {d["op"] for d in diffs} == {"one-layer-lower"}
+    assert {tuple(d["j"]) for d in diffs} == set(V._weight_grid(2))
+    for d in diffs:
+        A, j, alpha = M.from_json(d["matrix"]), tuple(d["j"]), tuple(d["arg"])
+        want = direct_product("one-layer-lower", A, j, alpha, d["r"])
+        assert d["level"] == S.to_json(want)
+
+
 def test_schur_oracle_reports_a_dropped_term(monkeypatch):
     # the lower closed form loses the first term of every product
     e_mul_lower = S.e_mul_lower

@@ -128,6 +128,24 @@ def test_a_caller_cannot_corrupt_the_memoized_schur_values():
         assert S.to_json(op(*args)) == want, op.__name__
 
 
+def test_a_caller_cannot_corrupt_the_memoized_gaussians():
+    cases = (
+        (L.gauss_sq, (3, 1)),
+        (L.gauss_sq, (-1, 2)),
+        (L.gauss_sym, (4, 2)),
+        (L.factorial_sq, (3,)),
+    )
+    for op, args in cases:
+        want = dict(op(*args))
+        got = op(*args)
+        assert got == want and got is not op(*args), op.__name__
+        got[next(iter(got))] += 5
+        got[99] = 1
+        assert op(*args) == want, op.__name__
+        got.clear()
+        assert op(*args) == want, op.__name__
+
+
 def test_a_caller_cannot_corrupt_the_memoized_plus_rows():
     # mul_by_semisimple_plus reads one table of rows per (alpha, label)
     x = R.v_add(

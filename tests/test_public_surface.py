@@ -123,10 +123,12 @@ def _decorator_name(node):
     return ".".join(reversed(parts))
 
 
-def unbounded_memos(tree):
+def unbounded_memos(tree, prefix="L."):
     """Names of the functions in tree whose memo table may be unbounded: an
     lru_cache whose maxsize is not one of the *CACHE_SIZE constants of
-    laurent, or a functools.cache on a function that takes arguments."""
+    laurent, or a functools.cache on a function that takes arguments.  The
+    constants are read as prefix + name: L.<NAME> outside laurent, and the
+    bare global name (prefix "") inside it."""
     bad = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.FunctionDef):
@@ -138,7 +140,8 @@ def unbounded_memos(tree):
                 call = isinstance(deco, ast.Call) and not deco.args
                 size = [k.value for k in deco.keywords if k.arg == "maxsize"] if call else []
                 bound = _decorator_name(size[0]) if len(size) == 1 else ""
-                if not (bound.startswith("L.") and bound.endswith("CACHE_SIZE")):
+                const = bound[len(prefix):] if bound.startswith(prefix) else ""
+                if not ("." not in const and const.endswith("CACHE_SIZE")):
                     bad.append(node.name)
             elif name in ("functools.cache", "cache"):
                 a = node.args
@@ -148,7 +151,10 @@ def unbounded_memos(tree):
 
 
 def test_every_memo_table_is_bounded():
-    bad = {path.stem: unbounded_memos(_parse(path)) for path in sorted(SRC.glob("*.py"))}
+    bad = {
+        path.stem: unbounded_memos(_parse(path), "" if path.stem == "laurent" else "L.")
+        for path in sorted(SRC.glob("*.py"))
+    }
     assert {k: v for k, v in bad.items() if v} == {}
     snippet = ast.parse(
         "@functools.lru_cache(maxsize=L.CACHE_SIZE)\ndef ok(x): pass\n"
@@ -157,5 +163,12 @@ def test_every_memo_table_is_bounded():
         "@functools.lru_cache\ndef b(x): pass\n"
         "@functools.lru_cache(1024)\ndef c(x): pass\n"
         "@functools.cache\ndef d(x): pass\n"
+        "@functools.lru_cache(maxsize=CACHE_SIZE)\ndef e(x): pass\n"
     )
-    assert unbounded_memos(snippet) == ["a", "b", "c", "d"]
+    assert unbounded_memos(snippet) == ["a", "b", "c", "d", "e"]
+    home = ast.parse(
+        "@functools.lru_cache(maxsize=CACHE_SIZE)\ndef ok(x): pass\n"
+        "@functools.lru_cache(maxsize=L.CACHE_SIZE)\ndef f(x): pass\n"
+        "@functools.lru_cache(maxsize=SIZE)\ndef g(x): pass\n"
+    )
+    assert unbounded_memos(home, "") == ["f", "g"]
