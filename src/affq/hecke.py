@@ -9,7 +9,8 @@ the one-generator rules
     T_s T_w = (v^2 - 1) T_w + v^2 T_{sw}     if length(sw) < length(w),
 
 and T_{rho^m} T_w = T_{rho^m w} for the length-zero shift.  General basis
-products factor the left operand into a shift times a reduced word.  Sums
+products factor the left operand into a shift times a reduced word, and
+apply the shift first (see ``left_mul_basis``).  Sums
 of T_w over block subgroups and their double cosets are provided for the
 convolution layer.
 
@@ -151,13 +152,22 @@ def invert(h):
 
 
 def left_mul_basis(w, h, nu=()):
-    """T_w * h via a reduced word of w, in H x_nu when nu is given."""
-    if w.r != h.r:
+    """T_w * h via a reduced word of w, in H x_nu when nu is given.
+
+    For w = rho^m s_{i_1} ... s_{i_k}, the shift acts first:
+    rho s_i rho^-1 = s_{i+1}, so T_w h = T_{s_{i_1+m}} ... T_{s_{i_k+m}}
+    T_{rho^m} h, and the shift rebuilds the input instead of the larger
+    product.  This is exact in H x_nu too, since rho^m d, like d, increases
+    on every block of nu.
+    """
+    r = h.r
+    if w.r != r:
         raise ValueError("level mismatch")
     m, word = P.reduced_word(w)
+    h = left_mul_rho(m, h)
     for i in reversed(word):
-        h = left_mul_gen(i, h, nu)
-    return left_mul_rho(m, h)
+        h = left_mul_gen((i + m - 1) % r + 1, h, nu)
+    return h
 
 
 def mul(a, b):

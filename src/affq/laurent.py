@@ -21,20 +21,22 @@ keyed by labels and never by a weight: schur._e_mul_upper, the tuple of
 (label, coeff) terms of e_mul_upper, which the Hall products also read,
 and realization._plus_rows, the tuple of weight-free rows (label, coeff,
 jc, shift, delta) of the plus product.
-One suites pass of the benchmark fills _gauss_sq to 10 entries (14,718
-hits), _factorial_sq to 5 (12,704 hits), _reduced_word to 915 (20,088
+One suites pass of the benchmark fills _gauss_sq to 10 entries (11,851
+hits), _factorial_sq to 5 (13,324 hits), _reduced_word to 915 (20,428
 hits) and _lambda_table to 8 (5,642 hits); _diag_fill, which
 eval_at_level reads for every term, answers 29,237 of 30,631 calls at its
-bound; _e_mul_upper keeps 1,612 of the 4,456 hits of its 2,536 label
-pairs, and _plus_rows 1,816 of the 1,907 of its 270 keys.  They are
+bound; _e_mul_upper keeps 3,366 of the 4,456 hits of its 2,536 label
+pairs and misses 3,626 times (5,380 when schur-oracle checked the lower
+pairs apart from the upper products they mirror), and _plus_rows 1,816
+of the 1,907 of its 270 keys.  They are
 bounded by CACHE_SIZE, except the four whose entries hold many labels:
 ORACLE_CACHE_SIZE, FILL_CACHE_SIZE and PRODUCT_CACHE_SIZE are small,
 since their repeats fall within one verify case and a larger table only
 raises peak memory (unbounded, the two product tables take that pass
 from 20.7 to 23.9 MB and save no time).
 Running all eight suites (affq verify --suite all --jobs 1), _gauss_sq
-answers 195,848 of 196,035 calls (187 entries), _factorial_sq 73,809 of
-73,814, _e_mul_upper 10,938 of 61,182, _plus_rows 9,597 of 15,187 and
+answers 170,269 of 170,456 calls (187 entries), _factorial_sq 76,615 of
+76,620, _e_mul_upper 21,719 of 61,182, _plus_rows 9,597 of 15,187 and
 _diag_fill 182,733 of 204,510.
 
 >>> text(mul(poly({0: 1, 1: 1}), poly({0: -1, 1: 1})))

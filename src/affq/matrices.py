@@ -7,6 +7,12 @@ fundamental-domain representative per orbit: the entry with row index in
 formulas need that); predicates gate membership in the nonnegative cone and
 its upper/lower/zero-diagonal slices.
 
+A ``PeriodicMatrix`` is an immutable value that keys every product table
+and memo of the package, so it is slotted, it hashes once, at
+construction, and it pickles by value (``verify`` sends labels to its
+workers).  The kernels run per label, many thousand times in a suite, so
+the sums and predicates below loop inline rather than through generators.
+
 Row sums, column sums, the total sigma, the row-shift tilde, the transpose,
 the index negation, the +/0/- splitting, the exponent d_A of the normalized
 Schur basis, the corner-sum order, and the one enumerator of the
@@ -14,16 +20,42 @@ auxiliary T matrices of the one-layer product rules all live here.
 """
 
 import functools
-from dataclasses import dataclass
+import operator
 from itertools import product
 
 from . import laurent as L
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class PeriodicMatrix:
-    n: int
-    entries: tuple  # sorted tuple of (i, j, a) with 1 <= i <= n, a != 0
+    """A label: the period n and the sorted fundamental entries (i, j, a),
+    1 <= i <= n, a != 0.  An immutable value type: its hash is computed
+    once, at construction, and it equals only a PeriodicMatrix with the
+    same n and entries, never a tuple or a permutation."""
+
+    __slots__ = ("n", "entries", "_hash")
+
+    def __init__(self, n, entries):
+        _set(self, "n", n)
+        _set(self, "entries", entries)
+        _set(self, "_hash", hash((n, entries)))
+
+    def __setattr__(self, *args):
+        raise AttributeError("PeriodicMatrix is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not PeriodicMatrix:
+            return NotImplemented
+        return self._hash == other._hash and self.n == other.n and self.entries == other.entries
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return PeriodicMatrix, (self.n, self.entries)
 
     def entry(self, i, j):
         """The entry a_{i,j} for arbitrary integers i, j."""
@@ -119,7 +151,10 @@ def negate(A):
 
 def sigma(A):
     """Sum of all fundamental-domain entries (the size of the matrix)."""
-    return sum(a for _, _, a in A.entries)
+    total = 0
+    for _, _, a in A.entries:
+        total += a
+    return total
 
 
 def ro(A):
@@ -154,7 +189,10 @@ def offdiag(A):
 
 
 def is_nonneg(A):
-    return all(a >= 0 for _, _, a in A.entries)
+    for _, _, a in A.entries:
+        if a < 0:
+            return False
+    return True
 
 
 def is_strictly_upper(A):
@@ -162,7 +200,10 @@ def is_strictly_upper(A):
 
 
 def is_zero_diagonal(A):
-    return all(i != j for i, j, a in A.entries)
+    for i, j, _ in A.entries:
+        if i == j:
+            return False
+    return True
 
 
 def d_exponent(A):
@@ -302,7 +343,7 @@ def dot(a, b):
     """Componentwise dot product of two integer vectors."""
     if len(a) != len(b):
         raise ValueError("vector length mismatch")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def row_support(A, i):

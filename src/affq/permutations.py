@@ -7,7 +7,8 @@ with the shift rho: j -> j + 1.  The module provides the group operations,
 length as inversion count, reduced words, shortest coset and double-coset
 representatives for Young subgroups attached to compositions, the matrix
 encoding of double cosets, and the shortest representative read off a
-nonnegative periodic matrix.
+nonnegative periodic matrix.  An ``AffinePermutation`` is an immutable,
+slotted value that hashes once, at construction, and pickles by value.
 """
 
 from __future__ import annotations
@@ -15,18 +16,43 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from . import laurent as L
 from . import matrices as M
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class AffinePermutation:
-    """Window (w(1), ..., w(r)) of a bijection with w(i + r) = w(i) + r."""
+    """Window (w(1), ..., w(r)) of a bijection with w(i + r) = w(i) + r.
 
-    r: int
-    window: tuple
+    An immutable value type, like ``matrices.PeriodicMatrix``: its hash is
+    computed once, at construction, and it equals only an
+    AffinePermutation with the same r and window, never a tuple or a label.
+    """
+
+    __slots__ = ("r", "window", "_hash")
+
+    def __init__(self, r, window):
+        _set(self, "r", r)
+        _set(self, "window", window)
+        _set(self, "_hash", hash((r, window)))
+
+    def __setattr__(self, *args):
+        raise AttributeError("AffinePermutation is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not AffinePermutation:
+            return NotImplemented
+        return self._hash == other._hash and self.r == other.r and self.window == other.window
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return AffinePermutation, (self.r, self.window)
 
     def apply(self, j):
         """Value w(j) for any integer j."""

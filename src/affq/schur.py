@@ -219,16 +219,6 @@ def upper_shapes_for(mu):
     return out
 
 
-def lower_shapes_for(mu):
-    """All subdiagonal-plus-diagonal labels C with co(C) = mu."""
-    n = len(mu)
-    out = []
-    for gamma in M.compositions_bounded(tuple(mu)):
-        beta = tuple(mu[i] - gamma[i] for i in range(n))
-        out.append(M.madd(M.t_s_alpha(gamma), M.diag(beta)))
-    return out
-
-
 # ----------------------------------------------------------------------
 # closed-form multiplication rules
 

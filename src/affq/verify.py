@@ -9,11 +9,14 @@ not depend on the degree of parallelism.
 A case does its repeated work once, in locals that die with it: the
 length of each sampled coset element u y v per pair (u, v), the level-r
 products of level-coherence per level, the left shapes of schur-oracle
-per row-sum vector.  Level-coherence builds each level-r product on
-A_j_r(A, 0, r) and reads it at every weight j by shifting each label C by
-v^((co(C) - co(A)).j), or by ro for diag-right, where A_j_r is the left
-factor.  The shift is exact: a product keeps the column sums of its right
-factor and the row sums of its left one, so co(C) - co(A) (ro(C) - ro(A))
+per row-sum vector.  Schur-oracle checks each upper pair (B, A) and then
+its mirror (negate B, negate A), which runs over the lower pairs: the
+lower product is the negated upper one, still in its table.
+Level-coherence builds each level-r product on A_j_r(A, 0, r) and reads
+it at every weight j by shifting each label C by v^((co(C) - co(A)).j),
+or by ro for diag-right, where A_j_r is the left factor.  The shift is
+exact: a product keeps the column sums of its right factor and the row
+sums of its left one, so co(C) - co(A) (ro(C) - ro(A))
 is the fill mu of the one term v^(mu.j) [A + diag(mu)] of A_j_r(A, j, r)
 that reaches C.  The weight j = 0 is on every grid, and there the product
 is compared as built, with no shift.
@@ -113,21 +116,27 @@ def _check_schur_oracle(case):
     _, n, band, r = case
     checked = 0
     diffs = []
-    shapes = {}  # row sums -> the left factors of both shapes
+    shapes = {}  # row sums -> the upper left factors
     for A in M.band_matrices(n, r, band):
         mu = M.ro(A)
         if mu not in shapes:
-            shapes[mu] = ((True, S.upper_shapes_for(mu)), (False, S.lower_shapes_for(mu)))
-        for upper, factors in shapes[mu]:
-            for B in factors:
-                got = S.e_mul_upper(B, A) if upper else S.e_mul_lower(B, A)
-                want = S.oracle_mul(B, A)
+            shapes[mu] = S.upper_shapes_for(mu)
+        minus_a = M.negate(A)
+        for B in shapes[mu]:
+            # The mirror (negate B, negate A) runs over the lower pairs, and
+            # e_mul_lower reads it off the upper product just built.
+            for left, right, closed in (
+                (B, A, S.e_mul_upper),
+                (M.negate(B), minus_a, S.e_mul_lower),
+            ):
+                got = closed(left, right)
+                want = S.oracle_mul(left, right)
                 checked += 1
                 if not S.s_eq(got, want):
                     diffs.append(
                         {
-                            "left": M.to_json(B),
-                            "right": M.to_json(A),
+                            "left": M.to_json(left),
+                            "right": M.to_json(right),
                             "closed": S.to_json(got),
                             "oracle": S.to_json(want),
                         }
@@ -200,10 +209,17 @@ def _cases_hecke(cfg):
 
 
 def _rand_perm(rng, r, steps=8):
-    w = P.identity(r)
+    """rho^m s_{i_1} ... s_{i_k} for random k, i and m, built on the window:
+    w s_i swaps w(i) and w(i + 1), where w(r + 1) = w(1) + r."""
+    win = list(range(1, r + 1))
     for _ in range(rng.randrange(steps + 1)):
-        w = P.compose(w, P.generator_s(rng.randrange(1, r + 1), r))
-    return P.compose(P.rho_power(rng.randrange(-2, 3), r), w)
+        i = rng.randrange(1, r + 1)
+        if i < r:
+            win[i - 1], win[i] = win[i], win[i - 1]
+        else:
+            win[0], win[-1] = win[-1] - r, win[0] + r
+    m = rng.randrange(-2, 3)
+    return P.AffinePermutation(r, tuple(x + m for x in win))
 
 
 def _rand_elem(rng, r, max_terms=4):

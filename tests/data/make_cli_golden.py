@@ -35,10 +35,13 @@ from affq import realization as R
 from affq import schur as S
 from affq import verify as V
 
-OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.jsonl")
+HERE = os.path.dirname(os.path.abspath(__file__))
+OUT = os.path.join(HERE, "cli_golden.jsonl")
+sys.path.insert(0, os.path.dirname(HERE))
+from test_schur import lower_shapes_for  # noqa: E402  (the tests' reference)
 
 
-def schur_requests(rng, shapes_for=S.lower_shapes_for, count=24):
+def schur_requests(rng, shapes_for=lower_shapes_for, count=24):
     pool = []
     for n, r_max in ((2, 3), (3, 3)):
         for r in range(1, r_max + 1):

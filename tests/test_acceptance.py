@@ -17,6 +17,7 @@ from affq import permutations as P
 from affq import realization as R
 from affq import schur as S
 from affq import verify as V
+from test_schur import lower_shapes_for
 
 # (cases, checks, ok) of every suite on the smallest grid and on the default
 # grids (tests/data/make_suite_counts.py); a refactor that silently drops or
@@ -168,7 +169,7 @@ def test_schur_oracle_reports_a_dropped_term(monkeypatch):
         len(d["closed"]["terms"]) == len(d["oracle"]["terms"]) - 1 for d in diffs
     )
     lefts = [M.from_json(d["left"]) for d in diffs]
-    assert all(B in S.lower_shapes_for(M.co(B)) for B in lefts)
+    assert all(B in lower_shapes_for(M.co(B)) for B in lefts)
 
 
 def test_hall_reports_a_miscounted_hall_number(monkeypatch):

@@ -8,6 +8,7 @@ from affq import hecke as H
 from affq import laurent as L
 from affq import matrices as M
 from affq import permutations as P
+from affq import verify as V
 
 
 def test_doctests():
@@ -374,3 +375,38 @@ def test_left_mul_gen_matches_the_scan_route():
                     assert list(got.terms.items()) == list(want.terms.items()), (i, h, nu)
     with pytest.raises(ValueError):
         H.left_mul_gen(1, H.t_basis(P.identity(1)))
+
+
+# ----------------------------------------------------------------------
+# the former routes: the shift applied after the word, and random windows
+# composed from generators
+
+
+def left_mul_basis_rho_last(w, h, nu=()):
+    m, word = P.reduced_word(w)
+    for i in reversed(word):
+        h = H.left_mul_gen(i, h, nu)
+    return H.left_mul_rho(m, h)
+
+
+def test_left_mul_basis_matches_the_rho_last_route():
+    rng = random.Random(71)
+    for r in (2, 3, 4):
+        nus = [(), (1,) * r, (r,)] + list(M.compositions(2, r))
+        for nu in nus:
+            for m in range(-2, 3):
+                for _ in range(4):
+                    h = rand_module_elem(rng, r, nu) if nu else rand_elem(rng, r)
+                    x = rand_perm(rng, r)
+                    w = P.compose(P.rho_power(m - P.rho_part(x), r), x)
+                    assert P.rho_part(w) == m
+                    assert H.left_mul_basis(w, h, nu) == left_mul_basis_rho_last(w, h, nu)
+
+
+def test_verify_rand_perm_matches_the_composed_route():
+    # same windows from the same draws, so the hecke suite's inputs are kept
+    for r in (2, 3, 4):
+        for seed in range(300):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            assert V._rand_perm(got_rng, r) == rand_perm(want_rng, r)
+            assert got_rng.getstate() == want_rng.getstate()

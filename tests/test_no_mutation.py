@@ -16,6 +16,7 @@ from affq import permutations as P
 from affq import realization as R
 from affq import schur as S
 from affq import verify as V
+from test_schur import lower_shapes_for
 
 
 def exact(x):
@@ -88,7 +89,7 @@ def test_schur_operations_leave_their_arguments_alone():
         for _ in range(4):
             A = rng.choice(labels)
             B = rng.choice(S.upper_shapes_for(M.ro(A)))
-            C = rng.choice(S.lower_shapes_for(M.ro(A)))
+            C = rng.choice(lower_shapes_for(M.ro(A)))
             check_pure(S.e_mul_upper, B, A)
             check_pure(S.e_mul_lower, C, A)
             check_pure(S.n_mul_upper, B, A)
@@ -97,7 +98,7 @@ def test_schur_operations_leave_their_arguments_alone():
             for basis in ("e", "n"):
                 x, y = rand_schur(rng, labels, basis), rand_schur(rng, labels, basis)
                 ups = S.upper_shapes_for(M.ro(A))
-                lows = S.lower_shapes_for(M.ro(A))
+                lows = lower_shapes_for(M.ro(A))
                 check_pure(S.closed_product_upper, rand_schur(rng, ups, basis), y)
                 check_pure(S.closed_product_lower, rand_schur(rng, lows, basis), y)
                 check_pure(S.convert, x, "e")

@@ -1,6 +1,8 @@
+import copy
 import doctest
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -309,3 +311,24 @@ def test_compose_matches_the_apply_route():
             assert P.compose(w, y) == want
     for w in (P.identity(1), P.rho_power(-3, 1)):
         assert P.compose(w, P.rho_power(2, 1)).window == (w.window[0] + 2,)
+
+
+def test_value_types_pickle_hash_and_stay_immutable():
+    # labels and windows cross process boundaries in verify --jobs, by pickle
+    A = M.pmat(3, [(1, 2, 2), (3, 1, 1)])
+    w = P.perm(3, [0, 5, 1])
+    for x, fields in ((A, (A.n, A.entries)), (w, (w.r, w.window))):
+        assert hash(x) == hash(fields)
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
+            assert repr(y) == repr(x)
+        for name in ("n", "r", "entries", "window", "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0)
+        with pytest.raises(AttributeError):
+            del x._hash
+        assert x != fields and x != fields[1]
+    # the same fields in the other class: equal hashes, never equal values
+    label, perm = M.PeriodicMatrix(2, (1, 2)), P.AffinePermutation(2, (1, 2))
+    assert hash(label) == hash(perm) and label != perm and perm != label
+    assert len({label, perm, (2, (1, 2))}) == 3

@@ -137,6 +137,34 @@ def test_closed_products_reject_a_left_label_that_meets_no_right_label():
             product(elem(2, 2, [(bad, L.one())]), y)
 
 
+def lower_shapes_for(mu):
+    """All subdiagonal-plus-diagonal labels C with co(C) = mu: the former
+    left factors of the lower schur-oracle checks, kept as the reference
+    of their negation mirrors."""
+    n = len(mu)
+    out = []
+    for gamma in M.compositions_bounded(tuple(mu)):
+        beta = tuple(mu[i] - gamma[i] for i in range(n))
+        out.append(M.madd(M.t_s_alpha(gamma), M.diag(beta)))
+    return out
+
+
+def test_mirrored_pairs_are_the_lower_pairs():
+    # schur-oracle checks the mirror (negate B, negate A) of each upper pair
+    # (B, A) in place of the lower pairs (C, A), C in lower_shapes_for(ro(A))
+    counts = {2: (20, 190, 1180, 5525), 3: (18, 162, 984, 4581)}
+    for n, want in counts.items():
+        for r in range(1, 5):
+            labels = list(M.band_matrices(n, r, V._BANDS[n]))
+            lower = [(C, A) for A in labels for C in lower_shapes_for(M.ro(A))]
+            mirrored = [
+                (M.negate(B), M.negate(A)) for A in labels for B in S.upper_shapes_for(M.ro(A))
+            ]
+            assert len(lower) == len(set(lower)) == want[r - 1]
+            assert len(mirrored) == len(set(mirrored)) == want[r - 1]
+            assert set(mirrored) == set(lower)
+
+
 def test_closed_forms_match_oracle_sweep():
     for n, band in ((2, 2), (3, 1)):
         for r in (1, 2, 3):
@@ -144,7 +172,7 @@ def test_closed_forms_match_oracle_sweep():
                 mu = M.ro(A)
                 for B in S.upper_shapes_for(mu):
                     assert S.s_eq(S.e_mul_upper(B, A), S.oracle_mul(B, A))
-                for C in S.lower_shapes_for(mu):
+                for C in lower_shapes_for(mu):
                     assert S.s_eq(S.e_mul_lower(C, A), S.oracle_mul(C, A))
 
 
@@ -201,7 +229,7 @@ def test_normalized_rules_match_converted_standard_rules():
                     shift = M.d_exponent(B) + M.d_exponent(A)
                     rhs = S.s_scale(v(-shift), rhs)
                     assert S.s_eq(lhs, rhs)
-                for C in S.lower_shapes_for(mu):
+                for C in lower_shapes_for(mu):
                     lhs = S.n_mul_lower(C, A)
                     rhs = S.convert(S.e_mul_lower(C, A), "n")
                     shift = M.d_exponent(C) + M.d_exponent(A)
@@ -251,7 +279,7 @@ def test_transpose_mirror_of_lower_products():
     # the transpose anti-automorphism carries e_C e_A to e_tA e_tC
     for r in (2, 3):
         for A in M.band_matrices(2, r, 2):
-            for C in S.lower_shapes_for(M.ro(A)):
+            for C in lower_shapes_for(M.ro(A)):
                 lhs = S.e_mul_lower(C, A)
                 rhs = transpose_element(
                     S.oracle_mul(M.transpose(A), M.transpose(C))
