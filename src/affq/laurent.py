@@ -10,8 +10,10 @@ mutates only dicts it created in the same call; so values share dicts and
 nothing copies them.  ``acc`` is the one implementation of the rule for
 sums of Laurent coefficients: it replaces a stored coefficient by a new
 sum instead of adding into it.  Memo tables are lru_caches on private
-functions, holding immutable values: frozensets, types.MappingProxyType
-maps, ints (matrices._d_exponent), (m, word) tuples
+functions, holding immutable values: pairs around a frozenset of
+windows (schur._coset_reps, a double coset's label or None beside its
+coset windows, and schur._label_reps, d_A beside them),
+types.MappingProxyType maps, ints (matrices._d_exponent), (m, word) tuples
 (permutations._reduced_word), tuples of (mu, label) pairs
 (schur._diag_fill, which schur.diag_fill returns as is), and tuples of
 items (_gauss_sq and _factorial_sq here, schur._oracle_mul,
@@ -22,8 +24,11 @@ keyed by labels and never by a weight: schur._e_mul_upper, the tuple of
 and realization._plus_rows, the tuple of weight-free rows (label, coeff,
 jc, shift, delta) of the plus product.
 One suites pass of the benchmark fills _gauss_sq to 10 entries (11,851
-hits), _factorial_sq to 5 (13,324 hits), _reduced_word to 915 (20,428
-hits) and _lambda_table to 8 (5,642 hits); _diag_fill, which
+hits), _factorial_sq to 5 (12,704 hits), _reduced_word to 915 (20,088
+hits), _lambda_table to 8 (5,642 hits), schur._coset_reps to 1,438 and
+schur._label_reps to 592, from which the oracle peel reads each label
+and d_B; _oracle_mul answers 3,706 of 8,764 calls (3,366 when
+schur-oracle visited negate A apart from A); _diag_fill, which
 eval_at_level reads for every term, answers 29,237 of 30,631 calls at its
 bound; _e_mul_upper keeps 3,366 of the 4,456 hits of its 2,536 label
 pairs and misses 3,626 times (5,380 when schur-oracle checked the lower
@@ -35,9 +40,11 @@ since their repeats fall within one verify case and a larger table only
 raises peak memory (unbounded, the two product tables take that pass
 from 20.7 to 23.9 MB and save no time).
 Running all eight suites (affq verify --suite all --jobs 1), _gauss_sq
-answers 170,269 of 170,456 calls (187 entries), _factorial_sq 76,615 of
-76,620, _e_mul_upper 21,719 of 61,182, _plus_rows 9,597 of 15,187 and
-_diag_fill 182,733 of 204,510.
+answers 170,269 of 170,456 calls (187 entries), _factorial_sq 73,809 of
+73,814, _oracle_mul 9,542 of 35,868 (8,108 before that order),
+_e_mul_upper 21,719 of 61,182, _plus_rows 9,597 of 15,187 and
+_diag_fill 182,733 of 204,510; _coset_reps holds 6,698 entries and
+_label_reps 3,454.
 
 >>> text(mul(poly({0: 1, 1: 1}), poly({0: -1, 1: 1})))
 '-1 + v^2'

@@ -386,38 +386,50 @@ def _window_length(win):
 
 @functools.lru_cache(maxsize=L.CACHE_SIZE)
 def _coset_reps(lam, win, nu):
-    """Frozenset of the shortest windows of the cosets d W_nu inside
-    W_lam d W_nu: the block-sorted windows of u d for u in W_lam."""
+    """(label, reps) for the double coset W_lam d W_nu of the window d:
+    reps is the frozenset of the shortest windows of the cosets d W_nu
+    inside it, the block-sorted windows of u d for u in W_lam, and label
+    is P.jmath(lam, d, nu) when d is shortest in its double coset, None
+    otherwise."""
     d = P.AffinePermutation(len(win), win)
     reps = set()
     for u in P.young_subgroup_elements(lam):
         ud = P.compose(u, d).window
         reps.add(tuple(x for b in P.blocks(nu) for x in sorted(ud[p - 1] for p in b)))
-    return frozenset(reps)
+    label = P.jmath(lam, d, nu) if P.is_min_double_coset_rep(d, lam, nu) else None
+    return label, frozenset(reps)
 
 
 @functools.lru_cache(maxsize=L.CACHE_SIZE)
 def _label_reps(A):
-    """_coset_reps of the double coset of label A, cached per label."""
+    """(d_A, reps): the window of pseudo_matrix_rep(A) and the reps of
+    _coset_reps of its double coset, cached per label."""
     d = P.pseudo_matrix_rep(A).window
-    return _coset_reps(M.ro(A), d, M.co(A))
+    return d, _coset_reps(M.ro(A), d, M.co(A))[1]
 
 
 def _decompose(h, lam, nu):
     """Peel an element of H x_nu, a sum of double cosets W_lam d W_nu, into
-    labels with coefficients."""
+    labels with coefficients.  The windows are sorted once by length, then
+    window: the first one not yet peeled is the shortest of those left, so
+    it is the shortest member of its double coset, whose label
+    _coset_reps holds."""
     cur = dict(h.terms)
     out = {}
-    while cur:
-        best = min(cur, key=lambda w: (_window_length(w), w))
-        c = cur[best]
+    for best in sorted(cur, key=lambda w: (_window_length(w), w)):
+        c = cur.get(best)
+        if c is None:
+            continue
         before = len(cur)
-        for win in _coset_reps(lam, best, nu):
+        label, reps = _coset_reps(lam, best, nu)
+        for win in reps:
             if cur.pop(win, None) != c:
                 raise AssertionError("coefficients differ across a double coset")
         if len(cur) >= before:
             raise AssertionError("support did not shrink during peeling")
-        out[P.jmath(lam, P.AffinePermutation(len(best), best), nu)] = c
+        if label is None:
+            raise AssertionError("a peeled window is not shortest in its double coset")
+        out[label] = c
     return out
 
 
@@ -451,8 +463,8 @@ def _oracle_mul(B, A):
     if M.co(B) != M.ro(A):
         return ()
     lam, nu = M.ro(B), M.co(A)
-    g = H.HeckeElement(r, {win: L.one() for win in _label_reps(A)})
-    g = H.left_mul_basis(P.pseudo_matrix_rep(B), g, nu)
+    g = H.HeckeElement(r, {win: L.one() for win in _label_reps(A)[1]})
+    g = H.left_mul_basis(P.AffinePermutation(r, _label_reps(B)[0]), g, nu)
     g = H.x_mul_left(lam, g, nu)
     f = H.coset_factor(B)
     try:

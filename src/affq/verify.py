@@ -11,7 +11,9 @@ length of each sampled coset element u y v per pair (u, v), the level-r
 products of level-coherence per level, the left shapes of schur-oracle
 per row-sum vector.  Schur-oracle checks each upper pair (B, A) and then
 its mirror (negate B, negate A), which runs over the lower pairs: the
-lower product is the negated upper one, still in its table.
+lower product is the negated upper one, still in its table.  It visits
+negate A right after A, so that the oracle product of a diagonal left
+factor, which both turns check, is also still in its table.
 Level-coherence builds each level-r product on A_j_r(A, 0, r) and reads
 it at every weight j by shifting each label C by v^((co(C) - co(A)).j),
 or by ro for diag-right, where A_j_r is the left factor.  The shift is
@@ -112,12 +114,17 @@ def _cases_schur_oracle(cfg):
     ]
 
 
+def _mirror_order(labels):
+    """The labels, each followed by its negation unless that came before."""
+    return list(dict.fromkeys(X for A in labels for X in (A, M.negate(A))))
+
+
 def _check_schur_oracle(case):
     _, n, band, r = case
     checked = 0
     diffs = []
     shapes = {}  # row sums -> the upper left factors
-    for A in M.band_matrices(n, r, band):
+    for A in _mirror_order(M.band_matrices(n, r, band)):
         mu = M.ro(A)
         if mu not in shapes:
             shapes[mu] = S.upper_shapes_for(mu)
@@ -156,6 +163,18 @@ def _cases_coset_length(cfg):
     ]
 
 
+def _indices(rng, size):
+    """Endless indices below size, drawn from rng as rng.choice draws them
+    from a sequence of that size: getrandbits(size.bit_length()) until the
+    value is below size.  Reading two of these in turn gives the indices
+    of rng.choice(us), rng.choice(vs) and leaves the same rng state."""
+    getrandbits, k = rng.getrandbits, size.bit_length()
+    while True:
+        i = getrandbits(k)
+        if i < size:
+            yield i
+
+
 def _check_coset_length(case):
     _, n, band, r = case
     checked = 0
@@ -175,13 +194,13 @@ def _check_coset_length(case):
         us = P.young_subgroup_elements(lam)
         vs = P.young_subgroup_elements(mu)
         rng = random.Random("coset:%d:%d:%d" % (n, r, idx))
-        uys = {u.window: P.compose(u, y) for u in us}
-        lengths = {}  # (u.window, v.window) -> length of u y v
+        uys = [P.compose(u, y) for u in us]
+        lengths = {}  # (index of u, index of v) -> length of u y v
+        draw_u, draw_v = _indices(rng, len(us)), _indices(rng, len(vs))
         for _ in range(COSET_SAMPLES):
-            u, v = rng.choice(us), rng.choice(vs)
-            key = (u.window, v.window)
+            key = next(draw_u), next(draw_v)
             if key not in lengths:
-                lengths[key] = P.length(P.compose(uys[u.window], v))
+                lengths[key] = P.length(P.compose(uys[key[0]], vs[key[1]]))
             if lengths[key] < ly:
                 bad.append("shorter coset element found")
                 break

@@ -6,6 +6,7 @@ offending cases attached.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,50 @@ def test_schur_oracle_reports_a_dropped_term(monkeypatch):
     )
     lefts = [M.from_json(d["left"]) for d in diffs]
     assert all(B in lower_shapes_for(M.co(B)) for B in lefts)
+
+
+def test_schur_oracle_visits_each_label_once_beside_its_negation():
+    checks = 0
+    for n in (2, 3):
+        for r in range(1, 5):
+            labels = list(M.band_matrices(n, r, V._BANDS[n]))
+            order = V._mirror_order(labels)
+            assert len(order) == len(set(order)) == len(labels)
+            assert set(order) == set(labels)
+            at = {A: k for k, A in enumerate(order)}
+            for A in order:
+                assert abs(at[A] - at[M.negate(A)]) == (M.negate(A) != A)
+            if r >= 2:  # the default grid: an upper pair and its mirror per shape
+                checks += 2 * sum(len(S.upper_shapes_for(M.ro(A))) for A in order)
+    assert checks == CRITERION_COUNTS["schur-oracle"]["checks"]
+    report = V._check_schur_oracle(("schur-oracle", 2, V._BANDS[2], 2))
+    assert report["checked"] == SUITE_COUNTS["schur-oracle"]["checks"]
+
+
+DRAW_SIZES = (1, 2, 3, 5, 6, 24)
+
+
+class DirectDraws(random.Random):
+    """A Random whose choice and randrange fail, so that the draws of
+    coset-length are seen to read getrandbits directly."""
+
+    def choice(self, seq):
+        raise AssertionError("the draw went through Random.choice or randrange")
+
+    randrange = _randbelow = choice
+
+
+def test_coset_draws_are_the_draws_of_random_choice():
+    # the indices and the final state of rng.choice(us), rng.choice(vs) in
+    # turn, for every pair of sizes
+    for seed in range(300):
+        a, b = DRAW_SIZES[seed % 6], DRAW_SIZES[seed // 6 % 6]
+        got_rng, want_rng = DirectDraws(seed), random.Random(seed)
+        us, vs = V._indices(got_rng, a), V._indices(got_rng, b)
+        for _ in range(V.COSET_SAMPLES):
+            want = want_rng.choice(range(a)), want_rng.choice(range(b))
+            assert (next(us), next(vs)) == want
+        assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_hall_reports_a_miscounted_hall_number(monkeypatch):

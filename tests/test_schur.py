@@ -439,3 +439,49 @@ def test_peel_invariant_failures_are_internal_errors():
     part = H.h_from_items(2, [((0, 3), {0: 1})])
     with pytest.raises(AssertionError, match="coefficients differ across a double coset"):
         S._decompose(part, (2, 0), (1, 1))
+
+
+def decompose_by_min(h, lam, nu):
+    """The repeated-min peel: find the shortest window left on every round
+    and compute its label with P.jmath."""
+    cur = dict(h.terms)
+    out = {}
+    while cur:
+        best = min(cur, key=lambda w: (S._window_length(w), w))
+        c = cur[best]
+        before = len(cur)
+        for win in S._coset_reps(lam, best, nu)[1]:
+            if cur.pop(win, None) != c:
+                raise AssertionError("coefficients differ across a double coset")
+        if len(cur) >= before:
+            raise AssertionError("support did not shrink during peeling")
+        out[P.jmath(lam, P.AffinePermutation(len(best), best), nu)] = c
+    return out
+
+
+def test_one_pass_peel_matches_the_repeated_min_route(monkeypatch):
+    # every oracle product of the schur-oracle grid n = 2, 3 and r <= 3 is
+    # peeled both ways, with the same labels in the same order
+    decompose, coset_reps = S._decompose, S._coset_reps
+    peeled, entries = [], {}
+
+    def both(h, lam, nu):
+        got = decompose(h, lam, nu)
+        want = decompose_by_min(h, lam, nu)
+        assert list(got.items()) == list(want.items())
+        peeled.append(len(got))
+        return got
+
+    def recorded(lam, win, nu):
+        entries[lam, win, nu] = coset_reps(lam, win, nu)
+        return entries[lam, win, nu]
+
+    monkeypatch.setattr(S, "_decompose", both)
+    monkeypatch.setattr(S, "_coset_reps", recorded)
+    S._oracle_mul.cache_clear()  # so that every product is peeled here
+    for n in (2, 3):
+        for r in (1, 2, 3):
+            assert V._check_schur_oracle(("schur-oracle", n, V._BANDS[n], r))["ok"]
+    assert (len(peeled), sum(peeled)) == (4604, 5694)  # products, labels
+    for (lam, win, nu), (label, _) in entries.items():
+        assert label == P.jmath(lam, P.AffinePermutation(len(win), win), nu)
