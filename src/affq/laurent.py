@@ -9,42 +9,50 @@ after it is stored in an element, a cache or another map, and a function
 mutates only dicts it created in the same call; so values share dicts and
 nothing copies them.  ``acc`` is the one implementation of the rule for
 sums of Laurent coefficients: it replaces a stored coefficient by a new
-sum instead of adding into it.  Memo tables are lru_caches on private
-functions, holding immutable values: pairs around a frozenset of
-windows (schur._coset_reps, a double coset's label or None beside its
-coset windows, and schur._label_reps, d_A beside them),
-types.MappingProxyType maps, ints (matrices._d_exponent), (m, word) tuples
-(permutations._reduced_word), tuples of (mu, label) pairs
-(schur._diag_fill, which schur.diag_fill returns as is), and tuples of
-items (_gauss_sq and _factorial_sq here, schur._oracle_mul,
-realization._lambda_table), which the public wrappers copy into fresh
-dicts.  Two tables hold the one-layer products,
-keyed by labels and never by a weight: schur._e_mul_upper, the tuple of
-(label, coeff) terms of e_mul_upper, which the Hall products also read,
-and realization._plus_rows, the tuple of weight-free rows (label, coeff,
-jc, shift, delta) of the plus product.
-One suites pass of the benchmark fills _gauss_sq to 10 entries (11,851
-hits), _factorial_sq to 5 (12,704 hits), _reduced_word to 915 (20,088
-hits), _lambda_table to 8 (5,642 hits), schur._coset_reps to 1,438 and
-schur._label_reps to 592, from which the oracle peel reads each label
-and d_B; _oracle_mul answers 3,706 of 8,764 calls (3,366 when
-schur-oracle visited negate A apart from A); _diag_fill, which
-eval_at_level reads for every term, answers 29,237 of 30,631 calls at its
-bound; _e_mul_upper keeps 3,366 of the 4,456 hits of its 2,536 label
-pairs and misses 3,626 times (5,380 when schur-oracle checked the lower
-pairs apart from the upper products they mirror), and _plus_rows 1,816
-of the 1,907 of its 270 keys.  They are
-bounded by CACHE_SIZE, except the four whose entries hold many labels:
-ORACLE_CACHE_SIZE, FILL_CACHE_SIZE and PRODUCT_CACHE_SIZE are small,
-since their repeats fall within one verify case and a larger table only
-raises peak memory (unbounded, the two product tables take that pass
-from 20.7 to 23.9 MB and save no time).
-Running all eight suites (affq verify --suite all --jobs 1), _gauss_sq
-answers 170,269 of 170,456 calls (187 entries), _factorial_sq 73,809 of
-73,814, _oracle_mul 9,542 of 35,868 (8,108 before that order),
-_e_mul_upper 21,719 of 61,182, _plus_rows 9,597 of 15,187 and
-_diag_fill 182,733 of 204,510; _coset_reps holds 6,698 entries and
-_label_reps 3,454.
+sum instead of adding into it.
+
+The memo tables are lru_caches on private functions, holding immutable
+values; a public wrapper copies a tuple of items into a fresh dict.  They
+are listed here, each with what one suites pass of the benchmark (one
+process) puts in it:
+
+* laurent._gauss_sq: the items of a v^2 Gaussian; 10 entries, 11,851 hits.
+* laurent._factorial_sq: the items of a v^2 factorial; 5 entries, 12,704
+  hits.
+* matrices._d_exponent: the int d_A; 665 entries, 16,486 hits.
+* permutations._reduced_word: (m, word), keyed by (r, window); 915
+  entries, 20,088 hits.
+* schur._label_reps: the window of d_A beside the frozenset of the coset
+  windows of the double coset of A, from which the oracle peel reads the
+  windows of each label it names and _oracle_mul reads d_B; 1,438
+  entries, 14,886 hits.
+* schur._oracle_mul: the items of oracle_mul; answers 3,706 of 8,764
+  calls.
+* schur._diag_fill: the (mu, A + diag(mu)) pairs, which schur.diag_fill
+  returns as is; answers 29,237 of 30,631 calls.
+* schur._e_mul_upper: the (label, coeff) terms of e_mul_upper, which the
+  Hall products also read, keyed by labels and never by a weight; keeps
+  3,366 of the 4,456 hits of its 2,536 label pairs.
+* realization._lambda_table: the (k, fraction) pairs that reduce_j_lambda
+  adds to j; 8 entries, 5,642 hits.
+* realization._plus_rows: the weight-free rows (label, coeff, jc, shift,
+  delta) of the plus product, keyed by (alpha, A); keeps 1,816 of the
+  1,907 hits of its 270 keys.
+* hall._census: the types.MappingProxyType census behind
+  hall.submodule_census; the suites pass does not reach it, and all
+  eight suites fill it to 536 entries for 7,928 hits.
+
+CACHE_SIZE bounds the tables whose repeats span a whole run, and none of
+them reaches it: all eight suites in one process (affq verify --suite all
+--jobs 1) fill the largest, matrices._d_exponent, to 8,481 entries and
+schur._label_reps to 6,698.  The four tables whose entries hold many
+labels have small bounds, ORACLE_CACHE_SIZE, FILL_CACHE_SIZE and
+PRODUCT_CACHE_SIZE: their repeats fall within one verify case, so a small
+table keeps almost every hit, while peak memory grows with the bound.  On
+the suites pass an unbounded schur._oracle_mul holds 4,856 entries for
+3,908 hits, an unbounded schur._diag_fill 964 entries (0.49 MB) for
+29,667, and the two product tables unbounded raise the peak from 20.7 to
+23.9 MB and save no time.
 
 >>> text(mul(poly({0: 1, 1: 1}), poly({0: -1, 1: 1})))
 '-1 + v^2'

@@ -277,23 +277,21 @@ def is_min_double_coset_rep(d, lam, mu):
     )
 
 
-def jmath(lam, d, mu):
-    """Matrix counting |block_k(lam) intersect d(block_l(mu))|.
+def double_coset_matrix(lam, window, mu):
+    """Matrix counting |block_k(lam) intersect d(block_l(mu))| for the
+    permutation d of the window.
 
     The blocks run over all integer shifts; the count is stored at the
-    normalized cell.  Requires d shortest in its double coset.
+    normalized cell.  The block subgroups preserve every block, so each
+    member u d w of the double coset of d gives the same matrix: its label.
 
-    >>> jmath((1, 1), identity(2), (1, 1)) == M.diag((1, 1))
+    >>> double_coset_matrix((2, 0), (2, 1), (2, 0)) == M.diag((2, 0))
     True
-    >>> jmath((1, 1), perm(2, [0, 3]), (1, 1)).entries
-    ((1, 0, 1), (2, 3, 1))
     """
     n = len(lam)
     r = sum(lam)
-    if len(mu) != n or sum(mu) != r or d.r != r:
+    if len(mu) != n or sum(mu) != r or len(window) != r:
         raise ValueError("compositions must share length and total")
-    if not is_min_double_coset_rep(d, lam, mu):
-        raise ValueError("d is not the shortest element of its double coset")
     lcum = [0]
     for part in lam:
         lcum.append(lcum[-1] + part)
@@ -301,7 +299,7 @@ def jmath(lam, d, mu):
     pos = 0
     for l0 in range(1, n + 1):
         for p in range(pos + 1, pos + mu[l0 - 1] + 1):
-            x = d.window[p - 1]
+            x = window[p - 1]
             t = (x - 1) // r
             x0 = x - t * r
             i0 = bisect_left(lcum, x0)
@@ -309,6 +307,21 @@ def jmath(lam, d, mu):
             items[key] = items.get(key, 0) + 1
         pos += mu[l0 - 1]
     return M.pmat(n, [(i, j, a) for (i, j), a in items.items()])
+
+
+def jmath(lam, d, mu):
+    """double_coset_matrix of d, which must be shortest in its double coset.
+
+    >>> jmath((1, 1), identity(2), (1, 1)) == M.diag((1, 1))
+    True
+    >>> jmath((1, 1), perm(2, [0, 3]), (1, 1)).entries
+    ((1, 0, 1), (2, 3, 1))
+    """
+    if len(mu) != len(lam) or sum(mu) != sum(lam) or d.r != sum(lam):
+        raise ValueError("compositions must share length and total")
+    if not is_min_double_coset_rep(d, lam, mu):
+        raise ValueError("d is not the shortest element of its double coset")
+    return double_coset_matrix(lam, d.window, mu)
 
 
 def pseudo_matrix_rep(A):

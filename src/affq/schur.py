@@ -380,55 +380,35 @@ def _diag_fill(A, r):
 
 
 @functools.lru_cache(maxsize=L.CACHE_SIZE)
-def _window_length(win):
-    return P.length(P.AffinePermutation(len(win), win))
-
-
-@functools.lru_cache(maxsize=L.CACHE_SIZE)
-def _coset_reps(lam, win, nu):
-    """(label, reps) for the double coset W_lam d W_nu of the window d:
-    reps is the frozenset of the shortest windows of the cosets d W_nu
-    inside it, the block-sorted windows of u d for u in W_lam, and label
-    is P.jmath(lam, d, nu) when d is shortest in its double coset, None
-    otherwise."""
-    d = P.AffinePermutation(len(win), win)
-    reps = set()
-    for u in P.young_subgroup_elements(lam):
-        ud = P.compose(u, d).window
-        reps.add(tuple(x for b in P.blocks(nu) for x in sorted(ud[p - 1] for p in b)))
-    label = P.jmath(lam, d, nu) if P.is_min_double_coset_rep(d, lam, nu) else None
-    return label, frozenset(reps)
-
-
-@functools.lru_cache(maxsize=L.CACHE_SIZE)
 def _label_reps(A):
-    """(d_A, reps): the window of pseudo_matrix_rep(A) and the reps of
-    _coset_reps of its double coset, cached per label."""
-    d = P.pseudo_matrix_rep(A).window
-    return d, _coset_reps(M.ro(A), d, M.co(A))[1]
+    """(d_A, reps) for the double coset W_lam d_A W_nu of the label A, lam
+    and nu its row and column sums: the window of pseudo_matrix_rep(A), and
+    the frozenset of the shortest windows of the cosets d W_nu inside it,
+    the block-sorted windows of u d_A for u in W_lam."""
+    d, blocks = P.pseudo_matrix_rep(A), P.blocks(M.co(A))
+    reps = set()
+    for u in P.young_subgroup_elements(M.ro(A)):
+        ud = P.compose(u, d).window
+        reps.add(tuple(x for b in blocks for x in sorted(ud[p - 1] for p in b)))
+    return d.window, frozenset(reps)
 
 
 def _decompose(h, lam, nu):
     """Peel an element of H x_nu, a sum of double cosets W_lam d W_nu, into
-    labels with coefficients.  The windows are sorted once by length, then
-    window: the first one not yet peeled is the shortest of those left, so
-    it is the shortest member of its double coset, whose label
-    _coset_reps holds."""
+    labels with coefficients.  Every window of a double coset gives its
+    label by P.double_coset_matrix, so each window not yet peeled names the
+    next double coset to pop."""
     cur = dict(h.terms)
     out = {}
-    for best in sorted(cur, key=lambda w: (_window_length(w), w)):
-        c = cur.get(best)
-        if c is None:
+    for win, c in h.terms.items():
+        if win not in cur:
             continue
-        before = len(cur)
-        label, reps = _coset_reps(lam, best, nu)
-        for win in reps:
-            if cur.pop(win, None) != c:
+        label = P.double_coset_matrix(lam, win, nu)
+        for rep in _label_reps(label)[1]:
+            if cur.pop(rep, None) != c:
                 raise AssertionError("coefficients differ across a double coset")
-        if len(cur) >= before:
+        if win in cur:
             raise AssertionError("support did not shrink during peeling")
-        if label is None:
-            raise AssertionError("a peeled window is not shortest in its double coset")
         out[label] = c
     return out
 

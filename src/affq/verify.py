@@ -30,6 +30,7 @@ j holds the whole run (one on ``schur.A_j_r`` raised the peak memory of
 a benchmark ``suites`` pass by 64%).
 """
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -102,16 +103,17 @@ def _case_entry(ok, case_id, checked, diffs):
     return {"case": case_id, "ok": ok, "checked": checked, "diffs": diffs}
 
 
-# ----------------------------------------------------------------------
-# suite: schur-oracle
-
-
-def _cases_schur_oracle(cfg):
+def _band_cases(tag, cfg):
+    """One case (tag, n, band, r) per size n and level r of the grid."""
     return [
-        ("schur-oracle", n, _BANDS[n], r)
+        (tag, n, _BANDS[n], r)
         for n in cfg.n_list
         for r in range(max(1, cfg.r_min), cfg.r_max + 1)
     ]
+
+
+# ----------------------------------------------------------------------
+# suite: schur-oracle
 
 
 def _mirror_order(labels):
@@ -155,14 +157,6 @@ def _check_schur_oracle(case):
 # suite: coset-length
 
 
-def _cases_coset_length(cfg):
-    return [
-        ("coset-length", n, _BANDS[n], r)
-        for n in cfg.n_list
-        for r in range(max(1, cfg.r_min), cfg.r_max + 1)
-    ]
-
-
 def _indices(rng, size):
     """Endless indices below size, drawn from rng as rng.choice draws them
     from a sequence of that size: getrandbits(size.bit_length()) until the
@@ -184,7 +178,7 @@ def _check_coset_length(case):
         y = P.pseudo_matrix_rep(A)
         ly = P.length(y)
         bad = []
-        if P.jmath(lam, y, mu) != A:
+        if P.double_coset_matrix(lam, y.window, mu) != A:
             bad.append("round trip")
         if ly != P.length_formula(A):
             bad.append("length formula")
@@ -221,10 +215,7 @@ def _cases_hecke(cfg):
         cases.append(("hecke-rho", r))
         for chunk in range(4):
             cases.append(("hecke-assoc", r, chunk, 120))
-    for n in cfg.n_list:
-        for r in range(max(1, cfg.r_min), cfg.r_max + 1):
-            cases.append(("hecke-coset", n, _BANDS[n], r))
-    return cases
+    return cases + _band_cases("hecke-coset", cfg)
 
 
 def _rand_perm(rng, r, steps=8):
@@ -605,8 +596,8 @@ def _check_laurent(case):
 # driver
 
 _SUITES = {
-    "schur-oracle": (_cases_schur_oracle, _check_schur_oracle),
-    "coset-length": (_cases_coset_length, _check_coset_length),
+    "schur-oracle": (functools.partial(_band_cases, "schur-oracle"), _check_schur_oracle),
+    "coset-length": (functools.partial(_band_cases, "coset-length"), _check_coset_length),
     "hecke": (_cases_hecke, _check_hecke),
     "hall": (_cases_hall, _check_hall),
     "commutator": (_cases_commutator, _check_commutator),

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from affq import cli as C
 from affq import hall as Ha
 from affq import laurent as L
 from affq import matrices as M
@@ -85,6 +86,31 @@ def test_coset_length_reports_a_shorter_coset_element(monkeypatch):
     diffs = [d for m in report["mismatches"] for d in m["diffs"]]
     # other labels' cosets hold the window too, so A is not the only mismatch
     assert {"matrix": M.to_json(A), "failures": ["shorter coset element found"]} in diffs
+
+
+def test_coset_length_reports_a_longer_representative(monkeypatch, capsys):
+    # s_1 d_A lies in the double coset of A and is one step longer than d_A
+    # when s_1 is in W_lam: the round trip holds and minimality fails
+    rep = P.pseudo_matrix_rep
+
+    def longer(A):
+        d = rep(A)
+        return P.compose(P.generator_s(1, d.r), d) if M.ro(A)[0] >= 2 else d
+
+    monkeypatch.setattr(P, "pseudo_matrix_rep", longer)
+    report = V.run_suite("coset-length", SMALL)
+    assert not report["ok"]
+    failures = {
+        json.dumps(d["matrix"]): d["failures"]
+        for m in report["mismatches"]
+        for d in m["diffs"]
+    }
+    moved = [A for A in M.band_matrices(2, 2, 2) if M.ro(A)[0] >= 2]
+    assert sorted(failures) == sorted(json.dumps(M.to_json(A)) for A in moved)
+    for bad in failures.values():
+        assert "descent minimality" in bad and "round trip" not in bad
+    assert C.main(["verify", "--suite", "coset-length", "--n", "2", "--r", "2"]) == 1
+    assert "coset-length: FAIL" in capsys.readouterr().err
 
 
 def test_level_coherence_reports_a_wrong_diagonal_product(monkeypatch):

@@ -235,6 +235,20 @@ def test_round_trip_sweep():
                 assert P.length(y) == P.length_formula(A)
 
 
+def test_every_double_coset_member_gives_its_label():
+    # the oracle peel labels a double coset by any window of it
+    labels = windows = 0
+    for n, band in ((2, 2), (3, 1)):
+        for r in (1, 2, 3):
+            for A in M.band_matrices(n, r, band):
+                lam, mu = M.ro(A), M.co(A)
+                for x in P.double_coset_elements(lam, P.pseudo_matrix_rep(A), mu):
+                    assert P.double_coset_matrix(lam, x.window, mu) == A
+                    windows += 1
+                labels += 1
+    assert (labels, windows) == (504, 2324)
+
+
 def test_minimality_sampling():
     rng = random.Random(26)
     pool = []

@@ -9,12 +9,14 @@ the allowlist below, so API that only tests reach cannot creep back.
 Every public top-level ``def`` must also stay a plain function at
 runtime: ``bench/tracer.py`` times only what ``inspect.isfunction``
 accepts, so a memo decorator on a public name would hide it from the
-per-layer metrics.  Memo tables go on private helpers.
+per-layer metrics.  Memo tables go on private helpers, and the
+``laurent`` docstring lists every one of them.
 """
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -172,3 +174,24 @@ def test_every_memo_table_is_bounded():
         "@functools.lru_cache(maxsize=SIZE)\ndef g(x): pass\n"
     )
     assert unbounded_memos(home, "") == ["f", "g"]
+
+
+def memo_tables():
+    """module._name of every lru_cache function of src/affq: the memo
+    tables (cli._parser, a functools.cache without arguments, holds one
+    value and is no table)."""
+    return sorted(
+        "%s.%s" % (path.stem, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            _decorator_name(d) in ("functools.lru_cache", "lru_cache")
+            for d in node.decorator_list
+        )
+    )
+
+
+def test_the_laurent_docstring_lists_every_memo_table():
+    doc = ast.get_docstring(_parse(SRC / "laurent.py"))
+    assert sorted(re.findall(r"^\* (\w+\.\w+):", doc, re.M)) == memo_tables()

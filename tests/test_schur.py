@@ -439,19 +439,28 @@ def test_peel_invariant_failures_are_internal_errors():
     part = H.h_from_items(2, [((0, 3), {0: 1})])
     with pytest.raises(AssertionError, match="coefficients differ across a double coset"):
         S._decompose(part, (2, 0), (1, 1))
+    # (2, 1) names the double coset of diag(2, 0), whose one coset window
+    # (1, 2) is popped, while (2, 1) itself is left
+    stuck = H.h_from_items(2, [((2, 1), {0: 1}), ((1, 2), {0: 1})])
+    with pytest.raises(AssertionError, match="support did not shrink during peeling"):
+        S._decompose(stuck, (2, 0), (2, 0))
 
 
 def decompose_by_min(h, lam, nu):
-    """The repeated-min peel: find the shortest window left on every round
-    and compute its label with P.jmath."""
+    """The repeated-min peel: on every round, pop the double coset of the
+    shortest window left, labelled by P.jmath of that window.  The windows
+    of H x_nu in a double coset are those of its members that increase on
+    every block of nu."""
+    inner = P.inner_positions(nu)
+    length = {w: P.length(P.AffinePermutation(len(w), w)) for w in h.terms}
     cur = dict(h.terms)
     out = {}
     while cur:
-        best = min(cur, key=lambda w: (S._window_length(w), w))
+        best = min(cur, key=lambda w: (length[w], w))
         c = cur[best]
         before = len(cur)
-        for win in S._coset_reps(lam, best, nu)[1]:
-            if cur.pop(win, None) != c:
+        for win in double_coset_windows(lam, best, nu):
+            if all(win[p] < win[p + 1] for p in inner) and cur.pop(win, None) != c:
                 raise AssertionError("coefficients differ across a double coset")
         if len(cur) >= before:
             raise AssertionError("support did not shrink during peeling")
@@ -461,27 +470,19 @@ def decompose_by_min(h, lam, nu):
 
 def test_one_pass_peel_matches_the_repeated_min_route(monkeypatch):
     # every oracle product of the schur-oracle grid n = 2, 3 and r <= 3 is
-    # peeled both ways, with the same labels in the same order
-    decompose, coset_reps = S._decompose, S._coset_reps
-    peeled, entries = [], {}
+    # peeled both ways, to the same labels and coefficients
+    decompose = S._decompose
+    peeled = []
 
     def both(h, lam, nu):
         got = decompose(h, lam, nu)
-        want = decompose_by_min(h, lam, nu)
-        assert list(got.items()) == list(want.items())
+        assert got == decompose_by_min(h, lam, nu)
         peeled.append(len(got))
         return got
 
-    def recorded(lam, win, nu):
-        entries[lam, win, nu] = coset_reps(lam, win, nu)
-        return entries[lam, win, nu]
-
     monkeypatch.setattr(S, "_decompose", both)
-    monkeypatch.setattr(S, "_coset_reps", recorded)
     S._oracle_mul.cache_clear()  # so that every product is peeled here
     for n in (2, 3):
         for r in (1, 2, 3):
             assert V._check_schur_oracle(("schur-oracle", n, V._BANDS[n], r))["ok"]
     assert (len(peeled), sum(peeled)) == (4604, 5694)  # products, labels
-    for (lam, win, nu), (label, _) in entries.items():
-        assert label == P.jmath(lam, P.AffinePermutation(len(win), win), nu)
