@@ -29,11 +29,7 @@ every block of nu), standing for sum c_d T_d x_nu.  For the generator
 regular action is the case nu = (1^r), whose block subgroup is trivial,
 and nu = () means the same.
 
-Only left actions are implemented.  ``invert``, T_w -> T_{w^-1}, is an
-anti-involution (reversing words maps the relations onto their mirror
-images on the right), so, block subgroups being closed under inversion,
-``x_mul_right(h, lam) = invert(x_mul_left(lam, invert(h)))``.  A test
-checks it against ``mul``.
+Only left actions are implemented.
 """
 
 from __future__ import annotations
@@ -53,10 +49,6 @@ class HeckeElement:
 
     r: int
     terms: dict
-
-
-def h_zero(r):
-    return HeckeElement(r, {})
 
 
 def t_basis(w):
@@ -80,8 +72,8 @@ def h_add(a, b):
 
 
 def h_scale(c, h):
-    if L.is_zero(c):
-        return h_zero(h.r)
+    if not c:
+        return HeckeElement(h.r, {})
     return HeckeElement(h.r, {win: L.mul(c, f) for win, f in h.terms.items()})
 
 
@@ -140,15 +132,6 @@ def left_mul_rho(m, h):
     if m == 0:
         return h
     return HeckeElement(h.r, {tuple(x + m for x in win): c for win, c in h.terms.items()})
-
-
-def invert(h):
-    """The anti-involution T_w -> T_{w^-1}: invert(a * b) = invert(b) * invert(a)."""
-    terms = {
-        P.inverse(P.AffinePermutation(h.r, win)).window: c
-        for win, c in h.terms.items()
-    }
-    return HeckeElement(h.r, terms)
 
 
 def left_mul_basis(w, h, nu=()):
@@ -216,13 +199,6 @@ def x_mul_left(lam, h, nu=()):
     return h
 
 
-def x_mul_right(h, lam):
-    """h * x_lam, the mirror image of x_lam * invert(h)."""
-    if sum(lam) != h.r:
-        raise ValueError("composition must sum to the level")
-    return invert(x_mul_left(lam, invert(h)))
-
-
 def t_double_coset(lam, d, mu):
     """Sum of T_w over the double coset of d, for d shortest in it."""
     if not P.is_min_double_coset_rep(d, lam, mu):
@@ -244,7 +220,15 @@ def coset_factor(A):
 
 def coset_product_identity_check(lam, d, mu):
     """Whether x_lam * T_d * x_mu equals the double-coset sum scaled by
-    coset_factor of the coset's matrix."""
-    factor = coset_factor(P.jmath(lam, d, mu))
-    lhs = x_mul_right(x_mul_left(lam, t_basis(d)), mu)
-    return lhs == h_scale(factor, t_double_coset(lam, d, mu))
+    coset_factor of the coset's matrix.
+
+    d is shortest in d W_mu, so lengths add and T_d x_mu is the sum of
+    T_{dw} over w in W_mu; only x_lam acts on the left.
+    """
+    rhs = t_double_coset(lam, d, mu)
+    factor = coset_factor(P.double_coset_matrix(lam, d.window, mu))
+    t_d_x_mu = HeckeElement(
+        d.r,
+        {P.compose(d, w).window: L.one() for w in P.young_subgroup_elements(mu)},
+    )
+    return x_mul_left(lam, t_d_x_mu) == h_scale(factor, rhs)

@@ -100,10 +100,6 @@ def poly(items):
     return out
 
 
-def is_zero(f):
-    return not f
-
-
 def add(f, g):
     out = dict(f)
     for e, c in g.items():

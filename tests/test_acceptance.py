@@ -13,6 +13,7 @@ import pytest
 
 from affq import cli as C
 from affq import hall as Ha
+from affq import hecke as H
 from affq import laurent as L
 from affq import matrices as M
 from affq import permutations as P
@@ -111,6 +112,19 @@ def test_coset_length_reports_a_longer_representative(monkeypatch, capsys):
         assert "descent minimality" in bad and "round trip" not in bad
     assert C.main(["verify", "--suite", "coset-length", "--n", "2", "--r", "2"]) == 1
     assert "coset-length: FAIL" in capsys.readouterr().err
+
+
+def test_hecke_coset_reports_a_dropped_coset_factor(monkeypatch):
+    # x_lam T_d x_mu is [A]! times the double-coset sum, and [A]! = 1 exactly
+    # when no entry of A is 2 or more
+    monkeypatch.setattr(H, "coset_factor", lambda A: L.one())
+    report = V.run_suite("hecke", SMALL)
+    assert not report["ok"]
+    # quad, rho and the four assoc chunks still pass
+    assert [m["case"] for m in report["mismatches"]] == ["coset-identity n=2,r=2"]
+    failed = [json.dumps(d["matrix"]) for m in report["mismatches"] for d in m["diffs"]]
+    wide = [A for A in M.band_matrices(2, 2, 2) if any(a >= 2 for _, _, a in A.entries)]
+    assert failed and sorted(failed) == sorted(json.dumps(M.to_json(A)) for A in wide)
 
 
 def test_level_coherence_reports_a_wrong_diagonal_product(monkeypatch):

@@ -12,8 +12,8 @@ from affq import schur as S
 
 
 def test_doctests():
-    failures, _ = doctest.testmod(Ha)
-    assert failures == 0
+    failures, attempted = doctest.testmod(Ha)
+    assert failures == 0 and attempted > 0
 
 
 def qp(items):

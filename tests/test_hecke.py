@@ -12,8 +12,8 @@ from affq import verify as V
 
 
 def test_doctests():
-    failures, _ = doctest.testmod(H)
-    assert failures == 0
+    failures, attempted = doctest.testmod(H)
+    assert failures == 0 and attempted > 0
 
 
 def column_parts(A):
@@ -171,8 +171,7 @@ def test_add_scale_axioms():
 
 
 def x_lambda(lam):
-    """Sum of T_u over the block subgroup of lam: the oracle of x_mul_left
-    and x_mul_right."""
+    """Sum of T_u over the block subgroup of lam: the oracle of x_mul_left."""
     return H.HeckeElement(
         sum(lam),
         {w.window: L.one() for w in P.young_subgroup_elements(lam)},
@@ -202,7 +201,6 @@ def test_stair_matches_subgroup_sum():
         for _ in range(4):
             h = rand_elem(rng, r)
             assert H.x_mul_left(lam, h) == H.mul(x, h)
-            assert H.x_mul_right(h, lam) == H.mul(h, x)
 
 
 def test_subgroup_intersection_is_column_refinement():
@@ -253,6 +251,47 @@ def test_coset_product_identity():
             lam, mu = M.ro(A), M.co(A)
             assert H.coset_product_identity_check(lam, d, mu)
             assert coset_decomposition_identity_check(lam, d, mu)
+
+
+def test_t_d_x_mu_is_the_sum_of_t_dw():
+    # d is shortest in d W_mu, so lengths add: the left side of the identity
+    # needs no right action
+    labels = 0
+    for n, band in ((2, 2), (3, 1)):
+        for r in (1, 2, 3):
+            for A in M.band_matrices(n, r, band):
+                d, mu = P.pseudo_matrix_rep(A), M.co(A)
+                t_dw = H.HeckeElement(
+                    r,
+                    {P.compose(d, w).window: L.one() for w in P.young_subgroup_elements(mu)},
+                )
+                assert t_dw == H.mul(H.t_basis(d), x_lambda(mu))
+                labels += 1
+    assert labels == 504
+
+
+def test_coset_identity_checks_minimality_once(monkeypatch):
+    calls = []
+    is_min = P.is_min_double_coset_rep
+
+    def counted(d, lam, mu):
+        calls.append(d)
+        return is_min(d, lam, mu)
+
+    monkeypatch.setattr(P, "is_min_double_coset_rep", counted)
+    A = M.pmat(2, [(1, 0, 1), (1, 3, 1), (2, 2, 1)])
+    d = P.pseudo_matrix_rep(A)
+    assert H.coset_product_identity_check(M.ro(A), d, M.co(A))
+    assert calls == [d]
+
+
+def test_coset_identity_rejects_a_longer_d_before_any_product(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("x_mul_left ran on a non-shortest d")
+
+    monkeypatch.setattr(H, "x_mul_left", no_product)
+    with pytest.raises(ValueError, match="shortest"):
+        H.coset_product_identity_check((2, 0), P.generator_s(1, 2), (2, 0))
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,8 @@ from affq import realization as R
 
 
 def test_doctests():
-    failures, _ = doctest.testmod(L)
-    assert failures == 0
+    failures, attempted = doctest.testmod(L)
+    assert failures == 0 and attempted > 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ def E(i, j, n=2):
 
 
 def test_doctests():
-    failures, _ = doctest.testmod(M)
-    assert failures == 0
+    failures, attempted = doctest.testmod(M)
+    assert failures == 0 and attempted > 0
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,8 @@ def velem(n, items):
 
 
 def test_doctests():
-    assert doctest.testmod(R).failed == 0
+    failures, attempted = doctest.testmod(R)
+    assert failures == 0 and attempted > 0
 
 
 def test_element_ops_and_validation():
@@ -385,6 +386,71 @@ def test_relation_e_fails_with_a_wrong_coefficient(monkeypatch, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(["verify", "--suite", "commutator", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["ok"] is False
+
+
+# ----------------------------------------------------------------------
+# the other defining relations of U_v(affine gl_n) on the symbols: E_i and
+# F_i are the one-layer products with alpha = e_i, applied right to left
+# to 0(0)
+
+
+def word_on_zero(n, word):
+    """The letters (sign, i) of word applied to 0(0), the rightmost first:
+    sign +1 is E_i and -1 is F_i."""
+    x = R.v_basis(n, M.pmat(n, []), (0,) * n)
+    for sign, i in reversed(word):
+        mul = R.mul_by_semisimple_plus if sign > 0 else R.mul_by_semisimple_minus
+        x = mul(tuple(int(p == i - 1) for p in range(n)), x)
+    return x
+
+
+def word_sum(n, terms):
+    """The sum of c * word_on_zero(n, word) over the terms (c, word)."""
+    out = R.v_zero(n)
+    for c, word in terms:
+        out = R.v_add(out, R.v_scale(c, word_on_zero(n, word)))
+    return out
+
+
+def serre(n, sign, i, j, gauss=L.gauss_sym):
+    """sum_k (-1)^k [N choose k] X_i^{N-k} X_j X_i^k with N = 1 - a_ij:
+    quartic at n = 2, where a_12 = -2, and cubic otherwise."""
+    N = 3 if n == 2 else 2
+    x, y = (sign, i), (sign, j)
+    return word_sum(
+        n,
+        [
+            (gauss(N, k) if k % 2 == 0 else L.neg(gauss(N, k)), (x,) * (N - k) + (y,) + (x,) * k)
+            for k in range(N + 1)
+        ],
+    )
+
+
+def commutator(n, x, y):
+    return word_sum(n, [(L.one(), (x, y)), (L.neg(L.one()), (y, x))])
+
+
+def test_serre_and_commutation_relations_hold_on_the_symbols():
+    checked = 0
+    for n in (2, 3, 4):
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            adjacent = (i - j) % n in (1, n - 1)
+            for sign in (1, -1):
+                if adjacent:
+                    assert not serre(n, sign, i, j).terms, (n, sign, i, j)
+                else:
+                    assert not commutator(n, (sign, i), (sign, j)).terms, (n, sign, i, j)
+            assert not commutator(n, (1, i), (-1, j)).terms, (n, i, j)
+            checked += 3
+    assert checked == 60
+
+
+def test_serre_relation_fails_with_a_wrong_bracket():
+    # [2] = v^-1 + v replaced by v + 1 in the n = 3 cubic
+    def gauss(N, k):
+        return L.poly({0: 1, 1: 1}) if (N, k) == (2, 1) else L.gauss_sym(N, k)
+
+    assert serre(3, 1, 1, 2, gauss).terms
 
 
 def test_triangular_validation():
