@@ -5,6 +5,7 @@ grid and requires exact equality everywhere; any mismatch fails with the
 offending cases attached.
 """
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -280,3 +281,46 @@ def test_hall_reports_a_miscounted_hall_number(monkeypatch):
             "brute": 4,
         }
     ]
+
+
+def test_hall_twist_reports_a_bent_polynomial_that_both_fields_miss(monkeypatch):
+    # (q - 2)(q - 3) added to the 1 + q of u_{S_1} u_E vanishes at q = 2, 3:
+    # every hall-closed case passes, and the v-polynomials of the twisted
+    # product, compared as polynomials, tell the two routes apart
+    E = M.e_unit(1, 2, 2)
+    product = Ha.semisimple_hall_product
+
+    def bent(alpha, A):
+        out = product(alpha, A)
+        if (tuple(alpha), A) == ((1, 0), E):
+            out = dict(out)
+            out[M.mscale(2, E)] = L.add(out[M.mscale(2, E)], {0: 6, 1: -5, 2: 1})
+        return out
+
+    monkeypatch.setattr(Ha, "semisimple_hall_product", bent)
+    report = V.run_suite("hall", V.Config(n_list=(2,), r_min=2, r_max=2, q_list=(2, 3)))
+    assert [m["case"] for m in report["mismatches"]] == ["twist n=2,alpha=[1, 0]"]
+    assert report["mismatches"][0]["diffs"] == [{"alpha": [1, 0], "matrix": M.to_json(E)}]
+
+
+# json.dumps(report, sort_keys=True) of the failing triangular report below
+TRIANGULAR_CONTROL_SHA256 = "b1376e24598b837634bcfae7fa5eab6970dfbfbfefa12e977e94979e1c4c9052"
+
+
+def test_triangular_reports_a_generator_that_drops_its_weight(monkeypatch, tmp_path):
+    # 0(j) read as 0(0) at every level: the leading coefficients lose
+    # v^(j.(co(upper) + ro(lower)) + mu.j), so every case with j != 0 fails
+    # and no label goes missing or leaves the corner order
+    A_j_r = S.A_j_r
+    monkeypatch.setattr(
+        S, "A_j_r", lambda A, j, r: A_j_r(A, j if M.sigma(A) else (0,) * A.n, r)
+    )
+    out = tmp_path / "triangular.json"
+    assert C.main(["verify", "--suite", "triangular", "--out", str(out)]) == 1
+    (report,) = json.loads(out.read_text())["suites"]
+    assert report["cases"] == 180 and len(report["mismatches"]) == 135
+    diffs = [d for m in report["mismatches"] for d in m["diffs"]]
+    assert all(d["j"] != [0, 0] and not d["missing"] for d in diffs)
+    assert {b["reason"] for d in diffs for b in d["bad"]} == {"leading coefficient"}
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == TRIANGULAR_CONTROL_SHA256

@@ -472,6 +472,21 @@ def test_negate_element_is_an_involution():
             assert R.negate_element(y) == x
 
 
+def test_plus_rows_on_strictly_upper_labels_keep_the_weight_and_the_diagonal():
+    # the twisted Hall product adds up these rows as they are: on a strictly
+    # upper label no T of the plus product shifts the weight or has a
+    # diagonal entry, so no row needs the lambda-reduction
+    rows = 0
+    for n in (2, 3):
+        zero = (0,) * n
+        for A in Ha.enumerate_labels(n, 3, 5):
+            for alpha in V._alpha_grid(n, 2):
+                for _, _, _, shift, delta in R._plus_rows(alpha, A):
+                    assert shift == zero and delta == zero, (alpha, A)
+                    rows += 1
+    assert rows == 3207
+
+
 def test_twisted_hall_product_validation():
     E = M.e_unit(1, 2, 2)
     with pytest.raises(ValueError):
