@@ -41,9 +41,9 @@ values are ``laurent`` dicts in q; the brute-force census of
 
 The closed form of the twisted product is not kept here: it is the
 weight-zero read-off of the level-free one-layer kernel,
-``realization.twisted_hall_product(alpha, A)``, the numerators of
-``mul_by_semisimple_plus(alpha, A(0))``.  It lives in ``realization``,
-which imports this module.
+``realization.twisted_hall_product(alpha, A)``, the sum of the plus
+rows of ``mul_by_semisimple_plus(alpha, A(0))``.  It lives in
+``realization``, which imports this module.
 """
 
 import functools

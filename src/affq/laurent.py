@@ -29,12 +29,12 @@ process) puts in it:
 * schur._oracle_mul: the items of oracle_mul; answers 3,706 of 8,764
   calls.
 * schur._diag_fill: the (mu, A + diag(mu)) pairs, which schur.diag_fill
-  returns as is; answers 29,237 of 30,631 calls.
+  returns as is; answers 29,778 of 31,207 calls.
 * schur._e_mul_upper: the (label, coeff) terms of e_mul_upper, which the
   Hall products also read, keyed by labels and never by a weight; keeps
   3,366 of the 4,456 hits of its 2,536 label pairs.
 * realization._lambda_table: the (k, fraction) pairs that reduce_j_lambda
-  adds to j; 8 entries, 5,642 hits.
+  and each row of the plus product add to j; 8 entries, 5,642 hits.
 * realization._plus_rows: the weight-free rows (label, coeff, jc, shift,
   delta) of the plus product, keyed by (alpha, A); keeps 1,816 of the
   1,907 hits of its 270 keys.
@@ -46,13 +46,16 @@ CACHE_SIZE bounds the tables whose repeats span a whole run, and none of
 them reaches it: all eight suites in one process (affq verify --suite all
 --jobs 1) fill the largest, matrices._d_exponent, to 8,481 entries and
 schur._label_reps to 6,698.  The four tables whose entries hold many
-labels have small bounds, ORACLE_CACHE_SIZE, FILL_CACHE_SIZE and
-PRODUCT_CACHE_SIZE: their repeats fall within one verify case, so a small
+labels have small bounds, PRODUCT_CACHE_SIZE on schur._oracle_mul,
+schur._e_mul_upper and realization._plus_rows, and FILL_CACHE_SIZE on
+schur._diag_fill: their repeats fall within one verify case, so a small
 table keeps almost every hit, while peak memory grows with the bound.  On
 the suites pass an unbounded schur._oracle_mul holds 4,856 entries for
-3,908 hits, an unbounded schur._diag_fill 964 entries (0.49 MB) for
-29,667, and the two product tables unbounded raise the peak from 20.7 to
-23.9 MB and save no time.
+3,908 hits, an unbounded schur._diag_fill 980 entries for 30,227 hits,
+and _e_mul_upper and _plus_rows unbounded raise the peak from 20.7 to
+23.9 MB and save no time.  FILL_CACHE_SIZE stays above the others: at
+128, the default level-coherence grid misses schur._diag_fill 32,796
+times instead of 21,681.
 
 >>> text(mul(poly({0: 1, 1: 1}), poly({0: -1, 1: 1})))
 '-1 + v^2'
@@ -68,9 +71,8 @@ from dataclasses import dataclass
 CACHE_SIZE = 1 << 14
 # Entries of these hold many labels, and their repeats fall within one
 # verify case, so a small bound keeps the hits and caps peak memory.
-ORACLE_CACHE_SIZE = 128  # schur._oracle_mul: a whole Schur element per entry
 FILL_CACHE_SIZE = 256  # schur._diag_fill: the labels A + diag(mu) per entry
-PRODUCT_CACHE_SIZE = 128  # schur._e_mul_upper, realization._plus_rows
+PRODUCT_CACHE_SIZE = 128  # schur._oracle_mul, schur._e_mul_upper, realization._plus_rows
 
 
 def zero():

@@ -43,7 +43,8 @@ j'[-p-2 mod n] = j[p] (vertex p+1 goes to -(p+1)), and
 alpha'[-p-3 mod n] = alpha[p] (the cell (p+2, p+1) goes to the
 superdiagonal cell (-p-2, -p-1)).  The twisted Hall product of
 ``hall`` is the weight-zero case of the plus product on strictly upper
-labels (``twisted_hall_product``).
+labels, whose rows keep the weight and have no diagonal:
+``twisted_hall_product`` adds up their coefficients.
 """
 
 import functools
@@ -334,9 +335,9 @@ def mul_by_semisimple_plus(alpha, x):
     for (A, j), cf in x.terms.items():
         for label, coeff, jc, shift, delta in _plus_rows(tuple(alpha), A):
             scalar = L.frac_scale(L.vshift(coeff, M.dot(j, jc)), cf)
-            piece = reduce_j_lambda(label, tuple(a + b for a, b in zip(j, shift)), delta)
-            for key, c in piece.terms.items():
-                _vacc(out, key, L.frac_mul(scalar, c))
+            js = tuple(a + b for a, b in zip(j, shift))
+            for k, c in _lambda_table(delta):  # the reduction of label(js, delta)
+                _vacc(out, (label, tuple(a + b for a, b in zip(js, k))), L.frac_mul(scalar, c))
     return VElement(x.n, out)
 
 
@@ -367,20 +368,19 @@ def mul_by_semisimple_minus(alpha, x):
 def twisted_hall_product(alpha, A):
     """The tilde-normalized Hall product u~_alpha u~_A, Laurent coefficients.
 
-    For a strictly upper label A the plus product keeps the weight 0 and
-    has denominator one, so its numerators are the twisted product.
+    It is the plus product on A(0) for a strictly upper label A, where no
+    row of ``_plus_rows`` shifts the weight or has a diagonal (delta), so
+    the row coefficients add up as they are.
 
     >>> E = M.e_unit(1, 2, 2)
     >>> twisted_hall_product((1, 0), E) == {M.mscale(2, E): {1: 1, -1: 1}}
     True
     """
     Ha.check_label(A)
-    zero_j = (0,) * A.n
+    Ha.check_alpha(alpha, A.n)
     out = {}
-    for (label, j), f in mul_by_semisimple_plus(alpha, v_basis(A.n, A, zero_j)).terms.items():
-        if j != zero_j or f.den != L.one():
-            raise AssertionError("twisted product left weight zero or has a denominator")
-        out[label] = f.num
+    for label, coeff, _, _, _ in _plus_rows(tuple(alpha), A):
+        L.acc(out, label, coeff)
     return out
 
 
@@ -497,51 +497,3 @@ def relation_e_difference(lam, mu):
             term = mul_by_0j(cyclic_difference(nu), base)
             rhs = v_add(rhs, v_scale(L.frac_scale(shift, x), term))
     return v_sub(lhs, rhs)
-
-
-def triangular_leading_data(A, j, r):
-    """Product of upper part, diagonal generator, lower part at one level.
-
-    The expansion must contain every [A + diag(mu)] with coefficient
-    v^(mu.j + j.(co(upper) + ro(lower))) and all other labels must have
-    strictly smaller off-diagonal part in the corner order.
-
-    >>> triangular_leading_data(M.e_unit(1, 2, 2), (1, 1), 2)[0]
-    True
-    """
-    n = A.n
-    S.check_symbol(n, A, j)
-    if any(c < 0 for c in j):
-        raise ValueError("weight must be nonnegative here")
-    if M.sigma(A) > r:
-        raise ValueError("sigma of the label exceeds the level")
-    upper, _, lower = M.split(A)
-    zero_j = (0,) * n
-    left = S.convert(S.A_j_r(upper, zero_j, r), "e")
-    mid = S.convert(S.A_j_r(M.pmat(n, []), tuple(j), r), "e")
-    right = S.convert(S.A_j_r(lower, zero_j, r), "e")
-    got = S.convert(S.oracle_product(S.oracle_product(left, mid), right), "n")
-    lead = M.dot(tuple(j), tuple(x + y for x, y in zip(M.co(upper), M.ro(lower))))
-    bad = []
-    for label, coeff in got.terms.items():
-        off = M.offdiag(label)
-        if off == A:
-            mu = tuple(label.entry(i, i) for i in range(1, n + 1))
-            want = L.monomial(lead + M.dot(mu, tuple(j)))
-            if coeff != want:
-                bad.append({"matrix": M.to_json(label), "reason": "leading coefficient"})
-        elif not M.preceq(off, A) or off == A:
-            bad.append({"matrix": M.to_json(label), "reason": "not strictly below"})
-    missing = []
-    for mu in M.compositions(n, r - M.sigma(A)):
-        label = M.madd(A, M.diag(mu))
-        if label not in got.terms:
-            missing.append({"matrix": M.to_json(label)})
-    ok = not bad and not missing
-    return ok, {
-        "matrix": M.to_json(A),
-        "j": list(j),
-        "r": r,
-        "bad": bad,
-        "missing": missing,
-    }

@@ -430,7 +430,7 @@ def oracle_mul(B, A):
     return SchurElement(B.n, M.sigma(A), "e", dict(_oracle_mul(B, A)))
 
 
-@functools.lru_cache(maxsize=L.ORACLE_CACHE_SIZE)
+@functools.lru_cache(maxsize=L.PRODUCT_CACHE_SIZE)
 def _oracle_mul(B, A):
     """The terms of oracle_mul(B, A) as a tuple of (label, coeff) items."""
     if B.n != A.n:

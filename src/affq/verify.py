@@ -521,14 +521,35 @@ def _cases_triangular(cfg):
 
 
 def _check_triangular(case):
+    """Upper part, diagonal generator 0(j), lower part of A, multiplied by
+    the oracle at each level r: the product must hold every [A + diag(mu)]
+    with coefficient v^(mu.j + j.(co(upper) + ro(lower))), and every other
+    label must lie strictly below A in the corner order."""
     _, A, j, r_max = case
+    zero_j = (0,) * A.n
+    upper, _, lower = M.split(A)
+    lead = M.dot(j, tuple(x + y for x, y in zip(M.co(upper), M.ro(lower))))
     checked = 0
     diffs = []
     for r in range(max(1, M.sigma(A)), r_max + 1):
-        ok, report = R.triangular_leading_data(A, j, r)
+        left = S.convert(S.A_j_r(upper, zero_j, r), "e")
+        mid = S.convert(S.A_j_r(M.pmat(A.n, []), j, r), "e")
+        right = S.convert(S.A_j_r(lower, zero_j, r), "e")
+        got = S.convert(S.oracle_product(S.oracle_product(left, mid), right), "n")
+        fills = {label: mu for mu, label in S.diag_fill(A, r)}
+        bad = []
+        for label, coeff in got.terms.items():
+            if label in fills:
+                if coeff != L.monomial(lead + M.dot(fills[label], j)):
+                    bad.append({"matrix": M.to_json(label), "reason": "leading coefficient"})
+            elif not M.preceq(M.offdiag(label), A):
+                bad.append({"matrix": M.to_json(label), "reason": "not strictly below"})
+        missing = [{"matrix": M.to_json(C)} for C in fills if C not in got.terms]
         checked += 1
-        if not ok:
-            diffs.append(report)
+        if bad or missing:
+            diffs.append(
+                {"matrix": M.to_json(A), "j": list(j), "r": r, "bad": bad, "missing": missing}
+            )
     return _case_entry(
         not diffs, "A=%s,j=%s" % (sorted(A.entries), list(j)), checked, diffs
     )

@@ -453,16 +453,6 @@ def test_serre_relation_fails_with_a_wrong_bracket():
     assert serre(3, 1, 1, 2, gauss).terms
 
 
-def test_triangular_validation():
-    A = M.madd(M.e_unit(1, 2, 2), M.e_unit(2, 1, 2))
-    with pytest.raises(ValueError):
-        R.triangular_leading_data(A, (1, 1), 1)
-    with pytest.raises(ValueError):
-        R.triangular_leading_data(A, (-1, 1), 3)
-    with pytest.raises(ValueError):
-        R.triangular_leading_data(M.diag((1, 0)), (0, 0), 2)
-
-
 def test_negate_element_is_an_involution():
     for n in (2, 3):
         for A in [M.pmat(n, []), M.e_unit(1, 2, n), M.e_unit(2, 1, n)]:
