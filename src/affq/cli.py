@@ -25,8 +25,13 @@ r <= verify.MAX_LEVEL and starts at most verify.MAX_JOBS worker
 processes, and never more than a suite has cases.
 
 ``main`` may be called any number of times in one process: the parser is
-built on the first call and shared by the later ones.  Argparse keeps no
-state between parses, so every call behaves as in a fresh process.
+built on the first call and shared by the later ones, and each distinct
+argv is parsed once.  A call reads the parsed items of its argv from a
+table and builds a fresh namespace from them, so a command that changes
+its arguments leaves the next call's untouched.  A usage error or
+``--help`` exits inside the parse and is never stored, so it prints to
+the streams of its own call; ``--in`` and ``--out`` are read and
+written on every call.  Every call behaves as in a fresh process.
 """
 
 import argparse
@@ -262,8 +267,15 @@ def _parser():
     return build_parser()
 
 
+@functools.lru_cache(maxsize=L.CACHE_SIZE)
+def _parsed(argv):
+    """The items of the namespace that the shared parser makes of argv."""
+    return tuple(vars(_parser().parse_args(argv)).items())
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = argparse.Namespace(**dict(_parsed(tuple(argv))))
     try:
         return args.func(args)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:

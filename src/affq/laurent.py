@@ -41,6 +41,10 @@ process) puts in it:
 * hall._census: the types.MappingProxyType census behind
   hall.submodule_census; the suites pass does not reach it, and all
   eight suites fill it to 536 entries for 7,928 hits.
+* cli._parsed: the (name, value) items of the namespace that the parser
+  makes of one argv, from which cli.main builds a fresh namespace per
+  call; the suites pass does not reach it, and one queries pass of the
+  benchmark (seed 1) fills it to 7 entries for 2,393 hits.
 
 CACHE_SIZE bounds the tables whose repeats span a whole run, and none of
 them reaches it: all eight suites in one process (affq verify --suite all

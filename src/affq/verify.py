@@ -34,7 +34,6 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 from . import hall as Ha
 from . import hecke as H
@@ -628,14 +627,29 @@ _SUITES = {
 }
 
 SUITE_NAMES = tuple(_SUITES)
+_N2_SUITES = ("commutator", "triangular")  # their grids are fixed at n = 2
+
+
+def _validate(name, cfg):
+    if name not in SUITE_NAMES:
+        raise ValueError("unknown suite %r" % name)
+    cfg.validate()
+    if name in _N2_SUITES and 2 not in cfg.n_list:
+        raise ValueError("the %s grid is fixed at n = 2, so n must include 2" % name)
+
+
+def get_context(method):
+    """The multiprocessing context of method.  The import waits for the
+    first pool, so a run with jobs = 1 never loads multiprocessing."""
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
 
 
 def run_suite(name, cfg=None):
     """Run one suite and return its report dictionary."""
-    if name not in SUITE_NAMES:
-        raise ValueError("unknown suite %r" % name)
     cfg = cfg or Config()
-    cfg.validate()
+    _validate(name, cfg)
     builder, checker = _SUITES[name]
     cases = builder(cfg)
     if cfg.jobs > 1 and len(cases) > 1:
@@ -655,6 +669,10 @@ def run_suite(name, cfg=None):
 
 
 def run_suites(names, cfg=None):
-    """Run several suites; returns (all_ok, list of reports)."""
+    """Run several suites; returns (all_ok, list of reports).  Every suite
+    is validated before the first one starts."""
+    cfg = cfg or Config()
+    for name in names:
+        _validate(name, cfg)
     reports = [run_suite(name, cfg) for name in names]
     return all(rep["ok"] for rep in reports), reports

@@ -1,6 +1,9 @@
 """Tests for the command-line interface and the suite driver."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -507,6 +510,99 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
+COSET_A = {"n": 2, "entries": [[1, 1, 2]]}
+COSET_B = {"n": 2, "entries": [[1, 2, 1], [2, 1, 1]]}
+
+
+def test_each_distinct_argv_is_parsed_once(tmp_path, monkeypatch):
+    cli._parsed.cache_clear()
+    parser = cli._parser()
+    parses = []
+    real = parser.parse_args
+
+    def counting(argv):
+        parses.append(tuple(argv))
+        return real(argv)
+
+    monkeypatch.setattr(parser, "parse_args", counting)
+    for k in range(20):
+        payload, name, length = (COSET_A, "a.json", 0) if k % 2 else (COSET_B, "b.json", 1)
+        code, data, _ = run_cli(["coset"], payload, tmp_path, name)
+        assert code == 0 and data["length"] == length
+    assert len(parses) == 2 and len(set(parses)) == 2
+    assert cli._parsed.cache_info().currsize == 2
+
+
+def test_a_command_that_changes_its_args_leaves_the_next_call_as_parsed(monkeypatch):
+    cli._parsed.cache_clear()
+    seen = []
+
+    def mutating(args):
+        seen.append(dict(vars(args)))
+        args.out = "elsewhere.json"
+        args.infile = None
+        del args.func
+        return 0
+
+    # the parser binds cmd_coset when it is built: rebuild it around the
+    # patch, and again after it, so that no later test meets the patch
+    monkeypatch.setattr(cli, "cmd_coset", mutating)
+    cli._parser.cache_clear()
+    try:
+        argv = ["coset", "--in", "a.json", "--out", "b.json"]
+        assert cli.main(argv) == 0
+        assert cli.main(argv) == 0
+    finally:
+        cli._parser.cache_clear()
+        cli._parsed.cache_clear()
+    parsed = {"command": "coset", "infile": "a.json", "out": "b.json", "func": mutating}
+    assert seen == [parsed, parsed]
+
+
+def test_a_usage_error_is_never_stored(tmp_path, capsysbinary):
+    cli._parsed.cache_clear()
+    assert run_cli(["coset"], COSET_A, tmp_path)[0] == 0
+    size = cli._parsed.cache_info().currsize
+    capsysbinary.readouterr()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["coset", "--basis", "e"])
+        errors.append((exc.value.code, capsysbinary.readouterr().err))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 2 and b"unrecognized arguments: --basis e" in errors[0][1]
+    assert cli._parsed.cache_info().currsize == size
+    code, data, _ = run_cli(["coset"], COSET_B, tmp_path)
+    assert code == 0 and data["length"] == 1
+
+
+def test_main_without_argv_reads_the_sys_argv_of_each_call(tmp_path, monkeypatch):
+    cli._parsed.cache_clear()
+    for name, payload, length in (("a", COSET_A, 0), ("b", COSET_B, 1)):
+        src, out = tmp_path / (name + ".json"), tmp_path / ("out-" + name + ".json")
+        src.write_text(json.dumps(payload))
+        monkeypatch.setattr(sys, "argv", ["affq", "coset", "--in", str(src), "--out", str(out)])
+        assert cli.main() == 0
+        assert json.loads(out.read_text())["length"] == length
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # a fresh interpreter: this one has loaded multiprocessing long since;
+    # the pool's context loads it, which shows the check can fail
+    code = (
+        "import sys, affq.cli\n"
+        "before = 'multiprocessing' in sys.modules\n"
+        "affq.verify.get_context('spawn')\n"
+        "print(before, 'multiprocessing' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["False", "True"]
+
+
 def test_verify_command_restricted_grid(tmp_path):
     out = tmp_path / "report.json"
     code = cli.main(
@@ -539,6 +635,20 @@ def test_verify_rejects_bad_grid():
     assert cli.main(["verify", "--suite", "laurent", "--r", "0"]) == 2
     with pytest.raises(SystemExit):
         cli.main(["verify", "--suite", "unknown"])
+
+
+@pytest.mark.parametrize("suite", ["triangular", "commutator", "all"])
+def test_verify_refuses_a_grid_without_n_2_for_the_fixed_suites(
+    suite, tmp_path, monkeypatch, capsys
+):
+    # triangular and commutator run fixed n = 2 grids: a request without
+    # n = 2 exits 2 before any case of the run starts, --suite all included
+    started = []
+    for name, (builder, _) in list(V._SUITES.items()):
+        monkeypatch.setitem(V._SUITES, name, (builder, started.append))
+    code, _, out = run_cli(["verify", "--suite", suite, "--n", "3"], None, tmp_path)
+    assert code == 2 and not out.exists() and started == []
+    assert "grid is fixed at n = 2" in capsys.readouterr().err
 
 
 def test_verify_rejects_empty_q_list(tmp_path):
