@@ -94,8 +94,8 @@ def cmd_coset(args):
     closed = P.length_formula(A)
     _emit(
         {
-            "window": list(y.window),
-            "r": y.r,
+            "window": list(y),
+            "r": len(y),
             "length": walked,
             "length_formula": closed,
         },
@@ -267,7 +267,7 @@ def _parser():
     return build_parser()
 
 
-@functools.lru_cache(maxsize=L.CACHE_SIZE)
+@functools.lru_cache(maxsize=L.PRODUCT_CACHE_SIZE)
 def _parsed(argv):
     """The items of the namespace that the shared parser makes of argv."""
     return tuple(vars(_parser().parse_args(argv)).items())

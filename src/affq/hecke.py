@@ -1,9 +1,10 @@
 """Hecke algebra of the window-permutation group, with parameter v squared.
 
-Elements are finite sums of basis symbols T_w indexed by window
-permutations, with coefficients in the Laurent ring of v; elements share
-coefficient dicts, never mutated (see ``laurent``).  Products reduce to
-the one-generator rules
+Elements are finite sums of basis symbols T_w keyed by the window tuple
+of w, which is the permutation itself (see ``permutations``), with
+coefficients in the Laurent ring of v; elements share coefficient dicts,
+never mutated (see ``laurent``).  Products reduce to the one-generator
+rules
 
     T_s T_w = T_{sw}                         if length(sw) > length(w),
     T_s T_w = (v^2 - 1) T_w + v^2 T_{sw}     if length(sw) < length(w),
@@ -52,7 +53,7 @@ class HeckeElement:
 
 
 def t_basis(w):
-    return HeckeElement(w.r, {w.window: L.one()})
+    return HeckeElement(len(w), {w: L.one()})
 
 
 def h_from_items(r, items):
@@ -144,7 +145,7 @@ def left_mul_basis(w, h, nu=()):
     on every block of nu.
     """
     r = h.r
-    if w.r != r:
+    if len(w) != r:
         raise ValueError("level mismatch")
     m, word = P.reduced_word(w)
     h = left_mul_rho(m, h)
@@ -165,7 +166,7 @@ def mul(a, b):
     out = {}
     for win in sorted(a.terms):
         c = a.terms[win]
-        piece = left_mul_basis(P.AffinePermutation(a.r, win), b)
+        piece = left_mul_basis(win, b)
         for pwin, pc in piece.terms.items():
             L.acc(out, pwin, L.mul(pc, c))
     return HeckeElement(a.r, out)
@@ -203,10 +204,7 @@ def t_double_coset(lam, d, mu):
     """Sum of T_w over the double coset of d, for d shortest in it."""
     if not P.is_min_double_coset_rep(d, lam, mu):
         raise ValueError("d is not the shortest element of its double coset")
-    return HeckeElement(
-        d.r,
-        {w.window: L.one() for w in P.double_coset_elements(lam, d, mu)},
-    )
+    return HeckeElement(len(d), {w: L.one() for w in P.double_coset_elements(lam, d, mu)})
 
 
 def coset_factor(A):
@@ -226,9 +224,8 @@ def coset_product_identity_check(lam, d, mu):
     T_{dw} over w in W_mu; only x_lam acts on the left.
     """
     rhs = t_double_coset(lam, d, mu)
-    factor = coset_factor(P.double_coset_matrix(lam, d.window, mu))
+    factor = coset_factor(P.double_coset_matrix(lam, d, mu))
     t_d_x_mu = HeckeElement(
-        d.r,
-        {P.compose(d, w).window: L.one() for w in P.young_subgroup_elements(mu)},
+        len(d), {P.compose(d, w): L.one() for w in P.young_subgroup_elements(mu)}
     )
     return x_mul_left(lam, t_d_x_mu) == h_scale(factor, rhs)

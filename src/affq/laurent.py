@@ -20,7 +20,7 @@ process) puts in it:
 * laurent._factorial_sq: the items of a v^2 factorial; 5 entries, 12,704
   hits.
 * matrices._d_exponent: the int d_A; 665 entries, 16,486 hits.
-* permutations._reduced_word: (m, word), keyed by (r, window); 915
+* permutations._reduced_word: (m, word), keyed by the window; 915
   entries, 20,088 hits.
 * schur._label_reps: the window of d_A beside the frozenset of the coset
   windows of the double coset of A, from which the oracle peel reads the
@@ -59,7 +59,9 @@ the suites pass an unbounded schur._oracle_mul holds 4,856 entries for
 and _e_mul_upper and _plus_rows unbounded raise the peak from 20.7 to
 23.9 MB and save no time.  FILL_CACHE_SIZE stays above the others: at
 128, the default level-coherence grid misses schur._diag_fill 32,796
-times instead of 21,681.
+times instead of 21,681.  PRODUCT_CACHE_SIZE bounds cli._parsed too: --in
+and --out are part of its key, so a caller naming a new path on every
+call would fill any bound, and a queries pass needs 7 entries.
 
 >>> text(mul(poly({0: 1, 1: 1}), poly({0: -1, 1: 1})))
 '-1 + v^2'
@@ -76,7 +78,7 @@ CACHE_SIZE = 1 << 14
 # Entries of these hold many labels, and their repeats fall within one
 # verify case, so a small bound keeps the hits and caps peak memory.
 FILL_CACHE_SIZE = 256  # schur._diag_fill: the labels A + diag(mu) per entry
-PRODUCT_CACHE_SIZE = 128  # schur._oracle_mul, schur._e_mul_upper, realization._plus_rows
+PRODUCT_CACHE_SIZE = 128  # schur._oracle_mul, _e_mul_upper, realization._plus_rows, cli._parsed
 
 
 def zero():

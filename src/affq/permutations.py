@@ -1,14 +1,14 @@
 """Bijections of the integers commuting with the shift by a period r.
 
-A permutation w of the integers with w(i + r) = w(i) + r for all i is
-stored by its window (w(1), ..., w(r)).  These bijections form a group
-under composition, generated by the transpositions s_1, ..., s_r together
-with the shift rho: j -> j + 1.  The module provides the group operations,
-length as inversion count, reduced words, shortest coset and double-coset
-representatives for Young subgroups attached to compositions, the matrix
-encoding of double cosets, and the shortest representative read off a
-nonnegative periodic matrix.  An ``AffinePermutation`` is an immutable,
-slotted value that hashes once, at construction, and pickles by value.
+A permutation w of the integers with w(i + r) = w(i) + r for all i is its
+window (w(1), ..., w(r)): a plain tuple of r integers, so r is its length.
+These bijections form a group under composition, generated by the
+transpositions s_1, ..., s_r together with the shift rho: j -> j + 1.  The
+module provides the group operations, length as inversion count, reduced
+words, shortest coset and double-coset representatives for Young subgroups
+attached to compositions, the matrix encoding of double cosets, and the
+shortest representative read off a nonnegative periodic matrix.  ``perm``
+validates outside input; every function takes and returns windows.
 """
 
 from __future__ import annotations
@@ -20,58 +20,11 @@ from bisect import bisect_left
 from . import laurent as L
 from . import matrices as M
 
-_set = object.__setattr__
-
-
-class AffinePermutation:
-    """Window (w(1), ..., w(r)) of a bijection with w(i + r) = w(i) + r.
-
-    An immutable value type, like ``matrices.PeriodicMatrix``: its hash is
-    computed once, at construction, and it equals only an
-    AffinePermutation with the same r and window, never a tuple or a label.
-    """
-
-    __slots__ = ("r", "window", "_hash")
-
-    def __init__(self, r, window):
-        _set(self, "r", r)
-        _set(self, "window", window)
-        _set(self, "_hash", hash((r, window)))
-
-    def __setattr__(self, *args):
-        raise AttributeError("AffinePermutation is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not AffinePermutation:
-            return NotImplemented
-        return self._hash == other._hash and self.r == other.r and self.window == other.window
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return AffinePermutation, (self.r, self.window)
-
-    def apply(self, j):
-        """Value w(j) for any integer j."""
-        c = (j - 1) % self.r
-        t = (j - 1 - c) // self.r
-        return self.window[c] + t * self.r
-
-    def __call__(self, j):
-        return self.apply(j)
-
-    def __repr__(self):
-        return text(self)
-
-
 def perm(r, window):
-    """Validated constructor.
+    """Validated constructor: the window as a tuple.
 
     >>> perm(2, [0, 3])
-    w = [0, 3] @ 2
+    (0, 3)
     >>> perm(2, [2, 4])
     Traceback (most recent call last):
         ...
@@ -83,7 +36,7 @@ def perm(r, window):
         raise ValueError("window must list the r values w(1), ..., w(r)")
     if sorted(x % r for x in w) != list(range(r)):
         raise ValueError("window residues mod r must form a permutation")
-    return AffinePermutation(r, w)
+    return w
 
 
 def _period(r):
@@ -96,22 +49,20 @@ def _period(r):
 
 
 def identity(r):
-    r = _period(r)
-    return AffinePermutation(r, tuple(range(1, r + 1)))
+    return tuple(range(1, _period(r) + 1))
 
 
 def rho_power(m, r):
     """The shift j -> j + m."""
-    r = _period(r)
-    return AffinePermutation(r, tuple(i + m for i in range(1, r + 1)))
+    return tuple(i + m for i in range(1, _period(r) + 1))
 
 
 def generator_s(i, r):
     """Coxeter generator exchanging the classes of i and i + 1 mod r.
 
-    >>> generator_s(1, 2).window
+    >>> generator_s(1, 2)
     (2, 1)
-    >>> generator_s(2, 2).window
+    >>> generator_s(2, 2)
     (0, 3)
     """
     r = _period(r)
@@ -122,33 +73,38 @@ def generator_s(i, r):
     for j in range(1, r + 1):
         c = j % r
         out.append(j + 1 if c == a else j - 1 if c == b else j)
-    return AffinePermutation(r, tuple(out))
+    return tuple(out)
+
+
+def apply(w, j):
+    """Value w(j) for any integer j."""
+    c = (j - 1) % len(w)
+    return w[c] + j - 1 - c  # j - 1 - c = r * ((j - 1) // r)
 
 
 def compose(w, y):
     """(w . y)(k) = w(y(k))."""
-    if w.r != y.r:
+    r = len(w)
+    if len(y) != r:
         raise ValueError("period mismatch")
-    r, win = w.r, w.window
     out = []
-    for v in y.window:
+    for v in y:
         c = (v - 1) % r
-        out.append(win[c] + v - 1 - c)  # v - 1 - c = r * ((v - 1) // r)
-    return AffinePermutation(r, tuple(out))
+        out.append(w[c] + v - 1 - c)  # v - 1 - c = r * ((v - 1) // r)
+    return tuple(out)
 
 
 def inverse(w):
-    out = [0] * w.r
-    for k in range(1, w.r + 1):
-        v = w.window[k - 1]
-        c = (v - 1) % w.r
-        m = (v - 1 - c) // w.r
-        out[c] = k - m * w.r
-    return AffinePermutation(w.r, tuple(out))
+    r = len(w)
+    out = [0] * r
+    for k, v in enumerate(w, 1):
+        c = (v - 1) % r
+        out[c] = k - v + 1 + c  # k - r * ((v - 1) // r)
+    return tuple(out)
 
 
 def is_identity(w):
-    return w.window == tuple(range(1, w.r + 1))
+    return w == tuple(range(1, len(w) + 1))
 
 
 def length(w):
@@ -164,13 +120,12 @@ def length(w):
     >>> length(perm(2, [0, 3]))
     1
     """
-    r = w.r
+    r = len(w)
     total = 0
-    for i in range(1, r + 1):
-        wi = w.window[i - 1]
-        for j0 in range(1, r + 1):
+    for i, wi in enumerate(w, 1):
+        for j0, wj in enumerate(w, 1):
             lo = (i - j0) // r + 1
-            hi = (wi - w.window[j0 - 1] - 1) // r
+            hi = (wi - wj - 1) // r
             if hi >= lo:
                 total += hi - lo + 1
     return total
@@ -178,12 +133,13 @@ def length(w):
 
 def rho_part(w):
     """Exponent m with w = rho^m * sigma and sigma fixing the window sum."""
-    return (sum(w.window) - w.r * (w.r + 1) // 2) // w.r
+    r = len(w)
+    return (sum(w) - r * (r + 1) // 2) // r
 
 
 def is_right_descent(w, i):
     """Whether length(compose(w, s_i)) < length(w)."""
-    return w.apply(i) > w.apply(i + 1)
+    return apply(w, i) > apply(w, i + 1)
 
 
 def reduced_word(w):
@@ -196,31 +152,24 @@ def reduced_word(w):
     >>> reduced_word(rho_power(-3, 4))
     (-3, ())
     """
-    return _reduced_word(w.r, w.window)
+    return _reduced_word(w)
 
 
 @functools.lru_cache(maxsize=L.CACHE_SIZE)
-def _reduced_word(r, window):
-    w = AffinePermutation(r, window)
+def _reduced_word(w):
+    r = len(w)
     m = rho_part(w)
     sigma = compose(rho_power(-m, r), w)
     rev = []
     while True:
-        i = next(
-            (i for i in range(1, sigma.r + 1) if is_right_descent(sigma, i)),
-            None,
-        )
+        i = next((i for i in range(1, r + 1) if is_right_descent(sigma, i)), None)
         if i is None:
             break
         rev.append(i)
-        sigma = compose(sigma, generator_s(i, sigma.r))
+        sigma = compose(sigma, generator_s(i, r))
     if not is_identity(sigma):
         raise AssertionError("descent peeling must end at the identity")
     return m, tuple(reversed(rev))
-
-
-def text(w):
-    return "w = [" + ", ".join(str(x) for x in w.window) + "] @ " + str(w.r)
 
 
 def blocks(lam):
@@ -260,26 +209,24 @@ def is_min_right_coset_rep(d, lam):
     >>> is_min_right_coset_rep(identity(2), (2, 0))
     True
     """
-    if sum(lam) != d.r:
+    if sum(lam) != len(d):
         raise ValueError("composition must sum to the period")
-    inv = inverse(d).window
+    inv = inverse(d)
     return all(inv[p] < inv[p + 1] for p in inner_positions(lam))
 
 
 def is_min_double_coset_rep(d, lam, mu):
     """Whether d is shortest in (lam subgroup) * d * (mu subgroup): the
     inverse increases on the blocks of lam and d on the blocks of mu."""
-    if sum(mu) != d.r:
+    if sum(mu) != len(d):
         raise ValueError("composition must sum to the period")
-    w = d.window
     return is_min_right_coset_rep(d, lam) and all(
-        w[p] < w[p + 1] for p in inner_positions(mu)
+        d[p] < d[p + 1] for p in inner_positions(mu)
     )
 
 
-def double_coset_matrix(lam, window, mu):
-    """Matrix counting |block_k(lam) intersect d(block_l(mu))| for the
-    permutation d of the window.
+def double_coset_matrix(lam, d, mu):
+    """Matrix counting |block_k(lam) intersect d(block_l(mu))|.
 
     The blocks run over all integer shifts; the count is stored at the
     normalized cell.  The block subgroups preserve every block, so each
@@ -290,7 +237,7 @@ def double_coset_matrix(lam, window, mu):
     """
     n = len(lam)
     r = sum(lam)
-    if len(mu) != n or sum(mu) != r or len(window) != r:
+    if len(mu) != n or sum(mu) != r or len(d) != r:
         raise ValueError("compositions must share length and total")
     lcum = [0]
     for part in lam:
@@ -299,7 +246,7 @@ def double_coset_matrix(lam, window, mu):
     pos = 0
     for l0 in range(1, n + 1):
         for p in range(pos + 1, pos + mu[l0 - 1] + 1):
-            x = window[p - 1]
+            x = d[p - 1]
             t = (x - 1) // r
             x0 = x - t * r
             i0 = bisect_left(lcum, x0)
@@ -317,11 +264,11 @@ def jmath(lam, d, mu):
     >>> jmath((1, 1), perm(2, [0, 3]), (1, 1)).entries
     ((1, 0, 1), (2, 3, 1))
     """
-    if len(mu) != len(lam) or sum(mu) != sum(lam) or d.r != sum(lam):
+    if len(mu) != len(lam) or sum(mu) != sum(lam) or len(d) != sum(lam):
         raise ValueError("compositions must share length and total")
     if not is_min_double_coset_rep(d, lam, mu):
         raise ValueError("d is not the shortest element of its double coset")
-    return double_coset_matrix(lam, d.window, mu)
+    return double_coset_matrix(lam, d, mu)
 
 
 def pseudo_matrix_rep(A):
@@ -332,9 +279,9 @@ def pseudo_matrix_rep(A):
     out left to right.  Reading the runs down columns 1..n, rows top to
     bottom, yields the window.
 
-    >>> pseudo_matrix_rep(M.diag((2, 1))).window
+    >>> pseudo_matrix_rep(M.diag((2, 1)))
     (1, 2, 3)
-    >>> pseudo_matrix_rep(M.madd(M.e_unit(1, 2, 2), M.e_unit(2, 1, 2))).window
+    >>> pseudo_matrix_rep(M.madd(M.e_unit(1, 2, 2), M.e_unit(2, 1, 2)))
     (2, 1)
     """
     n = A.n
@@ -392,17 +339,15 @@ def young_subgroup_elements(lam):
         for block, values in zip(blocks(lam), combo):
             for pos, val in zip(block, values):
                 window[pos - 1] = val
-        out.append(AffinePermutation(r, tuple(window)))
+        out.append(tuple(window))
     return out
 
 
 def double_coset_elements(lam, d, mu):
-    """All products u * d * w with u, w in the block subgroups, deduplicated."""
-    seen = {}
+    """The sorted set of products u * d * w with u, w in the block subgroups."""
+    out = set()
     mu_elts = young_subgroup_elements(mu)
     for u in young_subgroup_elements(lam):
         ud = compose(u, d)
-        for w in mu_elts:
-            x = compose(ud, w)
-            seen[x.window] = x
-    return [seen[key] for key in sorted(seen)]
+        out.update(compose(ud, w) for w in mu_elts)
+    return sorted(out)

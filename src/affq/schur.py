@@ -112,12 +112,7 @@ def s_scale(c, x):
 
 
 def s_eq(x, y):
-    return (
-        x.n == y.n
-        and x.r == y.r
-        and x.basis == y.basis
-        and x.terms == y.terms
-    )
+    return x == y
 
 
 def convert(x, basis):
@@ -388,9 +383,9 @@ def _label_reps(A):
     d, blocks = P.pseudo_matrix_rep(A), P.blocks(M.co(A))
     reps = set()
     for u in P.young_subgroup_elements(M.ro(A)):
-        ud = P.compose(u, d).window
+        ud = P.compose(u, d)
         reps.add(tuple(x for b in blocks for x in sorted(ud[p - 1] for p in b)))
-    return d.window, frozenset(reps)
+    return d, frozenset(reps)
 
 
 def _decompose(h, lam, nu):
@@ -444,7 +439,7 @@ def _oracle_mul(B, A):
         return ()
     lam, nu = M.ro(B), M.co(A)
     g = H.HeckeElement(r, {win: L.one() for win in _label_reps(A)[1]})
-    g = H.left_mul_basis(P.AffinePermutation(r, _label_reps(B)[0]), g, nu)
+    g = H.left_mul_basis(_label_reps(B)[0], g, nu)
     g = H.x_mul_left(lam, g, nu)
     f = H.coset_factor(B)
     try:

@@ -79,10 +79,10 @@ def test_coset_length_reports_a_shorter_coset_element(monkeypatch):
     A = M.pmat(2, [(1, 0, 1), (1, 3, 1)])
     y = P.pseudo_matrix_rep(A)
     u = [u for u in P.young_subgroup_elements(M.ro(A)) if u != P.identity(2)][0]
-    shorter = P.compose(u, y).window
-    assert P.length(y) == 1 and shorter != y.window
+    shorter = P.compose(u, y)
+    assert P.length(y) == 1 and shorter != y
     length = P.length
-    monkeypatch.setattr(P, "length", lambda w: 0 if w.window == shorter else length(w))
+    monkeypatch.setattr(P, "length", lambda w: 0 if w == shorter else length(w))
     report = V.run_suite("coset-length", SMALL)
     assert not report["ok"]
     diffs = [d for m in report["mismatches"] for d in m["diffs"]]
@@ -97,7 +97,7 @@ def test_coset_length_reports_a_longer_representative(monkeypatch, capsys):
 
     def longer(A):
         d = rep(A)
-        return P.compose(P.generator_s(1, d.r), d) if M.ro(A)[0] >= 2 else d
+        return P.compose(P.generator_s(1, len(d)), d) if M.ro(A)[0] >= 2 else d
 
     monkeypatch.setattr(P, "pseudo_matrix_rep", longer)
     report = V.run_suite("coset-length", SMALL)

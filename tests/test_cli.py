@@ -576,6 +576,18 @@ def test_a_usage_error_is_never_stored(tmp_path, capsysbinary):
     assert code == 0 and data["length"] == 1
 
 
+def test_a_new_out_path_on_every_call_leaves_the_parsed_table_bounded(tmp_path):
+    # --out is part of the key: 200 distinct argvs, at most 128 kept
+    cli._parsed.cache_clear()
+    src = tmp_path / "a.json"
+    src.write_text(json.dumps(COSET_A))
+    for k in range(200):
+        out = tmp_path / ("out-%d.json" % k)
+        assert cli.main(["coset", "--in", str(src), "--out", str(out)]) == 0
+    assert cli._parsed.cache_info().currsize <= 128
+    cli._parsed.cache_clear()
+
+
 def test_main_without_argv_reads_the_sys_argv_of_each_call(tmp_path, monkeypatch):
     cli._parsed.cache_clear()
     for name, payload, length in (("a", COSET_A, 0), ("b", COSET_B, 1)):
@@ -618,15 +630,15 @@ def test_verify_command_restricted_grid(tmp_path):
 
 
 def test_verify_output_is_deterministic_across_jobs(tmp_path):
-    outs = []
-    for jobs, name in (("1", "a.json"), ("2", "b.json")):
-        out = tmp_path / name
-        code = cli.main(
-            ["verify", "--suite", "triangular", "--jobs", jobs, "--out", str(out)]
-        )
-        assert code == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    # the hecke and coset-length workers build and pickle windows
+    for grid in (["triangular"], ["hecke", "--r", "2"], ["coset-length", "--r", "2"]):
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / ("%s-%s.json" % (grid[0], jobs))
+            code = cli.main(["verify", "--suite", *grid, "--jobs", jobs, "--out", str(out)])
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 def test_verify_rejects_bad_grid():

@@ -49,7 +49,7 @@ def rand_perm(rng, r):
 def rand_hecke(rng, r, nu=None):
     items = []
     for _ in range(rng.randrange(1, 4)):
-        win = rand_perm(rng, r).window
+        win = rand_perm(rng, r)
         if nu is not None:
             win = tuple(x for b in P.blocks(nu) for x in sorted(win[p - 1] for p in b))
         items.append((win, rand_coeff(rng)))

@@ -26,13 +26,13 @@ def rand_perm(rng, r, steps=10):
 def brute_length(w):
     # Inversions need w(j) < w(i) <= max(window); values at j = j0 + t*r grow
     # by t*r, so shifts beyond spread//r + 2 periods cannot contribute.
-    r = w.r
-    spread = max(w.window) - min(w.window)
+    r = len(w)
+    spread = max(w) - min(w)
     horizon = r + r * (spread // r + 2)
     total = 0
     for i in range(1, r + 1):
         for j in range(i + 1, i + horizon + 1):
-            if w.apply(i) > w.apply(j):
+            if P.apply(w, i) > P.apply(w, j):
                 total += 1
     return total
 
@@ -42,14 +42,14 @@ def finite_perms(r):
 
 
 def test_constructor_and_basics():
-    assert P.rho_power(1, 3).window == (2, 3, 4)
-    assert P.generator_s(1, 2).window == (2, 1)
-    assert P.generator_s(2, 2).window == (0, 3)
-    assert P.identity(4).window == (1, 2, 3, 4)
-    assert P.rho_power(-2, 2).window == (-1, 0)
+    assert P.rho_power(1, 3) == (2, 3, 4)
+    assert P.generator_s(1, 2) == (2, 1)
+    assert P.generator_s(2, 2) == (0, 3)
+    assert P.identity(4) == (1, 2, 3, 4)
+    assert P.rho_power(-2, 2) == (-1, 0)
     w = P.perm(2, [0, 3])
-    assert w.apply(0) == w.window[1] - 2 == 1
-    assert w.apply(3) == 2 and w.apply(4) == 5
+    assert P.apply(w, 0) == w[1] - 2 == 1
+    assert P.apply(w, 3) == 2 and P.apply(w, 4) == 5
     with pytest.raises(ValueError):
         P.perm(2, [1])
     with pytest.raises(ValueError):
@@ -74,7 +74,7 @@ def test_group_axioms():
         assert P.is_identity(P.compose(P.inverse(w), w))
         assert P.compose(P.identity(r), w) == w == P.compose(w, P.identity(r))
         for j in range(-5, 6):
-            assert P.inverse(w).apply(w.apply(j)) == j
+            assert P.apply(P.inverse(w), P.apply(w, j)) == j
 
 
 def test_length_against_brute_inversions():
@@ -129,12 +129,13 @@ def test_reduced_words():
 def peel(w):
     """reduced_word without its memo: strip rho^m, then peel right descents."""
     m = P.rho_part(w)
-    sigma = P.compose(P.rho_power(-m, w.r), w)
+    r = len(w)
+    sigma = P.compose(P.rho_power(-m, r), w)
     rev = []
     while not P.is_identity(sigma):
-        i = next(i for i in range(1, w.r + 1) if P.is_right_descent(sigma, i))
+        i = next(i for i in range(1, r + 1) if P.is_right_descent(sigma, i))
         rev.append(i)
-        sigma = P.compose(sigma, P.generator_s(i, w.r))
+        sigma = P.compose(sigma, P.generator_s(i, r))
     return m, tuple(reversed(rev))
 
 
@@ -146,7 +147,7 @@ def test_reduced_word_memo_matches_the_uncached_peel():
     for w in grid:
         got = P.reduced_word(w)
         assert got == peel(w) and type(got[1]) is tuple
-        assert P.reduced_word(P.perm(w.r, list(w.window))) == got
+        assert P.reduced_word(P.perm(len(w), list(w))) == got
 
 
 def test_min_coset_rep_definition_oracle():
@@ -184,13 +185,12 @@ def test_double_coset_rep_counts_match_orbit_partition():
         seen = set()
         orbits = 0
         for x in all_w:
-            if x.window in seen:
+            if x in seen:
                 continue
             orbits += 1
             coset = P.double_coset_elements(lam, x, mu)
-            for y in coset:
-                seen.add(y.window)
-            inside = [d for d in coset if d.window in {w.window for w in reps}]
+            seen.update(coset)
+            inside = [d for d in coset if d in reps]
             assert len(inside) == 1
             assert P.length(inside[0]) == min(P.length(y) for y in coset)
         assert len(reps) == orbits
@@ -215,12 +215,12 @@ def test_pseudo_matrix_rep_frozen():
         assert P.is_identity(P.pseudo_matrix_rep(M.diag(lam)))
     A = M.madd(M.e_unit(1, 2, 2), M.e_unit(2, 1, 2))
     y = P.pseudo_matrix_rep(A)
-    assert y.window == (2, 1) and P.length(y) == 1
+    assert y == (2, 1) and P.length(y) == 1
     B = M.madd(M.mscale(2, M.e_unit(1, 2, 2)), M.e_unit(2, 1, 2))
     yB = P.pseudo_matrix_rep(B)
-    assert yB.window == (3, 1, 2) and P.length(yB) == 2
+    assert yB == (3, 1, 2) and P.length(yB) == 2
     C = M.madd(M.e_unit(1, 0, 2), M.e_unit(2, 3, 2))
-    assert P.pseudo_matrix_rep(C).window == (0, 3)
+    assert P.pseudo_matrix_rep(C) == (0, 3)
     assert P.length_formula(C) == 1
 
 
@@ -243,7 +243,7 @@ def test_every_double_coset_member_gives_its_label():
             for A in M.band_matrices(n, r, band):
                 lam, mu = M.ro(A), M.co(A)
                 for x in P.double_coset_elements(lam, P.pseudo_matrix_rep(A), mu):
-                    assert P.double_coset_matrix(lam, x.window, mu) == A
+                    assert P.double_coset_matrix(lam, x, mu) == A
                     windows += 1
                 labels += 1
     assert (labels, windows) == (504, 2324)
@@ -269,15 +269,11 @@ def test_young_subgroup_elements():
     for lam in ((2, 2), (3, 1), (1, 1, 2), (0, 4)):
         elements = P.young_subgroup_elements(lam)
         assert len(elements) == math.prod(math.factorial(p) for p in lam)
-        assert len({w.window for w in elements}) == len(elements)
+        assert len(set(elements)) == len(elements)
         blocks = P.blocks(lam)
         for w in elements:
             for block in blocks:
-                assert {w.apply(p) for p in block} == set(block)
-
-
-def test_text():
-    assert P.text(P.perm(2, [0, 3])) == "w = [0, 3] @ 2"
+                assert {P.apply(w, p) for p in block} == set(block)
 
 
 @pytest.mark.parametrize(
@@ -315,34 +311,58 @@ def test_constructors_reject_non_integers(call):
 
 
 def test_compose_matches_the_apply_route():
-    # the window of w . y indexed directly against w.apply on each entry
+    # the window of w . y indexed directly against P.apply on each entry
     rng = random.Random(67)
     for r in (2, 3, 4, 5):
         for _ in range(40):
             w, y = rand_perm(rng, r), rand_perm(rng, r)
             y = P.compose(P.rho_power(rng.randrange(-9, 10), r), y)
-            want = P.AffinePermutation(r, tuple(w.apply(v) for v in y.window))
-            assert P.compose(w, y) == want
+            assert P.compose(w, y) == tuple(P.apply(w, v) for v in y)
     for w in (P.identity(1), P.rho_power(-3, 1)):
-        assert P.compose(w, P.rho_power(2, 1)).window == (w.window[0] + 2,)
+        assert P.compose(w, P.rho_power(2, 1)) == (w[0] + 2,)
 
 
 def test_value_types_pickle_hash_and_stay_immutable():
-    # labels and windows cross process boundaries in verify --jobs, by pickle
+    # labels cross process boundaries in verify --jobs, by pickle
     A = M.pmat(3, [(1, 2, 2), (3, 1, 1)])
-    w = P.perm(3, [0, 5, 1])
-    for x, fields in ((A, (A.n, A.entries)), (w, (w.r, w.window))):
-        assert hash(x) == hash(fields)
-        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
-            assert type(y) is type(x) and y == x and hash(y) == hash(x)
-            assert repr(y) == repr(x)
-        for name in ("n", "r", "entries", "window", "_hash", "other"):
-            with pytest.raises(AttributeError):
-                setattr(x, name, 0)
+    fields = (A.n, A.entries)
+    assert hash(A) == hash(fields)
+    for y in (pickle.loads(pickle.dumps(A)), copy.deepcopy(A), copy.copy(A)):
+        assert type(y) is type(A) and y == A and hash(y) == hash(A)
+        assert repr(y) == repr(A)
+    for name in ("n", "entries", "_hash", "other"):
         with pytest.raises(AttributeError):
-            del x._hash
-        assert x != fields and x != fields[1]
-    # the same fields in the other class: equal hashes, never equal values
-    label, perm = M.PeriodicMatrix(2, (1, 2)), P.AffinePermutation(2, (1, 2))
-    assert hash(label) == hash(perm) and label != perm and perm != label
-    assert len({label, perm, (2, (1, 2))}) == 3
+            setattr(A, name, 0)
+    with pytest.raises(AttributeError):
+        del A._hash
+    assert A != fields and A != fields[1]
+    # a label never equals a tuple, not even one with its hash
+    label = M.PeriodicMatrix(2, (1, 2))
+    assert hash(label) == hash((2, (1, 2))) and label != (2, (1, 2)) != label
+    assert len({label, (2, (1, 2))}) == 2
+
+
+def test_every_permutation_is_a_plain_tuple_of_its_period():
+    rng = random.Random(68)
+    for r in (1, 2, 3, 4):
+        w = P.compose(P.rho_power(rng.randrange(-3, 4), r), rand_perm(rng, r) if r > 1 else (1,))
+        lam = (r - r // 2, r // 2)
+        A = M.pmat(2, [(1, 1, lam[0]), (2, 0, lam[1])])
+        made = [
+            P.perm(r, list(w)),
+            P.identity(r),
+            P.rho_power(-2, r),
+            P.compose(w, w),
+            P.inverse(w),
+            P.pseudo_matrix_rep(A),
+            *(P.generator_s(i, r) for i in range(1, r + 1) if r > 1),
+            *P.young_subgroup_elements(lam),
+            *P.double_coset_elements(lam, P.pseudo_matrix_rep(A), M.co(A)),
+        ]
+        for x in made:
+            assert type(x) is tuple and len(x) == r
+            assert all(type(v) is int for v in x)
+        assert P.perm(r, list(w)) == w
+    for r, window in ((2, [1.0, 2]), (2, [True, 2]), (2, [1]), (2, [1, 2, 3]), (2, [2, 4])):
+        with pytest.raises(ValueError):
+            P.perm(r, window)

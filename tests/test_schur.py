@@ -387,7 +387,7 @@ def test_from_json_is_strict(patch):
 
 @functools.lru_cache(maxsize=None)
 def double_coset_windows(lam, win, nu):
-    return frozenset(H.t_double_coset(lam, P.AffinePermutation(len(win), win), nu).terms)
+    return frozenset(H.t_double_coset(lam, win, nu).terms)
 
 
 def full_group_oracle(B, A):
@@ -395,7 +395,7 @@ def full_group_oracle(B, A):
     of (ro(A), d_A, co(A)); apply x_lam T_{d_B}, divide by the entry
     factorials of B, and peel full double-coset sums W_lam d W_nu."""
     r, lam, nu = M.sigma(A), M.ro(B), M.co(A)
-    d_A = P.pseudo_matrix_rep(A).window
+    d_A = P.pseudo_matrix_rep(A)
     h = H.h_from_items(r, [(w, L.one()) for w in double_coset_windows(M.ro(A), d_A, nu)])
     g = H.x_mul_left(lam, H.left_mul_basis(P.pseudo_matrix_rep(B), h))
     f = L.one()
@@ -404,12 +404,11 @@ def full_group_oracle(B, A):
     cur = {win: L.divexact(c, f) for win, c in g.terms.items()}
     items = []
     while cur:
-        best = min(cur, key=lambda w: (P.length(P.AffinePermutation(r, w)), w))
-        d = P.AffinePermutation(r, best)
+        best = min(cur, key=lambda w: (P.length(w), w))
         c = cur[best]
         for win in double_coset_windows(lam, best, nu):
             assert cur.pop(win) == c
-        items.append((P.jmath(lam, d, nu), c))
+        items.append((P.jmath(lam, best, nu), c))
     return S.s_from_items(A.n, r, items)
 
 
@@ -452,7 +451,7 @@ def decompose_by_min(h, lam, nu):
     of H x_nu in a double coset are those of its members that increase on
     every block of nu."""
     inner = P.inner_positions(nu)
-    length = {w: P.length(P.AffinePermutation(len(w), w)) for w in h.terms}
+    length = {w: P.length(w) for w in h.terms}
     cur = dict(h.terms)
     out = {}
     while cur:
@@ -464,7 +463,7 @@ def decompose_by_min(h, lam, nu):
                 raise AssertionError("coefficients differ across a double coset")
         if len(cur) >= before:
             raise AssertionError("support did not shrink during peeling")
-        out[P.jmath(lam, P.AffinePermutation(len(best), best), nu)] = c
+        out[P.jmath(lam, best, nu)] = c
     return out
 
 
