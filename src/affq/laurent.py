@@ -1,15 +1,17 @@
 """Exact Laurent polynomial arithmetic over the integers in one variable v.
 
 A Laurent polynomial is a dict mapping exponent (int, possibly negative) to a
-nonzero integer coefficient.  The empty dict is zero.  All operations return
-fresh dicts and never mutate their arguments.
+nonzero integer coefficient.  The empty dict is zero.  No operation mutates
+its arguments, and every polynomial operation returns a fresh dict.
 
 One rule holds across the package: a coefficient dict is never mutated
 after it is stored in an element, a cache or another map, and a function
 mutates only dicts it created in the same call; so values share dicts and
 nothing copies them.  ``acc`` is the one implementation of the rule for
 sums of Laurent coefficients: it replaces a stored coefficient by a new
-sum instead of adding into it.
+sum instead of adding into it.  The rule lets a fraction share its input:
+``fraction`` returns a numerator over the denominator 1 as it is, and
+``frac_to_laurent`` returns that numerator, without a copy.
 
 The memo tables are lru_caches on private functions, holding immutable
 values; a public wrapper copies a tuple of items into a fresh dict.  They
@@ -73,6 +75,7 @@ call would fill any bound, and a queries pass needs 7 entries.
 
 import functools
 from dataclasses import dataclass
+from math import gcd
 
 CACHE_SIZE = 1 << 14
 # Entries of these hold many labels, and their repeats fall within one
@@ -411,6 +414,13 @@ class LaurentFraction:
 
     Equality is by cross multiplication; reduction is cosmetic only (common
     monomial and integer content are stripped to keep operands small).
+    ``fraction`` returns the normal form: a zero numerator over 1; a
+    denominator of 1 as it is, sharing the numerator dict; otherwise the
+    lowest exponent of num and den together shifted to 0, then a monomial
+    denominator c*v^e that divides every numerator coefficient divided out
+    to 1, or else the integer content of num and den together divided out.
+    A fraction built directly, like FRAC_ONE or a level-r group sum, need
+    not be in normal form.
     """
 
     num: dict
@@ -432,25 +442,20 @@ class LaurentFraction:
 
 
 def _strip(num, den):
-    from math import gcd
-
     if not num:
         return {}, one()
+    if den == {0: 1}:
+        return num, den
     shift = min(min(num), min(den))
-    num = vshift(num, -shift)
-    den = vshift(den, -shift)
-    g = 0
-    for c in num.values():
-        g = gcd(g, c)
-    for c in den.values():
-        g = gcd(g, c)
-    if max(den) == min(den):
+    if shift:
+        num = vshift(num, -shift)
+        den = vshift(den, -shift)
+    if len(den) == 1:
         # Monomial denominator: divide through completely.
         e, c = next(iter(den.items()))
         if all(k % c == 0 for k in num.values()):
-            num = {k - e: val // c for k, val in num.items()}
-            den = one()
-            return num, den
+            return {k - e: val // c for k, val in num.items()}, one()
+    g = gcd(*num.values(), *den.values())
     if g > 1:
         num = {e: c // g for e, c in num.items()}
         den = {e: c // g for e, c in den.items()}
@@ -458,6 +463,20 @@ def _strip(num, den):
 
 
 def fraction(num, den=None):
+    """The fraction num/den in the normal form of ``LaurentFraction``.
+
+    A pair already in normal form, such as any num over the denominator 1,
+    comes back as it is and shares the caller's dicts, which the
+    never-mutate rule allows.
+
+    >>> f = {-1: 2}
+    >>> fraction(f).num is f
+    True
+    >>> fraction({1: 2, 3: 4}, {1: 2})
+    (1 + 2*v^2)
+    >>> fraction({1: 2, 3: 4}, {2: 6, 4: 2})
+    (1 + 2*v^2) / (3*v + v^3)
+    """
     if den is None:
         den = one()
     num, den = _strip(num, den)
@@ -500,5 +519,12 @@ def frac_is_zero(x):
 
 def frac_to_laurent(x):
     """Clear the denominator, raising ValueError when the value is not a
-    Laurent polynomial."""
+    Laurent polynomial.  The numerator over the denominator 1 comes back as
+    it is, shared and not copied.
+
+    >>> text(frac_to_laurent(fraction({0: -1, 4: 1}, {0: -1, 2: 1})))
+    '1 + v^2'
+    """
+    if x.den == {0: 1}:
+        return x.num
     return divexact(x.num, x.den)

@@ -16,6 +16,8 @@ exactly when lhs - rhs is the zero element, with no level evaluated.
 Coefficients are quotients of Laurent polynomials: the reduction step and
 the commutation coefficients introduce denominators, while every level
 evaluation clears them (asserted on each label's cross-denominator sum).
+A label whose terms share one denominator is cleared by a single division
+of its summed numerator, and a denominator of 1 needs none.
 
 Only the superdiagonal product ``mul_by_semisimple_plus`` has a closed
 formula here, read off the level-r rule: the level-free structure
@@ -202,13 +204,18 @@ def reduce_j_lambda(A, j, lam):
 
 @functools.lru_cache(maxsize=L.CACHE_SIZE)
 def _lambda_table(lam):
-    """The (shift k, prod_i _shift_coeffs(lam_i)[k_i]) pairs of reduce_j_lambda."""
+    """The (shift k, prod_i _shift_coeffs(lam_i)[k_i]) pairs of reduce_j_lambda.
+
+    A zero part has the single factor 1, which is not multiplied in, so
+    the one row of an all-zero lam is L.FRAC_ONE itself.
+    """
     tables = [_shift_coeffs(t) for t in lam]
     out = []
     for combo in iproduct(*(sorted(tb) for tb in tables)):
         f = L.FRAC_ONE
-        for k, tb in zip(combo, tables):
-            f = L.frac_mul(f, tb[k])
+        for k, tb, t in zip(combo, tables, lam):
+            if t:
+                f = L.frac_mul(f, tb[k])
         out.append((combo, f))
     return tuple(out)
 
@@ -225,9 +232,12 @@ def eval_at_level(x, r):
     symbol is checked by S.check_symbol, the rule A_j_r applies, and each
     fill adds the shifted numerator straight into the group of terms
     sharing its denominator, so no Schur element and no monomial product
-    is built per term.  Each label's cross-group sum is cleared once and
-    must be a Laurent polynomial (one group's share need not be): a
-    remaining denominator is a failed invariant and raises AssertionError.
+    is built per term.  Each label is then cleared once: a label in one
+    group by a single exact division of its summed numerator, and by none
+    when that denominator is 1; only a label spread over several groups is
+    first summed with L.frac_add.  The cleared sum must be a Laurent
+    polynomial (one group's share need not be): a remaining denominator is
+    a failed invariant and raises AssertionError.
 
     >>> S.text(eval_at_level(v_basis(2, M.pmat(2, []), (1, 0)), 2))
     '(v)*N[(1, 1, 1), (2, 2, 1)] + (v^2)*N[(1, 1, 2)] + (1)*N[(2, 2, 2)]'
@@ -240,12 +250,13 @@ def eval_at_level(x, r):
         group = groups.setdefault(tuple(sorted(cf.den.items())), (cf.den, {}))[1]
         for mu, label in S.diag_fill(A, r):
             L.acc(group, label, L.vshift(cf.num, M.dot(mu, j)))
-    acc = {}
+    sums = {}
     for den, group in groups.values():
         for label, num in group.items():
-            _vacc(acc, label, L.LaurentFraction(num, den))
+            f = L.LaurentFraction(num, den)
+            sums[label] = L.frac_add(sums[label], f) if label in sums else f
     items = []
-    for label, f in acc.items():
+    for label, f in sums.items():
         try:
             c = L.frac_to_laurent(f)
         except ValueError as exc:
@@ -337,7 +348,8 @@ def mul_by_semisimple_plus(alpha, x):
             scalar = L.frac_scale(L.vshift(coeff, M.dot(j, jc)), cf)
             js = tuple(a + b for a, b in zip(j, shift))
             for k, c in _lambda_table(delta):  # the reduction of label(js, delta)
-                _vacc(out, (label, tuple(a + b for a, b in zip(js, k))), L.frac_mul(scalar, c))
+                f = scalar if c is L.FRAC_ONE else L.frac_mul(scalar, c)
+                _vacc(out, (label, tuple(a + b for a, b in zip(js, k))), f)
     return VElement(x.n, out)
 
 

@@ -9,7 +9,13 @@ digest pins the values themselves: the sha256 of the canonical JSON of
   with ``S.e_mul_upper``, and its mirror (negate B, negate A), which runs
   over the lower pairs, with ``S.e_mul_lower``; both meet ``S.oracle_mul``;
 * the inputs a, b, c and the products ab, (ab)c, bc and a(bc) of every
-  ``hecke-assoc`` case at r = 2, 3, drawn as ``verify`` draws them.
+  ``hecke-assoc`` case at r = 2, 3, drawn as ``verify`` draws them;
+* every level-free product of the ``level-coherence`` grid at n = 2 on
+  A(j): the four generator kinds and ``R.reduce_j_lambda`` on
+  ``_lambda_grid``, at every weight j of ``_weight_grid``, as ``R.to_json``
+  with its ``coeff_num`` and ``coeff_den``, so the fraction representation
+  is pinned as well as its value; and its ``R.eval_at_level`` shadow at
+  each level r <= 3 of the case.
 
 Records are sorted by their canonical JSON, so the digest does not depend
 on the visiting order.  A change that keeps every value leaves the file
@@ -27,12 +33,14 @@ import sys
 from affq import hecke as H
 from affq import laurent as L
 from affq import matrices as M
+from affq import realization as R
 from affq import schur as S
 from affq import verify as V
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "value_digest.json")
 SCHUR_GRID = ((2, 3), (3, 3))  # (n, largest r), at the band of the schur-oracle suite
 HECKE_LEVELS = (2, 3)
+LEVEL_N, LEVEL_R = 2, 3  # the level-coherence grid at n = 2, levels r <= 3
 
 
 def _canonical(obj):
@@ -83,13 +91,45 @@ def hecke_records():
     return out
 
 
+def level_records():
+    n = LEVEL_N
+    out = []
+    for A in V.mixed_labels(n, 2, n):
+        levels = range(max(1, M.sigma(A)), LEVEL_R + 1)
+        for j in V._weight_grid(n):
+            x = R.v_basis(n, A, j)
+            frees = []
+            for jp in V._weight_grid(n):
+                frees.append(("diag-left", jp, R.mul_by_0j(jp, x)))
+                frees.append(("diag-right", jp, R.mul_0j_right(x, jp)))
+            for alpha in V._alpha_grid(n, 2):
+                frees.append(("one-layer-upper", alpha, R.mul_by_semisimple_plus(alpha, x)))
+                frees.append(("one-layer-lower", alpha, R.mul_by_semisimple_minus(alpha, x)))
+            for lam in V._lambda_grid(n):
+                frees.append(("reduce", lam, R.reduce_j_lambda(A, j, lam)))
+            for op, arg, free in frees:
+                out.append(
+                    {
+                        "op": op,
+                        "matrix": M.to_json(A),
+                        "j": list(j),
+                        "arg": list(arg),
+                        "level-free": R.to_json(free),
+                        "levels": [[r, S.to_json(R.eval_at_level(free, r))] for r in levels],
+                    }
+                )
+    return out
+
+
 def value_digest():
     """The digest record: the sha256 and the record counts."""
     schur = sorted(_canonical(rec) for rec in schur_records())
     hecke = sorted(_canonical(rec) for rec in hecke_records())
-    text = "[" + ",".join(schur + hecke) + "]"
+    level = sorted(_canonical(rec) for rec in level_records())
+    text = "[" + ",".join(schur + hecke + level) + "]"
     return {
         "hecke_records": len(hecke),
+        "level_records": len(level),
         "schur_records": len(schur),
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
     }

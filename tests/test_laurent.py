@@ -2,6 +2,8 @@
 
 import doctest
 import random
+from itertools import product
+from math import gcd
 
 import pytest
 
@@ -214,3 +216,105 @@ def test_mul_matches_the_double_loop():
         for g in polys:
             got, want = L.mul(f, g), mul_double_loop(f, g)
             assert list(got.items()) == list(want.items()), (f, g)
+
+
+# ---------------------------------------------------------------------------
+# The fraction normal form against a reference that takes no shortcut.
+# ---------------------------------------------------------------------------
+
+def strip_reference(num, den):
+    """The normal form of L.fraction the long way: every pair is shifted,
+    its content taken and a monomial denominator divided, with no early
+    return for the denominator 1 or a zero shift."""
+    if not num:
+        return {}, L.one()
+    shift = min(min(num), min(den))
+    num = L.vshift(num, -shift)
+    den = L.vshift(den, -shift)
+    g = 0
+    for c in num.values():
+        g = gcd(g, c)
+    for c in den.values():
+        g = gcd(g, c)
+    if max(den) == min(den):
+        e, c = next(iter(den.items()))
+        if all(k % c == 0 for k in num.values()):
+            return {k - e: val // c for k, val in num.items()}, L.one()
+    if g > 1:
+        num = {e: c // g for e, c in num.items()}
+        den = {e: c // g for e, c in den.items()}
+    return num, den
+
+
+def fraction_grid():
+    """Seeded (num, den) pairs: the denominator 1, monomial denominators
+    with and without divisible content, polynomial denominators, negative
+    exponents, integer content above 1 and zero numerators."""
+    rng = random.Random(2026)
+    dens = [{0: 1}, {0: -1}, {2: 1}, {-3: 1}, {0: 2}, {1: -3}, {-2: 6}]
+    dens += [{0: -1, 2: 1}, {-1: 1, 1: -1}, {0: 2, 4: -2}, {-2: 3, 0: 6, 3: 9}]
+    for _ in range(20):
+        den = _random_poly(rng)
+        if den:
+            dens.append(den)
+    nums = [{}, {0: 1}, {-4: 3}, {0: 6, 2: -4}, {-1: 2, 3: 6}, {5: 9, 7: -3}]
+    for _ in range(30):
+        nums.append(_random_poly(rng))
+    for den in dens:
+        for num in nums:
+            yield num, den
+            for k in (2, 3, 6):  # integer content above 1
+                yield {e: k * c for e, c in num.items()}, {e: k * c for e, c in den.items()}
+            if len(den) == 1:  # a numerator that the monomial's coefficient divides
+                (c,) = den.values()
+                yield {e: c * x for e, x in num.items()}, den
+
+
+def test_fraction_keeps_the_reference_normal_form():
+    count = 0
+    for num, den in fraction_grid():
+        saved = (dict(num), dict(den))
+        f = L.fraction(num, den)
+        want_num, want_den = strip_reference(num, den)
+        assert (f.num, f.den) == (want_num, want_den), (num, den)
+        assert (num, den) == saved, (num, den)
+        count += 1
+    assert count > 1000
+
+
+def test_unit_denominators_come_back_as_they_are():
+    rng = random.Random(5)
+    for _ in range(200):
+        num = _random_poly(rng)
+        f = L.fraction(num)
+        assert L.frac_to_laurent(f) == num
+        if num:
+            assert f.num is num and L.frac_to_laurent(f) is num
+    inexact = L.fraction({0: 1}, {0: -1, 2: 1})
+    with pytest.raises(ValueError):
+        L.frac_to_laurent(inexact)
+    with pytest.raises(ValueError):
+        L.frac_to_laurent(L.LaurentFraction({0: 1}, {0: 2}))
+
+
+def lambda_table_reference(lam):
+    """The product of one _shift_coeffs factor per part, zero parts too."""
+    tables = [R._shift_coeffs(t) for t in lam]
+    out = []
+    for combo in product(*(sorted(tb) for tb in tables)):
+        f = L.FRAC_ONE
+        for k, tb in zip(combo, tables):
+            f = L.frac_mul(f, tb[k])
+        out.append((combo, f))
+    return out
+
+
+def test_lambda_table_matches_the_product_of_every_factor():
+    for n in (1, 2, 3):
+        for lam in product(range(4), repeat=n):
+            got = R._lambda_table(lam)
+            want = lambda_table_reference(lam)
+            assert [(k, f.num, f.den) for k, f in got] == [(k, f.num, f.den) for k, f in want], lam
+    for n in (1, 2, 3):
+        ((k, f),) = R._lambda_table((0,) * n)
+        assert k == (0,) * n and f is L.FRAC_ONE

@@ -210,3 +210,21 @@ def test_realization_operations_leave_their_arguments_alone():
             check_pure(R.eval_at_level, x, 3)
             check_pure(R.v_add, x, y)
             check_pure(R.v_add, x, x)
+
+
+def test_level_shadows_of_shared_numerators_leave_their_arguments_alone():
+    # fraction over the denominator 1 and frac_to_laurent share the numerator
+    # dict, so eval_at_level must never add into a numerator it did not make
+    Z = M.pmat(2, [])
+    unit = R.v_sub(R.v_basis(2, Z, (1, 0)), R.v_scale({1: 1}, R.v_basis(2, Z, (0, 0))))
+    assert all(f.den == L.one() for f in unit.terms.values())
+    for r in (1, 2, 3):
+        check_pure(R.eval_at_level, unit, r)
+    # v^mu_1 - v cancels at mu = (1, 1), and only there
+    assert M.diag((1, 1)) not in R.eval_at_level(unit, 2).terms
+    assert M.diag((2, 0)) in R.eval_at_level(unit, 2).terms
+    shared = R.reduce_j_lambda(M.e_unit(1, 2, 2), (0, 1), (1, 0))
+    dens = [f.den for f in shared.terms.values()]
+    assert len(dens) == 2 and dens[0] == dens[1] != L.one()
+    for r in (1, 2, 3):
+        check_pure(R.eval_at_level, shared, r)

@@ -1,8 +1,10 @@
 """The values behind the passing reports are pinned, not only their counts.
 
 tests/data/make_value_digest.py hashes every closed and oracle product on
-the schur-oracle grid (n = 2, 3; r <= 3) and every hecke-assoc product at
-r = 2, 3.  A refactor must leave the digest unchanged.
+the schur-oracle grid (n = 2, 3; r <= 3), every hecke-assoc product at
+r = 2, 3, and every level-free product of the level-coherence grid at
+n = 2 with its level shadows at r <= 3.  A refactor must leave the digest
+unchanged.
 """
 
 import importlib.util
