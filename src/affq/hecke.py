@@ -9,9 +9,11 @@ rules
     T_s T_w = T_{sw}                         if length(sw) > length(w),
     T_s T_w = (v^2 - 1) T_w + v^2 T_{sw}     if length(sw) < length(w),
 
-and T_{rho^m} T_w = T_{rho^m w} for the length-zero shift.  General basis
-products factor the left operand into a shift times a reduced word, and
-apply the shift first (see ``left_mul_basis``).  Sums
+their mirror images T_w T_s on the right, and T_{rho^m} T_w = T_{rho^m w},
+T_w T_{rho^m} = T_{w rho^m} for the length-zero shift.  General basis
+products factor a basis element into a shift times a reduced word, and
+apply the shift first (see ``left_mul_basis`` and ``right_mul_basis``);
+``mul`` takes each window of its left factor from the cheaper side.  Sums
 of T_w over block subgroups and their double cosets are provided for the
 convolution layer.
 
@@ -28,9 +30,8 @@ every block of nu), standing for sum c_d T_d x_nu.  For the generator
 
 ``left_mul_gen``, ``left_mul_basis`` and ``x_mul_left`` take nu; the
 regular action is the case nu = (1^r), whose block subgroup is trivial,
-and nu = () means the same.
-
-Only left actions are implemented.
+and nu = () means the same.  The right actions (``right_mul_gen``,
+``right_mul_rho``, ``right_mul_basis``) act on the regular module only.
 """
 
 from __future__ import annotations
@@ -154,8 +155,70 @@ def left_mul_basis(w, h, nu=()):
     return h
 
 
+def right_mul_gen(h, i):
+    """h * T_{s_i}.
+
+    The window of w s_i swaps w(i) and w(i + 1), where w(r + 1) = w(1) + r,
+    and w s_i < w exactly when w(i) > w(i + 1).
+    """
+    r = h.r
+    if r < 2:
+        raise ValueError("generators need a period r >= 2")
+    q = (i - 1) % r
+    q1, lift = (q + 1, 0) if q < r - 1 else (0, r)
+    out = {}
+    for win, c in h.terms.items():
+        x, y = win[q], win[q1] + lift
+        ws = list(win)
+        ws[q], ws[q1] = y, x - lift
+        ws = tuple(ws)
+        if x > y:
+            L.acc(out, win, L.mul(c, _V2M1))
+            L.acc(out, ws, L.mul(c, _V2))
+        else:
+            L.acc(out, ws, c)
+    return HeckeElement(r, out)
+
+
+def right_mul_rho(h, m):
+    """h * T_{rho^m}: the window of w rho^m is w(1 + m), ..., w(r + m)."""
+    if m == 0:
+        return h
+    r = h.r
+    t, q = divmod(m, r)
+    lo, hi = t * r, (t + 1) * r
+    return HeckeElement(
+        r,
+        {
+            tuple([x + lo for x in win[q:]] + [x + hi for x in win[:q]]): c
+            for win, c in h.terms.items()
+        },
+    )
+
+
+def right_mul_basis(h, u):
+    """h * T_u via the reduced word of u, read left to right:
+    T_u = T_{rho^m} T_{s_{i_1}} ... T_{s_{i_k}}, so the shift rebuilds the
+    input, as in left_mul_basis."""
+    if len(u) != h.r:
+        raise ValueError("level mismatch")
+    m, word = P.reduced_word(u)
+    h = right_mul_rho(h, m)
+    for i in word:
+        h = right_mul_gen(h, i)
+    return h
+
+
 def mul(a, b):
-    """Bilinear product.
+    """Bilinear product, each window of a multiplied from its cheaper side.
+
+    A window w of a costs length(w) generator steps on each of the |b|
+    terms of b when it acts on the left, and the windows u of b cost
+    length(u) steps each on T_w when they act on the right.  So w goes
+    left when length(w) * |b| <= the sum of length(u); the other windows
+    of a form one element, multiplied by each T_u on the right.  Lengths
+    are counted with P.length, so a window that goes right never reaches
+    the reduced-word table.
 
     >>> s = t_basis(P.generator_s(1, 2))
     >>> text(mul(s, s))
@@ -163,12 +226,20 @@ def mul(a, b):
     """
     if a.r != b.r:
         raise ValueError("level mismatch")
-    out = {}
+    size, steps = len(b.terms), sum(map(P.length, b.terms))
+    out, right = {}, {}
     for win in sorted(a.terms):
         c = a.terms[win]
-        piece = left_mul_basis(win, b)
-        for pwin, pc in piece.terms.items():
-            L.acc(out, pwin, L.mul(pc, c))
+        if P.length(win) * size <= steps:
+            for pwin, pc in left_mul_basis(win, b).terms.items():
+                L.acc(out, pwin, L.mul(pc, c))
+        else:
+            right[win] = c
+    if right:
+        right = HeckeElement(a.r, right)
+        for u, c in b.terms.items():
+            for pwin, pc in right_mul_basis(right, u).terms.items():
+                L.acc(out, pwin, L.mul(pc, c))
     return HeckeElement(a.r, out)
 
 

@@ -22,8 +22,8 @@ process) puts in it:
 * laurent._factorial_sq: the items of a v^2 factorial; 5 entries, 12,704
   hits.
 * matrices._d_exponent: the int d_A; 665 entries, 16,486 hits.
-* permutations._reduced_word: (m, word), keyed by the window; 915
-  entries, 20,088 hits.
+* permutations._reduced_word: (m, word), keyed by the window; 599
+  entries, 21,053 hits.
 * schur._label_reps: the window of d_A beside the frozenset of the coset
   windows of the double coset of A, from which the oracle peel reads the
   windows of each label it names and _oracle_mul reads d_B; 1,438

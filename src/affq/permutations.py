@@ -110,8 +110,9 @@ def is_identity(w):
 def length(w):
     """Number of pairs (i, j) with 1 <= i <= r, i < j and w(i) > w(j).
 
-    For fixed residues i, j0 the contributing shifts j = j0 + t*r form an
-    interval in t, counted exactly.
+    Two members of one class never invert, and the inversions between the
+    classes of window positions i < j number |floor((w(j) - w(i)) / r)|
+    (Shi's formula), so one pass over the position pairs counts them all.
 
     >>> length(rho_power(1, 4))
     0
@@ -122,12 +123,9 @@ def length(w):
     """
     r = len(w)
     total = 0
-    for i, wi in enumerate(w, 1):
-        for j0, wj in enumerate(w, 1):
-            lo = (i - j0) // r + 1
-            hi = (wi - wj - 1) // r
-            if hi >= lo:
-                total += hi - lo + 1
+    for k, x in enumerate(w, 1):
+        for y in w[k:]:
+            total += abs((y - x) // r)
     return total
 
 

@@ -231,8 +231,9 @@ def eval_at_level(x, r):
     v^(mu.j) num [A + diag(mu)] over the diagonal fills of S.A_j_r: each
     symbol is checked by S.check_symbol, the rule A_j_r applies, and each
     fill adds the shifted numerator straight into the group of terms
-    sharing its denominator, so no Schur element and no monomial product
-    is built per term.  Each label is then cleared once: a label in one
+    sharing its denominator (at a zero shift the numerator itself, shared
+    and never mutated), so no Schur element and no monomial product is
+    built per term.  Each label is then cleared once: a label in one
     group by a single exact division of its summed numerator, and by none
     when that denominator is 1; only a label spread over several groups is
     first summed with L.frac_add.  The cleared sum must be a Laurent
@@ -249,7 +250,8 @@ def eval_at_level(x, r):
         S.check_symbol(x.n, A, j)
         group = groups.setdefault(tuple(sorted(cf.den.items())), (cf.den, {}))[1]
         for mu, label in S.diag_fill(A, r):
-            L.acc(group, label, L.vshift(cf.num, M.dot(mu, j)))
+            k = M.dot(mu, j)
+            L.acc(group, label, L.vshift(cf.num, k) if k else cf.num)
     sums = {}
     for den, group in groups.values():
         for label, num in group.items():

@@ -217,26 +217,44 @@ def _cases_hecke(cfg):
     return cases + _band_cases("hecke-coset", cfg)
 
 
+def _below(getrandbits, n):
+    """rng.randrange(n) for n >= 1, drawn as Random draws it (see
+    _indices): getrandbits(n.bit_length()) until the value is below n."""
+    k = n.bit_length()
+    x = getrandbits(k)
+    while x >= n:
+        x = getrandbits(k)
+    return x
+
+
 def _rand_perm(rng, r, steps=8):
     """rho^m s_{i_1} ... s_{i_k} for random k, i and m, built on the window:
-    w s_i swaps w(i) and w(i + 1), where w(r + 1) = w(1) + r."""
+    w s_i swaps w(i) and w(i + 1), where w(r + 1) = w(1) + r.  The draws
+    are rng.randrange(steps + 1), then rng.randrange(1, r + 1) per step,
+    then rng.randrange(-2, 3), read through _below."""
+    bits = rng.getrandbits
     win = list(range(1, r + 1))
-    for _ in range(rng.randrange(steps + 1)):
-        i = rng.randrange(1, r + 1)
+    for _ in range(_below(bits, steps + 1)):
+        i = 1 + _below(bits, r)
         if i < r:
             win[i - 1], win[i] = win[i], win[i - 1]
         else:
             win[0], win[-1] = win[-1] - r, win[0] + r
-    m = rng.randrange(-2, 3)
+    m = _below(bits, 5) - 2
     return tuple(x + m for x in win)
 
 
 def _rand_elem(rng, r, max_terms=4):
+    """A sum of rng.randrange(1, max_terms + 1) terms c T_w: c has
+    rng.randrange(1, 3) draws of an exponent and a coefficient, each
+    rng.randrange(-3, 4), zero coefficients dropped and 1 if none is left;
+    w is a _rand_perm.  Each randrange is read through _below."""
+    bits = rng.getrandbits
     items = []
-    for _ in range(rng.randrange(1, max_terms + 1)):
+    for _ in range(1 + _below(bits, max_terms)):
         f = {}
-        for _ in range(rng.randrange(1, 3)):
-            e, c = rng.randrange(-3, 4), rng.randrange(-3, 4)
+        for _ in range(1 + _below(bits, 2)):
+            e, c = _below(bits, 7) - 3, _below(bits, 7) - 3
             if c:
                 f[e] = c
         items.append((_rand_perm(rng, r), f or {0: 1}))

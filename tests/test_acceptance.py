@@ -21,6 +21,7 @@ from affq import permutations as P
 from affq import realization as R
 from affq import schur as S
 from affq import verify as V
+from test_hecke import rand_coeff, rand_perm
 from test_schur import lower_shapes_for
 
 # (cases, checks, ok) of every suite on the smallest grid and on the default
@@ -256,6 +257,32 @@ def test_coset_draws_are_the_draws_of_random_choice():
             want = want_rng.choice(range(a)), want_rng.choice(range(b))
             assert (next(us), next(vs)) == want
         assert got_rng.getstate() == want_rng.getstate()
+
+
+def randrange_elem(rng, r):
+    """The hecke suite's random element, drawn with rng.randrange: each
+    term's coefficient, then its window."""
+    items = []
+    for _ in range(rng.randrange(1, 5)):
+        f = rand_coeff(rng)
+        items.append((rand_perm(rng, r), f))
+    return H.h_from_items(r, items)
+
+
+def test_hecke_draws_are_the_draws_of_randrange():
+    # every seed of the quad, rho and assoc cases, at every level the suite
+    # takes: the same elements and windows, and the same final state
+    for r in range(2, V.MAX_LEVEL + 1):
+        streams = [("quad:%d" % r, "elem", 20 * r), ("rho:%d" % r, "perm", 25 * 5)]
+        streams += [("assoc:%d:%d" % (r, chunk), "elem", 3 * 120) for chunk in range(4)]
+        for seed, kind, count in streams:
+            got_rng, want_rng = DirectDraws(seed), random.Random(seed)
+            for _ in range(count):
+                if kind == "elem":
+                    assert V._rand_elem(got_rng, r) == randrange_elem(want_rng, r)
+                else:
+                    assert V._rand_perm(got_rng, r) == rand_perm(want_rng, r)
+            assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_hall_reports_a_miscounted_hall_number(monkeypatch):

@@ -117,6 +117,107 @@ def test_mul_matches_one_sided_helpers():
         w = rand_perm(rng, r)
         h = rand_elem(rng, r)
         assert H.mul(H.t_basis(w), h) == H.left_mul_basis(w, h)
+        assert H.mul(h, H.t_basis(w)) == H.right_mul_basis(h, w)
+
+
+# ----------------------------------------------------------------------
+# the right action, and H.mul against the left-only route
+
+
+def mul_left_only(a, b):
+    """Every window of a applied to b on the left: the route H.mul had
+    before it took each window from the cheaper side."""
+    out = {}
+    for win in sorted(a.terms):
+        for pwin, pc in H.left_mul_basis(win, b).terms.items():
+            L.acc(out, pwin, L.mul(pc, a.terms[win]))
+    return H.HeckeElement(a.r, out)
+
+
+def rand_any_elem(rng, r):
+    """rand_elem, or a sum of shifts at r = 1, which has no generators."""
+    if r > 1:
+        return rand_elem(rng, r)
+    items = [(P.rho_power(rng.randrange(-3, 4), 1), rand_coeff(rng)) for _ in range(3)]
+    return H.h_from_items(1, items)
+
+
+def test_right_mul_gen_and_rho_match_the_left_only_route():
+    rng = random.Random(37)
+    for r in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            h = rand_any_elem(rng, r)
+            for m in range(-2 * r - 1, 2 * r + 2):
+                want = mul_left_only(h, H.t_basis(P.rho_power(m, r)))
+                assert H.right_mul_rho(h, m) == want
+            if r == 1:
+                continue
+            for i in range(-1, r + 3):  # s_r and indices outside 1..r too
+                s = H.t_basis(P.generator_s((i - 1) % r + 1, r))
+                assert H.right_mul_gen(h, i) == mul_left_only(h, s)
+    with pytest.raises(ValueError):
+        H.right_mul_gen(H.t_basis(P.identity(1)), 1)
+    with pytest.raises(ValueError):
+        H.right_mul_basis(H.t_basis(P.identity(2)), P.identity(3))
+
+
+def test_mul_matches_the_left_only_route(monkeypatch):
+    routes = []
+    for name in ("left_mul_basis", "right_mul_basis"):
+        route = getattr(H, name)
+        monkeypatch.setattr(
+            H, name, lambda *args, route=route, name=name: routes.append(name) or route(*args)
+        )
+    seen = set()
+    rng = random.Random(38)
+    for r in (1, 2, 3, 4):
+        gens = [H.t_basis(P.generator_s(i, r)) for i in range(1, r + 1)] if r > 1 else []
+        shifts = [H.t_basis(P.rho_power(m, r)) for m in (-2, 1)]
+        short = gens + shifts
+        for _ in range(12):
+            a, b = rand_any_elem(rng, r), rand_any_elem(rng, r)
+            ab = mul_left_only(a, b)
+            pairs = [(a, b), (ab, a), (a, ab), (ab, ab)]
+            pairs += [(ab, x) for x in short] + [(x, ab) for x in short]
+            pairs.append((H.h_add(ab, shifts[0]), b))  # a shift beside long windows
+            for x, y in pairs:
+                del routes[:]
+                got = H.mul(x, y)
+                seen.add((r > 1, frozenset(routes)))
+                assert got == mul_left_only(x, y)
+    # at r >= 2 the products take the left route, the right one, and both
+    both = frozenset({"left_mul_basis", "right_mul_basis"})
+    assert {(True, frozenset({"left_mul_basis"})), (True, frozenset({"right_mul_basis"}))} <= seen
+    assert (True, both) in seen
+
+
+def test_mul_visits_fewer_terms_than_the_left_only_route(monkeypatch):
+    # one hecke-assoc chunk: the terms met by the generator steps of both
+    # sides stay well below those of the left-only route
+    visits = [0]
+    left_gen, right_gen = H.left_mul_gen, H.right_mul_gen
+
+    def counted_left(i, h, nu=()):
+        visits[0] += len(h.terms)
+        return left_gen(i, h, nu)
+
+    def counted_right(h, i):
+        visits[0] += len(h.terms)
+        return right_gen(h, i)
+
+    monkeypatch.setattr(H, "left_mul_gen", counted_left)
+    monkeypatch.setattr(H, "right_mul_gen", counted_right)
+    rng = random.Random("assoc:3:0")
+    triples = [[V._rand_elem(rng, 3) for _ in range(3)] for _ in range(120)]
+    counts = []
+    for mul in (H.mul, mul_left_only):
+        visits[0] = 0
+        for a, b, c in triples:
+            mul(mul(a, b), c)
+            mul(a, mul(b, c))
+        counts.append(visits[0])
+    split, left_only = counts
+    assert 0 < split <= 0.75 * left_only
 
 
 def is_left_descent(w, i):
