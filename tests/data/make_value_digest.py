@@ -15,7 +15,13 @@ digest pins the values themselves: the sha256 of the canonical JSON of
   ``_lambda_grid``, at every weight j of ``_weight_grid``, as ``R.to_json``
   with its ``coeff_num`` and ``coeff_den``, so the fraction representation
   is pinned as well as its value; and its ``R.eval_at_level`` shadow at
-  each level r <= 3 of the case.
+  each level r <= 3 of the case;
+* the steps of one level-free chain whose fraction bytes depend on the
+  order in which the one-layer product visits its T matrices: ``0(0)``
+  reduced with lambda = (2, 0), then the plus, minus and plus products
+  with alpha = (1, 1) at n = 2, each step as ``R.to_json``.  Its values do
+  not depend on that order, but the ``coeff_num``/``coeff_den`` of its last
+  step do, and no record above moves with it.
 
 Records are sorted by their canonical JSON, so the digest does not depend
 on the visiting order.  A change that keeps every value leaves the file
@@ -121,13 +127,31 @@ def level_records():
     return out
 
 
+def chain_records():
+    x = R.reduce_j_lambda(M.pmat(2, []), (0, 0), (2, 0))
+    out = [{"step": 0, "op": "reduce", "level-free": R.to_json(x)}]
+    for step, (op, mul) in enumerate(
+        (
+            ("one-layer-upper", R.mul_by_semisimple_plus),
+            ("one-layer-lower", R.mul_by_semisimple_minus),
+            ("one-layer-upper", R.mul_by_semisimple_plus),
+        ),
+        1,
+    ):
+        x = mul((1, 1), x)
+        out.append({"step": step, "op": op, "level-free": R.to_json(x)})
+    return out
+
+
 def value_digest():
     """The digest record: the sha256 and the record counts."""
     schur = sorted(_canonical(rec) for rec in schur_records())
     hecke = sorted(_canonical(rec) for rec in hecke_records())
     level = sorted(_canonical(rec) for rec in level_records())
-    text = "[" + ",".join(schur + hecke + level) + "]"
+    chain = sorted(_canonical(rec) for rec in chain_records())
+    text = "[" + ",".join(schur + hecke + level + chain) + "]"
     return {
+        "chain_records": len(chain),
         "hecke_records": len(hecke),
         "level_records": len(level),
         "schur_records": len(schur),

@@ -3,8 +3,9 @@
 tests/data/make_value_digest.py hashes every closed and oracle product on
 the schur-oracle grid (n = 2, 3; r <= 3), every hecke-assoc product at
 r = 2, 3, and every level-free product of the level-coherence grid at
-n = 2 with its level shadows at r <= 3.  A refactor must leave the digest
-unchanged.
+n = 2 with its level shadows at r <= 3, and the fraction bytes of one
+level-free chain that depend on the order of the one-layer T matrices.  A
+refactor must leave the digest unchanged.
 """
 
 import importlib.util
