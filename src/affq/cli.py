@@ -15,9 +15,10 @@ it).  ``reduce`` accepts parts
 lambda_i <= MAX_REDUCE_PART and prod(lambda_i + 1) <= MAX_REDUCE_TERMS
 weight shifts, ``hall`` a total dimension
 |alpha| + dim M(A) <= hall.MAX_CENSUS_DIM.  ``vbln-mul`` accepts elements
-of at most MAX_REDUCE_TERMS listed terms (counted before repeated symbols
-merge) whose labels have sigma(A) <= MAX_VBLN_SIZE, and one-layer
-weights |alpha| <= MAX_VBLN_SIZE
+of at most MAX_REDUCE_TERMS listed terms with at most 2 * MAX_REDUCE_TERMS
+``coeff_den`` pairs in all (both counted before repeated symbols merge,
+and merging multiplies their denominators) whose labels have
+sigma(A) <= MAX_VBLN_SIZE, and one-layer weights |alpha| <= MAX_VBLN_SIZE
 (the Gaussians of the one-layer products grow with both); a one-layer
 product also caps the total size, the sum over the terms of
 sigma(A) + |alpha|, at 4 * MAX_VBLN_SIZE.  ``verify`` accepts levels
@@ -125,8 +126,11 @@ def cmd_schur_mul(args):
 def cmd_vbln_mul(args):
     obj = _load(args.infile)
     _check_period(L.json_ints([obj["element"]["n"]])[0])
-    if len(obj["element"]["terms"]) > MAX_REDUCE_TERMS:
+    terms = obj["element"]["terms"]
+    if len(terms) > MAX_REDUCE_TERMS:
         raise ValueError("term count exceeds the cap %d" % MAX_REDUCE_TERMS)
+    if sum(len(t["coeff_den"]) for t in terms) > 2 * MAX_REDUCE_TERMS:
+        raise ValueError("denominator size exceeds the cap %d" % (2 * MAX_REDUCE_TERMS))
     x = R.from_json(obj["element"])
     op = obj["op"]
     one_layer = op in ("one-layer-upper", "one-layer-lower")

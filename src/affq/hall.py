@@ -31,13 +31,12 @@ algebra at q = v^2, whose positive part is the Hall algebra (Deng-Du-Fu):
 ``semisimple_hall_product(alpha, A)`` is the off-diagonal part of the
 Schur product ``e_B e_{A + diag(w)}`` with ``w_i = alpha_{i-1}`` and
 ``B = S_alpha + diag(ro(A))``, so that co(B) = ro(A + diag(w)), with its
-v-exponents, which are all even, halved.  The diagonal w caps no T: the
-cell (i, i+1) of T sits under the entry w_{i+1} = alpha_i, and row i of T
-sums to alpha_i.  A is strictly upper, so no other Gaussian and no
-exponent of the rule reads the diagonal, and distinct labels of the
-product keep distinct off-diagonal parts (their row sums are fixed).  Its
-values are ``laurent`` dicts in q; the brute-force census of
-``brute_hall_number`` stays its oracle.
+v-exponents, which are all even, halved.  The diagonal w caps no T of
+``M.one_layer_ts`` (see its docstring), and A is strictly upper, so no
+other Gaussian and no exponent of the rule reads the diagonal; distinct
+labels of the product keep distinct off-diagonal parts (their row sums
+are fixed).  Its values are ``laurent`` dicts in q; the brute-force
+census of ``brute_hall_number`` stays its oracle.
 
 The closed form of the twisted product is not kept here: it is the
 weight-zero read-off of the level-free one-layer kernel,

@@ -291,52 +291,32 @@ def _bounded_rows(total, caps):
             yield (t,) + rest
 
 
-def capped_row_matrices(alpha, row_cells):
-    """Matrices T >= 0 with ro(T) = alpha supported on capped cells.
+def one_layer_ts(A, alpha):
+    """The auxiliary matrices T of a one-layer product e_B e_A, B the
+    superdiagonal layer alpha plus a diagonal: T >= 0 with ro(T) = alpha,
+    row i of T on the support cells of row i+1 of A, each cell (i, j)
+    capped by min(alpha_i, a_{i+1,j}).  A larger t_{i,j} would give the
+    label A - tilde(T) + T a negative entry at (i+1, j) or make the
+    Gaussian there vanish.  Row i takes the cell (i, i+1) first, then the
+    others in column order; row 1 varies slowest.  On Hall's wide diagonal
+    A + diag(w), w_i = alpha_{i-1}, the cell (i, i+1) is capped by alpha_i.
 
-    row_cells[i] lists (column, cap) pairs for fundamental row i+1; the
-    values of row 1 vary slowest, each row in the order of its cells.
-
-    >>> [T.entries for T in capped_row_matrices((1, 1), [[(2, 1), (3, 1)], [(2, 1)]])]
-    [((1, 3, 1), (2, 2, 1)), ((1, 2, 1), (2, 2, 1))]
-    """
-    n = len(alpha)
-    choices = []
-    for i in range(n):
-        cells = row_cells[i]
-        row_opts = []
-        for vals in _bounded_rows(alpha[i], [cap for _, cap in cells]):
-            row_opts.append([(i + 1, cells[k][0], t) for k, t in enumerate(vals) if t])
-        if not row_opts:
-            return
-        choices.append(row_opts)
-
-    def rec(i, acc):
-        if i == n:
-            yield pmat(n, acc)
-            return
-        for opt in choices[i]:
-            yield from rec(i + 1, acc + opt)
-
-    yield from rec(0, [])
-
-
-def one_layer_cells(A, alpha):
-    """The T cells of a left product by the superdiagonal layer alpha.
-
-    Row i has the free cell (i, i+1) capped by alpha_i, then every other
-    support cell (i, j) of row i+1 of A capped by min(alpha_i, a_{i+1,j}):
-    a larger t_{i,j} makes the Gaussian at (i+1, j) vanish.
+    >>> A = pmat(2, [(2, 1, 1), (2, 2, 1), (2, 3, 3)])
+    >>> [T.entries for T in one_layer_ts(A, (2, 0))]
+    [((1, 3, 2),), ((1, 1, 1), (1, 3, 1)), ((1, 2, 1), (1, 3, 1)), ((1, 1, 1), (1, 2, 1))]
     """
     rows = []
     for i in range(1, A.n + 1):
         cap = alpha[i - 1]
-        cells = [(i + 1, cap)]
-        for j, a in row_support(A, i + 1):
-            if j != i + 1:
-                cells.append((j, min(cap, a)))
-        rows.append(cells)
-    return rows
+        cells = sorted(row_support(A, i + 1), key=lambda cell: cell[0] != i + 1)
+        rows.append(
+            [
+                [(i, j, t) for (j, _), t in zip(cells, vals) if t]
+                for vals in _bounded_rows(cap, [min(cap, a) for _, a in cells])
+            ]
+        )
+    for choice in product(*rows):
+        yield pmat(A.n, [cell for row in choice for cell in row])
 
 
 def dot(a, b):

@@ -48,10 +48,6 @@ def _period(r):
     return r
 
 
-def identity(r):
-    return tuple(range(1, _period(r) + 1))
-
-
 def rho_power(m, r):
     """The shift j -> j + m."""
     return tuple(i + m for i in range(1, _period(r) + 1))
@@ -204,7 +200,7 @@ def is_min_right_coset_rep(d, lam):
 
     >>> is_min_right_coset_rep(generator_s(1, 2), (2, 0))
     False
-    >>> is_min_right_coset_rep(identity(2), (2, 0))
+    >>> is_min_right_coset_rep(rho_power(0, 2), (2, 0))
     True
     """
     if sum(lam) != len(d):
@@ -257,7 +253,7 @@ def double_coset_matrix(lam, d, mu):
 def jmath(lam, d, mu):
     """double_coset_matrix of d, which must be shortest in its double coset.
 
-    >>> jmath((1, 1), identity(2), (1, 1)) == M.diag((1, 1))
+    >>> jmath((1, 1), rho_power(0, 2), (1, 1)) == M.diag((1, 1))
     True
     >>> jmath((1, 1), perm(2, [0, 3]), (1, 1)).entries
     ((1, 0, 1), (2, 3, 1))

@@ -22,9 +22,9 @@ of its summed numerator, and a denominator of 1 needs none.
 Only the superdiagonal product ``mul_by_semisimple_plus`` has a closed
 formula here, read off the level-r rule: the level-free structure
 constants are the level-r ones with the diagonal made formal
-(Beilinson-Lusztig-MacPherson).  For each candidate T (row sums alpha on
-``M.one_layer_cells``), ``S.upper_term(wide, T)`` on Hall's wide diagonal
-wide = A + diag(w), w_i = alpha_{i-1}, gives the label C and coefficient c
+(Beilinson-Lusztig-MacPherson).  For each T of ``M.one_layer_ts`` on
+Hall's wide diagonal wide = A + diag(w), w_i = alpha_{i-1},
+``S.upper_term(wide, T)`` gives the label C and coefficient c
 of T in e_B e_wide, B = S_alpha + diag(ro A).  The term of A(j) is
 (offdiag C)(j + shift, delta) with delta = diag(T) and shift =
 ``_j_shift_plus(T)``; its coefficient is c divided exactly by the
@@ -319,7 +319,7 @@ def _plus_rows(alpha, A):
     wide = M.madd(A, M.diag(w))
     base = M.d_exponent(wide) + M.d_exponent(M.madd(M.s_alpha(alpha), M.diag(M.ro(A))))
     out = []
-    for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
+    for T in M.one_layer_ts(wide, alpha):
         C, coeff = S.upper_term(wide, T)
         nu = tuple(C.entry(i, i) for i in range(1, n + 1))
         delta = tuple(T.entry(i, i) for i in range(1, n + 1))
@@ -335,7 +335,8 @@ def _plus_rows(alpha, A):
 def mul_by_semisimple_plus(alpha, x):
     """Left product by the superdiagonal one-layer element of weights alpha.
 
-    The candidate matrices T have row sums alpha on ``M.one_layer_cells``.
+    The candidate matrices T are those of ``M.one_layer_ts`` on Hall's
+    wide diagonal (see the module docstring).
 
     >>> text(mul_by_semisimple_plus((1, 0), v_basis(2, M.pmat(2, []), (0, 1))))
     '(v)*[(1, 2, 1)](0, 1)'

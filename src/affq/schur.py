@@ -23,10 +23,10 @@ Products are available through two independent routes:
 
 Only the upper rule in the standard basis is implemented, and one per-T
 rule, ``upper_term(A, T)``, serves three products: ``_e_mul_upper`` sums
-it over the capped T, ``hall.semisimple_hall_product`` reads that table on
-a wide diagonal (the Hall product is a Schur product there), and
-``realization._plus_rows`` reads the level-free plus product off it on the
-same wide diagonal.
+it over the T of ``M.one_layer_ts``, ``hall.semisimple_hall_product``
+reads that table on a wide diagonal (the Hall product is a Schur product
+there), and ``realization._plus_rows`` reads the level-free plus product
+off it on the same wide diagonal.
 ``n_mul_upper`` is a change of basis: ``[B][A] = v^(-d_B - d_A) e_B
 e_A``, so each label C of ``e_mul_upper`` has its coefficient shifted by
 ``d_C - d_B - d_A`` (``test_normalized_rules_match_converted_standard_rules``
@@ -249,13 +249,10 @@ def _e_mul_upper(B, A):
     if M.sigma(B) != M.sigma(A):
         raise ValueError("level mismatch")
     alpha, _ = _upper_layer(B)
-    n = B.n
     if M.co(B) != M.ro(A):
         return ()
-    # cell caps t_{i,j} <= a_{i+1,j}: row i of T sits under row i+1 of A
-    cells = [M.row_support(A, i + 1) for i in range(1, n + 1)]
     out = {}
-    for T in M.capped_row_matrices(alpha, cells):
+    for T in M.one_layer_ts(A, alpha):
         L.acc(out, *upper_term(A, T))
     return tuple(out.items())
 
@@ -264,8 +261,8 @@ def upper_term(A, T):
     """The term of one candidate T in a one-layer product e_B e_A: the
     label A - tilde(T) + T and the coefficient v^(_exp_upper_e(A, T))
     times the Gaussians [a_{i,j} + t_{i,j} - t_{i-1,j}, t_{i,j}] in v^2.
-    Under the caps t_{i-1,j} <= a_{i,j} of its T the label is nonnegative
-    and every Gaussian is nonzero.
+    Under the cell caps of ``M.one_layer_ts`` the label is nonnegative and
+    every Gaussian is nonzero.
 
     >>> C, c = upper_term(M.madd(M.e_unit(2, 1, 2), M.diag((1, 0))), M.e_unit(1, 1, 2))
     >>> sorted(C.entries), L.text(c)

@@ -267,7 +267,6 @@ def _check_hecke(case):
     diffs = []
     if kind == "hecke-quad":
         r = case[1]
-        one = H.t_basis(P.identity(r))
         rng = random.Random("quad:%d" % r)
         for i in range(1, r + 1):
             s = H.t_basis(P.generator_s(i, r))

@@ -79,7 +79,7 @@ def test_coset_length_reports_a_shorter_coset_element(monkeypatch):
     # lies in the same double coset, and the patch reads it as length 0
     A = M.pmat(2, [(1, 0, 1), (1, 3, 1)])
     y = P.pseudo_matrix_rep(A)
-    u = [u for u in P.young_subgroup_elements(M.ro(A)) if u != P.identity(2)][0]
+    u = [u for u in P.young_subgroup_elements(M.ro(A)) if u != P.rho_power(0, 2)][0]
     shorter = P.compose(u, y)
     assert P.length(y) == 1 and shorter != y
     length = P.length

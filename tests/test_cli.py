@@ -259,6 +259,15 @@ def _vbln_copies_request(copies):
     return {"op": "diag-left", "j": [1, 0], "element": {"n": 2, "terms": [term] * copies}}
 
 
+def _vbln_den_request(copies, last_den):
+    """_vbln_copies_request(copies) with the denominator of its last copy
+    replaced by last_den."""
+    request = _vbln_copies_request(copies)
+    terms = request["element"]["terms"]
+    terms[-1] = dict(terms[-1], coeff_den=last_den)
+    return request
+
+
 # (args, payload, exit code) just at and just above each size cap
 SIZE_CAP_REQUESTS = {
     "coset-n-at-cap": (["coset"], _unit(cli.MAX_N), 0),
@@ -310,7 +319,7 @@ SIZE_CAP_REQUESTS = {
     ),
     "vbln-mul-n-at-cap": (["vbln-mul"], _vbln_request(cli.MAX_N), 0),
     "vbln-mul-n-above-cap": (["vbln-mul"], _vbln_request(cli.MAX_N + 1), 2),
-    # the T-enumerator recurses once per row: n = 1000 overflowed the stack
+    # far above the cap: rejected before any T matrix is enumerated
     "vbln-mul-n-far-above-cap": (["vbln-mul"], _vbln_request(1000), 2),
     # |alpha| and the sigma of every label are capped by MAX_VBLN_SIZE
     "vbln-mul-alpha-at-cap": (
@@ -352,6 +361,14 @@ SIZE_CAP_REQUESTS = {
     "vbln-mul-copies-above-cap": (
         ["vbln-mul"],
         _vbln_copies_request(cli.MAX_REDUCE_TERMS + 1),
+        2,
+    ),
+    # the listed terms hold at most 2 * MAX_REDUCE_TERMS coeff_den pairs,
+    # counted before the copies merge: 729 * 2 = 1458, then 728 * 2 + 3
+    "vbln-mul-den-at-cap": (["vbln-mul"], _vbln_copies_request(cli.MAX_REDUCE_TERMS), 0),
+    "vbln-mul-den-above-cap": (
+        ["vbln-mul"],
+        _vbln_den_request(cli.MAX_REDUCE_TERMS, [[0, 1], [2, 2], [4, 1]]),
         2,
     ),
     # a one-layer product caps the sum over the terms of sigma(A) + |alpha|
@@ -399,7 +416,7 @@ def test_size_caps(case, tmp_path, capsys):
 
 def test_vbln_mul_merges_copies_over_their_common_denominator(tmp_path):
     # 729 copies of 1 / (1 + v^2) sum to 729 / (1 + v^2), not to a
-    # fraction over (1 + v^2)^729
+    # fraction over (1 + v^2)^729; their 1458 coeff_den pairs are at the cap
     code, data, _ = run_cli(["vbln-mul"], _vbln_copies_request(cli.MAX_REDUCE_TERMS), tmp_path)
     assert code == 0
     assert data["terms"] == [

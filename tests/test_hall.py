@@ -299,10 +299,10 @@ def test_semisimple_product_frozen():
 
 def hall_per_t(alpha, A):
     """The per-T closed form, the oracle of the Schur route: its own loop
-    over the T matrices on the cells of M.one_layer_cells, at the labels
-    A - split(tilde T)[0] + T."""
+    over the T matrices of M.one_layer_ts on the wide diagonal
+    A + diag(w), w_i = alpha_{i-1}, at the labels A - split(tilde T)[0] + T."""
     out = {}
-    for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
+    for T in M.one_layer_ts(M.madd(A, M.diag(alpha[-1:] + alpha[:-1])), alpha):
         coeff = L.one()
         for i, j, t in T.entries:
             coeff = L.mul(coeff, L.gauss_sq(A.entry(i, j) + t - T.entry(i - 1, j), t))

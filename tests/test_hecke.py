@@ -44,7 +44,7 @@ def coset_decomposition_identity_check(lam, d, mu):
 
 
 def rand_perm(rng, r, steps=8):
-    w = P.identity(r)
+    w = P.rho_power(0, r)
     for _ in range(rng.randrange(steps + 1)):
         w = P.compose(w, P.generator_s(rng.randrange(1, r + 1), r))
     return P.compose(P.rho_power(rng.randrange(-2, 3), r), w)
@@ -69,7 +69,7 @@ def rand_elem(rng, r, max_terms=4):
 
 def test_quadratic_relation():
     for r in (2, 3, 4):
-        one = H.t_basis(P.identity(r))
+        one = H.t_basis(P.rho_power(0, r))
         for i in range(1, r + 1):
             s = H.t_basis(P.generator_s(i, r))
             lhs = H.mul(
@@ -156,9 +156,9 @@ def test_right_mul_gen_and_rho_match_the_left_only_route():
                 s = H.t_basis(P.generator_s((i - 1) % r + 1, r))
                 assert H.right_mul_gen(h, i) == mul_left_only(h, s)
     with pytest.raises(ValueError):
-        H.right_mul_gen(H.t_basis(P.identity(1)), 1)
+        H.right_mul_gen(H.t_basis(P.rho_power(0, 1)), 1)
     with pytest.raises(ValueError):
-        H.right_mul_basis(H.t_basis(P.identity(2)), P.identity(3))
+        H.right_mul_basis(H.t_basis(P.rho_power(0, 2)), P.rho_power(0, 3))
 
 
 def test_mul_matches_the_left_only_route(monkeypatch):
@@ -269,7 +269,7 @@ def test_add_scale_axioms():
         assert H.mul(a, H.h_add(b, c)) == H.h_add(H.mul(a, b), H.mul(a, c))
         assert not H.h_add(a, H.h_scale(L.monomial(0, -1), a)).terms
     with pytest.raises(ValueError):
-        H.mul(H.t_basis(P.identity(2)), H.t_basis(P.identity(3)))
+        H.mul(H.t_basis(P.rho_power(0, 2)), H.t_basis(P.rho_power(0, 3)))
 
 
 def x_lambda(lam):
@@ -340,8 +340,8 @@ def test_t_double_coset_size():
 
 
 def test_coset_product_identity():
-    assert H.coset_product_identity_check((1, 1), P.identity(2), (1, 1))
-    assert H.coset_product_identity_check((2, 0), P.identity(2), (2, 0))
+    assert H.coset_product_identity_check((1, 1), P.rho_power(0, 2), (1, 1))
+    assert H.coset_product_identity_check((2, 0), P.rho_power(0, 2), (2, 0))
     for r in (1, 2, 3):
         for A in M.band_matrices(2, r, 2):
             d = P.pseudo_matrix_rep(A)
@@ -509,7 +509,7 @@ def test_left_mul_gen_matches_the_scan_route():
                     want = left_mul_gen_scan(i, h, nu)
                     assert list(got.terms.items()) == list(want.terms.items()), (i, h, nu)
     with pytest.raises(ValueError):
-        H.left_mul_gen(1, H.t_basis(P.identity(1)))
+        H.left_mul_gen(1, H.t_basis(P.rho_power(0, 1)))
 
 
 # ----------------------------------------------------------------------

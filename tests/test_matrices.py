@@ -236,6 +236,26 @@ def test_compositions():
     assert sum(1 for _ in M.compositions(3, 4)) == 15
 
 
+def test_one_layer_ts_order_and_caps():
+    # row 2 holds a lower, a diagonal and an upper entry; row 1 of T takes
+    # the cell (1, 2) first, then (1, 1) and (1, 4), each capped by
+    # min(alpha_1, a_{2,j}); row 2 of T sits under row 3, and row 3 under
+    # the empty row 4
+    A = M.pmat(3, [(2, 1, 1), (2, 2, 2), (2, 4, 1), (3, 3, 1)])
+    assert [T.entries for T in M.one_layer_ts(A, (2, 1, 0))] == [
+        ((1, 1, 1), (1, 4, 1), (2, 3, 1)),
+        ((1, 2, 1), (1, 4, 1), (2, 3, 1)),
+        ((1, 1, 1), (1, 2, 1), (2, 3, 1)),
+        ((1, 2, 2), (2, 3, 1)),
+    ]
+    assert all(M.ro(T) == (3, 1, 0) for T in M.one_layer_ts(A, (3, 1, 0)))
+    assert len(list(M.one_layer_ts(A, (3, 1, 0)))) == 3
+    # the caps sum to 4 in row 1, and row 3 of T has no cell
+    assert list(M.one_layer_ts(A, (5, 1, 0))) == []
+    assert list(M.one_layer_ts(A, (2, 1, 1))) == []
+    assert [T.entries for T in M.one_layer_ts(A, (0, 0, 0))] == [()]
+
+
 def test_band_matrices_counts_and_membership():
     mats = list(M.band_matrices(2, 2, 1))
     assert len(mats) == len(set(mats))

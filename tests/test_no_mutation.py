@@ -66,7 +66,7 @@ def test_hecke_operations_leave_their_arguments_alone():
         check_pure(H.left_mul_gen, i, hm, nu)
         check_pure(H.left_mul_basis, w, h)
         check_pure(H.left_mul_basis, w, hm, nu)
-        check_pure(H.left_mul_basis, P.identity(r), h)
+        check_pure(H.left_mul_basis, P.rho_power(0, r), h)
         check_pure(H.x_mul_left, lam, h)
         check_pure(H.x_mul_left, lam, hm, nu)
         check_pure(H.mul, h, h2)

@@ -17,7 +17,7 @@ def test_doctests():
 
 
 def rand_perm(rng, r, steps=10):
-    w = P.identity(r)
+    w = P.rho_power(0, r)
     for _ in range(rng.randrange(steps + 1)):
         w = P.compose(w, P.generator_s(rng.randrange(1, r + 1), r))
     return P.compose(P.rho_power(rng.randrange(-3, 4), r), w)
@@ -45,7 +45,7 @@ def test_constructor_and_basics():
     assert P.rho_power(1, 3) == (2, 3, 4)
     assert P.generator_s(1, 2) == (2, 1)
     assert P.generator_s(2, 2) == (0, 3)
-    assert P.identity(4) == (1, 2, 3, 4)
+    assert P.rho_power(0, 4) == (1, 2, 3, 4)
     assert P.rho_power(-2, 2) == (-1, 0)
     w = P.perm(2, [0, 3])
     assert P.apply(w, 0) == w[1] - 2 == 1
@@ -72,7 +72,7 @@ def test_group_axioms():
         assert P.compose(P.compose(w, y), z) == P.compose(w, P.compose(y, z))
         assert P.is_identity(P.compose(w, P.inverse(w)))
         assert P.is_identity(P.compose(P.inverse(w), w))
-        assert P.compose(P.identity(r), w) == w == P.compose(w, P.identity(r))
+        assert P.compose(P.rho_power(0, r), w) == w == P.compose(w, P.rho_power(0, r))
         for j in range(-5, 6):
             assert P.apply(P.inverse(w), P.apply(w, j)) == j
 
@@ -166,7 +166,7 @@ def test_min_coset_rep_definition_oracle():
                 assert P.is_min_right_coset_rep(d, lam) == expected
     assert not P.is_min_right_coset_rep(P.generator_s(1, 2), (2, 0))
     for lam in M.compositions(3, 4):
-        assert P.is_min_right_coset_rep(P.identity(4), lam)
+        assert P.is_min_right_coset_rep(P.rho_power(0, 4), lam)
 
 
 def test_double_coset_rep_counts_match_orbit_partition():
@@ -199,7 +199,7 @@ def test_double_coset_rep_counts_match_orbit_partition():
 def test_jmath_frozen():
     for lam in list(M.compositions(2, 3)) + list(M.compositions(3, 4)):
         n = len(lam)
-        assert P.jmath(lam, P.identity(sum(lam)), lam) == M.diag(lam)
+        assert P.jmath(lam, P.rho_power(0, sum(lam)), lam) == M.diag(lam)
     A = P.jmath((1, 1), P.perm(2, [0, 3]), (1, 1))
     assert A.entries == ((1, 0, 1), (2, 3, 1))
     B = P.jmath((1, 1), P.perm(2, [2, 1]), (1, 1))
@@ -207,7 +207,7 @@ def test_jmath_frozen():
     with pytest.raises(ValueError):
         P.jmath((2, 0), P.generator_s(1, 2), (2, 0))
     with pytest.raises(ValueError):
-        P.jmath((1, 1), P.identity(3), (1, 1))
+        P.jmath((1, 1), P.rho_power(0, 3), (1, 1))
 
 
 def test_pseudo_matrix_rep_frozen():
@@ -284,8 +284,7 @@ def test_young_subgroup_elements():
         lambda: P.perm("2", [1, 2]),
         lambda: P.perm(2, [1.0, 2]),
         lambda: P.perm(2, [True, 2]),
-        lambda: P.identity(2.0),
-        lambda: P.identity(True),
+        lambda: P.rho_power(0, True),
         lambda: P.rho_power(1, 3.0),
         lambda: P.rho_power(1, "3"),
         lambda: P.generator_s(1, 2.0),
@@ -297,8 +296,7 @@ def test_young_subgroup_elements():
         "perm-string-r",
         "perm-float-window",
         "perm-bool-window",
-        "identity-float",
-        "identity-bool",
+        "rho-bool",
         "rho-float",
         "rho-string",
         "generator-float",
@@ -318,7 +316,7 @@ def test_compose_matches_the_apply_route():
             w, y = rand_perm(rng, r), rand_perm(rng, r)
             y = P.compose(P.rho_power(rng.randrange(-9, 10), r), y)
             assert P.compose(w, y) == tuple(P.apply(w, v) for v in y)
-    for w in (P.identity(1), P.rho_power(-3, 1)):
+    for w in (P.rho_power(0, 1), P.rho_power(-3, 1)):
         assert P.compose(w, P.rho_power(2, 1)) == (w[0] + 2,)
 
 
@@ -350,7 +348,7 @@ def test_every_permutation_is_a_plain_tuple_of_its_period():
         A = M.pmat(2, [(1, 1, lam[0]), (2, 0, lam[1])])
         made = [
             P.perm(r, list(w)),
-            P.identity(r),
+            P.rho_power(0, r),
             P.rho_power(-2, r),
             P.compose(w, w),
             P.inverse(w),

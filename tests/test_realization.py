@@ -600,12 +600,13 @@ def _j_shift_plus(T, j):
 
 
 def plus_reference(alpha, x):
-    """mul_by_semisimple_plus with every T enumerated per term and the
-    hand-derived level-free rule (Gaussians _coeff_plus, exponent _f_plus,
-    weight shift _j_shift_plus) evaluated at the term's own weight j."""
+    """mul_by_semisimple_plus with every T of M.one_layer_ts on the wide
+    diagonal enumerated per term and the hand-derived level-free rule
+    (Gaussians _coeff_plus, exponent _f_plus, weight shift _j_shift_plus)
+    evaluated at the term's own weight j."""
     out = {}
     for (A, j), cf in x.terms.items():
-        for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
+        for T in M.one_layer_ts(M.madd(A, M.diag(alpha[-1:] + alpha[:-1])), alpha):
             coeff = _coeff_plus(A, T)
             if not coeff:
                 continue
@@ -650,7 +651,7 @@ def wide_rows(alpha, A, normalize=True, divide=True):
     wide = M.madd(A, M.diag(w))
     B = M.madd(M.s_alpha(alpha), M.diag(M.ro(A)))
     out = []
-    for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
+    for T in M.one_layer_ts(wide, alpha):
         C, c = S.upper_term(wide, T)
         nu = tuple(C.entry(i, i) for i in range(1, n + 1))
         delta = tuple(T.entry(i, i) for i in range(1, n + 1))

@@ -181,24 +181,25 @@ def upper_term_cases(capped=True):
     (band matrices A of size <= 3, every upper_shapes_for factor of ro(A))
     and of _plus_rows on the wide diagonals A + diag(w), w_i = alpha_{i-1},
     of the level-free grid.  capped=False lifts every cell cap of the
-    schur-oracle grid to alpha_i."""
+    schur-oracle grid to alpha_i: it enumerates the T of the label with
+    each entry of row i+1 raised to at least alpha_i, and pairs them with
+    the original A."""
     for n in (2, 3):
         for r in range(1, 4):
             for A in M.band_matrices(n, r, V._BANDS[n]):
                 for B in S.upper_shapes_for(M.ro(A)):
                     alpha, _ = S.upper_shape(B)
-                    cells = [
-                        [(j, a if capped else alpha[i - 1]) for j, a in M.row_support(A, i + 1)]
-                        for i in range(1, n + 1)
-                    ]
-                    for T in M.capped_row_matrices(alpha, cells):
+                    lifted = A
+                    if not capped:
+                        lifted = M.pmat(n, [(i, j, max(a, alpha[i - 2])) for i, j, a in A.entries])
+                    for T in M.one_layer_ts(lifted, alpha):
                         yield A, T
         if not capped:
             continue
         for A in V.mixed_labels(n, 2, n):
             for alpha in V._alpha_grid(n, 2):
                 wide = M.madd(A, M.diag(alpha[-1:] + alpha[:-1]))
-                for T in M.capped_row_matrices(alpha, M.one_layer_cells(A, alpha)):
+                for T in M.one_layer_ts(wide, alpha):
                     yield wide, T
 
 
