@@ -15,10 +15,9 @@ it).  ``reduce`` accepts parts
 lambda_i <= MAX_REDUCE_PART and prod(lambda_i + 1) <= MAX_REDUCE_TERMS
 weight shifts, ``hall`` a total dimension
 |alpha| + dim M(A) <= hall.MAX_CENSUS_DIM.  ``vbln-mul`` accepts elements
-of at most MAX_REDUCE_TERMS listed terms with at most 2 * MAX_REDUCE_TERMS
-``coeff_den`` pairs in all (both counted before repeated symbols merge,
-and merging multiplies their denominators) whose labels have
-sigma(A) <= MAX_VBLN_SIZE, and one-layer weights |alpha| <= MAX_VBLN_SIZE
+of at most MAX_REDUCE_TERMS terms with at most 2 * MAX_REDUCE_TERMS
+``coeff_den`` pairs in all, whose labels have sigma(A) <= MAX_VBLN_SIZE,
+and one-layer weights |alpha| <= MAX_VBLN_SIZE
 (the Gaussians of the one-layer products grow with both); a one-layer
 product also caps the total size, the sum over the terms of
 sigma(A) + |alpha|, at 4 * MAX_VBLN_SIZE.  ``verify`` accepts levels

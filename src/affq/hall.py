@@ -38,11 +38,9 @@ labels of the product keep distinct off-diagonal parts (their row sums
 are fixed).  Its values are ``laurent`` dicts in q; the brute-force
 census of ``brute_hall_number`` stays its oracle.
 
-The closed form of the twisted product is not kept here: it is the
-weight-zero read-off of the level-free one-layer kernel,
-``realization.twisted_hall_product(alpha, A)``, the sum of the plus
-rows of ``mul_by_semisimple_plus(alpha, A(0))``.  It lives in
-``realization``, which imports this module.
+The twisted product u~_alpha u~_A is the level-free plus product
+``realization.mul_by_semisimple_plus(alpha, A(0))``, and
+``twisted_route_b`` computes it from the Hall polynomials.
 """
 
 import functools

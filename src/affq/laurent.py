@@ -483,7 +483,6 @@ def fraction(num, den=None):
     return LaurentFraction(num, den)
 
 
-FRAC_ZERO = LaurentFraction({}, {0: 1})
 FRAC_ONE = LaurentFraction({0: 1}, {0: 1})
 
 

@@ -43,10 +43,7 @@ The subdiagonal product is its conjugate under the index negation
 where ``negate_element`` sends A(j) to (negate A)(j') with
 j'[-p-2 mod n] = j[p] (vertex p+1 goes to -(p+1)), and
 alpha'[-p-3 mod n] = alpha[p] (the cell (p+2, p+1) goes to the
-superdiagonal cell (-p-2, -p-1)).  The twisted Hall product of
-``hall`` is the weight-zero case of the plus product on strictly upper
-labels, whose rows keep the weight and have no diagonal:
-``twisted_hall_product`` adds up their coefficients.
+superdiagonal cell (-p-2, -p-1)).
 """
 
 import functools
@@ -147,6 +144,8 @@ def to_json(x):
 
 
 def from_json(obj):
+    """Read the form ``to_json`` writes: a repeated symbol raises
+    ValueError, and a term with a zero numerator is dropped."""
     (n,) = L.json_ints([obj["n"]])
     M.check_period(n)
     out = {}
@@ -157,8 +156,10 @@ def from_json(obj):
             L.from_json_pairs(t["coeff_num"]), L.from_json_pairs(t["coeff_den"])
         )
         S.check_symbol(n, A, j)
-        _vacc(out, (A, j), f)
-    return VElement(n, out)
+        if (A, j) in out:
+            raise ValueError("repeated symbol [%s]%s" % (", ".join(map(str, A.entries)), j))
+        out[(A, j)] = f
+    return VElement(n, {k: f for k, f in out.items() if not L.frac_is_zero(f)})
 
 
 # ----------------------------------------------------------------------
@@ -378,25 +379,6 @@ def mul_by_semisimple_minus(alpha, x):
     n = x.n
     alpha_neg = tuple(alpha[(-p - 3) % n] for p in range(n))
     return negate_element(mul_by_semisimple_plus(alpha_neg, negate_element(x)))
-
-
-def twisted_hall_product(alpha, A):
-    """The tilde-normalized Hall product u~_alpha u~_A, Laurent coefficients.
-
-    It is the plus product on A(0) for a strictly upper label A, where no
-    row of ``_plus_rows`` shifts the weight or has a diagonal (delta), so
-    the row coefficients add up as they are.
-
-    >>> E = M.e_unit(1, 2, 2)
-    >>> twisted_hall_product((1, 0), E) == {M.mscale(2, E): {1: 1, -1: 1}}
-    True
-    """
-    Ha.check_label(A)
-    Ha.check_alpha(alpha, A.n)
-    out = {}
-    for label, coeff, _, _, _ in _plus_rows(tuple(alpha), A):
-        L.acc(out, label, coeff)
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -375,9 +375,12 @@ def _check_hall(case):
                     )
         return _case_entry("closed n=%d,alpha=%s" % (n, list(alpha)), checked, diffs)
     _, n, alpha = case
+    zero = (0,) * n
     for A in Ha.enumerate_labels(n, 3, 5):
-        got = R.twisted_hall_product(alpha, A)
-        want = Ha.twisted_route_b(alpha, A)
+        # keyed by label and weight: a row that shifts the weight or carries
+        # a diagonal fails too
+        got = R.mul_by_semisimple_plus(alpha, R.v_basis(n, A, zero)).terms
+        want = {(C, zero): L.fraction(c) for C, c in Ha.twisted_route_b(alpha, A).items()}
         checked += 1
         if got != want:
             diffs.append({"alpha": list(alpha), "matrix": M.to_json(A)})

@@ -330,6 +330,25 @@ def test_hall_twist_reports_a_bent_polynomial_that_both_fields_miss(monkeypatch)
     assert report["mismatches"][0]["diffs"] == [{"alpha": [1, 0], "matrix": M.to_json(E)}]
 
 
+def test_hall_twist_reports_a_plus_product_off_the_weight_zero(monkeypatch):
+    # u~_{S_1} u~_E passed through 0(1, 0): the term of 2E moves to the
+    # weight (1, 0), which the twisted product read off the plus product
+    # must not hold
+    E = M.e_unit(1, 2, 2)
+    plus = R.mul_by_semisimple_plus
+
+    def shifted(alpha, x):
+        out = plus(alpha, x)
+        if tuple(alpha) == (1, 0) and x == R.v_basis(2, E, (0, 0)):
+            out = R.mul_by_0j((1, 0), out)
+        return out
+
+    monkeypatch.setattr(R, "mul_by_semisimple_plus", shifted)
+    report = V.run_suite("hall", V.Config(n_list=(2,), r_min=2, r_max=2, q_list=(2, 3)))
+    assert [m["case"] for m in report["mismatches"]] == ["twist n=2,alpha=[1, 0]"]
+    assert report["mismatches"][0]["diffs"] == [{"alpha": [1, 0], "matrix": M.to_json(E)}]
+
+
 # json.dumps(report, sort_keys=True) of the failing triangular report below
 TRIANGULAR_CONTROL_SHA256 = "b1376e24598b837634bcfae7fa5eab6970dfbfbfefa12e977e94979e1c4c9052"
 

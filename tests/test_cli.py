@@ -248,19 +248,22 @@ def _vbln_size_request(op, alpha, a, terms=1):
 
 
 def _vbln_copies_request(copies):
-    """n = 2: the symbol [](0, 0) with coefficient 1 / (1 + v^2), listed
-    copies times; reading merges the copies into one term."""
-    term = {
-        "matrix": {"n": 2, "entries": []},
-        "j": [0, 0],
-        "coeff_num": [[0, 1]],
-        "coeff_den": [[0, 1], [2, 1]],
-    }
-    return {"op": "diag-left", "j": [1, 0], "element": {"n": 2, "terms": [term] * copies}}
+    """n = 2: the symbols [](k, 0), k < copies, each with the coefficient
+    1 / (1 + v^2) of two coeff_den pairs."""
+    terms = [
+        {
+            "matrix": {"n": 2, "entries": []},
+            "j": [k, 0],
+            "coeff_num": [[0, 1]],
+            "coeff_den": [[0, 1], [2, 1]],
+        }
+        for k in range(copies)
+    ]
+    return {"op": "diag-left", "j": [1, 0], "element": {"n": 2, "terms": terms}}
 
 
 def _vbln_den_request(copies, last_den):
-    """_vbln_copies_request(copies) with the denominator of its last copy
+    """_vbln_copies_request(copies) with the denominator of its last term
     replaced by last_den."""
     request = _vbln_copies_request(copies)
     terms = request["element"]["terms"]
@@ -357,14 +360,14 @@ SIZE_CAP_REQUESTS = {
         _vbln_size_request("diag-right", None, 1, cli.MAX_REDUCE_TERMS + 1),
         2,
     ),
-    # the cap counts the terms as listed, before repeated symbols merge
+    # one term above the cap, each over a two-pair denominator
     "vbln-mul-copies-above-cap": (
         ["vbln-mul"],
         _vbln_copies_request(cli.MAX_REDUCE_TERMS + 1),
         2,
     ),
-    # the listed terms hold at most 2 * MAX_REDUCE_TERMS coeff_den pairs,
-    # counted before the copies merge: 729 * 2 = 1458, then 728 * 2 + 3
+    # the terms hold at most 2 * MAX_REDUCE_TERMS coeff_den pairs in all:
+    # 729 * 2 = 1458, then 728 * 2 + 3
     "vbln-mul-den-at-cap": (["vbln-mul"], _vbln_copies_request(cli.MAX_REDUCE_TERMS), 0),
     "vbln-mul-den-above-cap": (
         ["vbln-mul"],
@@ -414,19 +417,16 @@ def test_size_caps(case, tmp_path, capsys):
     assert (message in capsys.readouterr().err) == (want == 2)
 
 
-def test_vbln_mul_merges_copies_over_their_common_denominator(tmp_path):
-    # 729 copies of 1 / (1 + v^2) sum to 729 / (1 + v^2), not to a
-    # fraction over (1 + v^2)^729; their 1458 coeff_den pairs are at the cap
-    code, data, _ = run_cli(["vbln-mul"], _vbln_copies_request(cli.MAX_REDUCE_TERMS), tmp_path)
-    assert code == 0
-    assert data["terms"] == [
-        {
-            "coeff_den": [[0, 1], [2, 1]],
-            "coeff_num": [[0, 729]],
-            "j": [1, 0],
-            "matrix": {"entries": [], "n": 2},
-        }
-    ]
+def test_vbln_mul_rejects_a_repeated_symbol(tmp_path, capsys):
+    # an element is read in the form to_json writes, each symbol once:
+    # 729 copies of [](0, 0) over the denominators 1 + c v^2, c = 2..730,
+    # meet both term caps, and summing them would multiply the denominators
+    term = {"matrix": {"n": 2, "entries": []}, "j": [0, 0], "coeff_num": [[0, 1]]}
+    terms = [dict(term, coeff_den=[[0, 1], [2, c]]) for c in range(2, 731)]
+    payload = {"op": "diag-left", "j": [1, 0], "element": {"n": 2, "terms": terms}}
+    code, _, out = run_cli(["vbln-mul"], payload, tmp_path)
+    assert code == 2 and not out.exists()
+    assert "repeated symbol [](0, 0)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("op", ["diag-left", "diag-right", "one-layer-upper"])

@@ -1,10 +1,10 @@
-"""The public surface of ``src/affq`` is what the program calls.
+"""The public surface of ``src/affq`` is what the program reads.
 
-A module-level public function counts as called when its name is
-referenced by the code of ``src/affq`` outside its own body (docstrings,
+A module-level public function or constant counts as read when its name
+is referenced by the code of ``src/affq`` outside its own body (docstrings,
 and so doctests, are not code) or by ``bench/*.py`` as
-``<alias or module>.<name>``.  Every uncalled public function must be on
-the allowlist below, so API that only tests reach cannot creep back.
+``<alias or module>.<name>``.  Every unread public name must be on the
+allowlist below, so API that only tests reach cannot creep back.
 
 Every public top-level ``def`` must also stay a plain function at
 runtime: ``bench/tracer.py`` times only what ``inspect.isfunction``
@@ -53,9 +53,20 @@ def _aliases(tree):
     return mods, names
 
 
+def _top_names(tree):
+    """The names of the top-level defs and module-level constants."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.add(node.name)
+        elif isinstance(node, ast.Assign):
+            out.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return out
+
+
 def _references(tree, module, mods, names):
-    """(module, name, enclosing top-level def) for every name reference."""
-    defs = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    """(module, name, enclosing top-level def) for every name read."""
+    defs = _top_names(tree)
     out = []
     for top in tree.body:
         owner = top.name if isinstance(top, ast.FunctionDef) else None
@@ -63,7 +74,7 @@ def _references(tree, module, mods, names):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 if node.value.id in mods:
                     out.append((mods[node.value.id], node.attr, owner))
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 if node.id in names:
                     out.append(names[node.id] + (owner,))
                 elif node.id in defs:
@@ -71,7 +82,7 @@ def _references(tree, module, mods, names):
     return out
 
 
-def uncalled_public_functions():
+def unread_public_names():
     trees = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))}
     called = set()
     aliases = {}
@@ -88,17 +99,15 @@ def uncalled_public_functions():
                 if node.value.id in aliases:
                     called.add((aliases[node.value.id], node.attr))
     return {
-        "%s.%s" % (module, node.name)
+        "%s.%s" % (module, name)
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and not node.name.startswith("_")
-        and (module, node.name) not in called
+        for name in _top_names(tree)
+        if not name.startswith("_") and (module, name) not in called
     }
 
 
 def test_only_the_allowlist_is_uncalled():
-    assert sorted(uncalled_public_functions()) == sorted(ALLOWED)
+    assert sorted(unread_public_names()) == sorted(ALLOWED)
 
 
 def test_public_functions_are_plain_functions():
