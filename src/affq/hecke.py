@@ -36,6 +36,7 @@ and nu = () means the same.  The right actions (``right_mul_gen``,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import laurent as L
@@ -281,10 +282,15 @@ def t_double_coset(lam, d, mu):
 def coset_factor(A):
     """Product of the bracket factorials [a]! over the entries a of A: the
     scalar by which x_lam T_d x_mu exceeds the double-coset sum of A."""
+    return dict(_coset_factor(A))
+
+
+@functools.lru_cache(maxsize=L.PRODUCT_CACHE_SIZE)
+def _coset_factor(A):
     f = L.one()
     for _, _, a in A.entries:
         f = L.mul(f, L.factorial_sq(a))
-    return f
+    return tuple(f.items())
 
 
 def coset_product_identity_check(lam, d, mu):

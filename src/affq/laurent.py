@@ -15,55 +15,74 @@ sum instead of adding into it.  The rule lets a fraction share its input:
 
 The memo tables are lru_caches on private functions, holding immutable
 values; a public wrapper copies a tuple of items into a fresh dict.  They
-are listed here, each with what one suites pass of the benchmark (one
-process) puts in it:
+are listed here, each with its bound and what one suites pass of the
+benchmark (one process) puts in it:
 
-* laurent._gauss_sq: the items of a v^2 Gaussian; 10 entries, 11,851 hits.
-* laurent._factorial_sq: the items of a v^2 factorial; 5 entries, 12,704
+* laurent._gauss_sq (CACHE_SIZE): the items of a v^2 Gaussian; 10
+  entries, 11,851 hits.
+* laurent._factorial_sq (CACHE_SIZE): the items of a v^2 factorial; 5
+  entries, 2,456 hits.
+* matrices._d_exponent (CACHE_SIZE): the int d_A; 665 entries, 16,486
   hits.
-* matrices._d_exponent: the int d_A; 665 entries, 16,486 hits.
-* permutations._reduced_word: (m, word), keyed by the window; 599
-  entries, 21,053 hits.
-* schur._label_reps: the window of d_A beside the frozenset of the coset
-  windows of the double coset of A, from which the oracle peel reads the
-  windows of each label it names and _oracle_mul reads d_B; 1,438
-  entries, 14,886 hits.
-* schur._oracle_mul: the items of oracle_mul; answers 3,706 of 8,764
-  calls.
-* schur._diag_fill: the (mu, A + diag(mu)) pairs, which schur.diag_fill
-  returns as is; answers 29,778 of 31,207 calls.
-* schur._e_mul_upper: the (label, coeff) terms of e_mul_upper, which the
-  Hall products also read, keyed by labels and never by a weight; keeps
-  3,366 of the 4,456 hits of its 2,536 label pairs.
-* realization._lambda_table: the (k, fraction) pairs that reduce_j_lambda
-  and each row of the plus product add to j; 8 entries, 5,642 hits.
-* realization._plus_rows: the weight-free rows (label, coeff, jc, shift,
-  delta) of the plus product, keyed by (alpha, A); keeps 1,816 of the
-  1,907 hits of its 270 keys.
-* hall._census: the types.MappingProxyType census behind
+* matrices._negate (PRODUCT_CACHE_SIZE): the label negate returns, shared
+  by every call; answers 15,719 of 18,788 calls on 989 labels.
+* permutations._length (PRODUCT_CACHE_SIZE): the int length, keyed by the
+  window; answers 29,693 of 36,816 calls on 1,032 windows.
+* permutations._reduced_word (CACHE_SIZE): (m, word), keyed by the window;
+  599 entries, 21,053 hits.
+* permutations._young_subgroup_elements (CACHE_SIZE): the tuple of the
+  windows of the block subgroup of lam, shared by every call; 30 entries,
+  3,833 hits.
+* hecke._coset_factor (PRODUCT_CACHE_SIZE): the items of coset_factor;
+  answers 4,624 of 5,543 calls on 546 labels.
+* schur._label_reps (CACHE_SIZE): the window of d_A beside the frozenset
+  of the coset windows of the double coset of A, from which the oracle
+  peel reads the windows of each label it names and _oracle_mul reads
+  d_B; 1,438 entries, 14,886 hits.
+* schur._oracle_mul (PRODUCT_CACHE_SIZE): the items of oracle_mul;
+  answers 3,706 of 8,764 calls.
+* schur._diag_fill (FILL_CACHE_SIZE): the (mu, A + diag(mu)) pairs, which
+  schur.diag_fill returns as is; answers 29,778 of 31,207 calls.
+* schur._e_mul_upper (PRODUCT_CACHE_SIZE): the (label, coeff) terms of
+  e_mul_upper, which the Hall products also read, keyed by labels and
+  never by a weight; keeps 3,366 of the 4,456 hits of its 2,536 label
+  pairs.
+* realization._lambda_table (CACHE_SIZE): the (k, fraction) pairs that
+  reduce_j_lambda and each row of the plus product add to j; 8 entries,
+  5,642 hits.
+* realization._plus_rows (PRODUCT_CACHE_SIZE): the weight-free rows
+  (label, coeff, jc, shift, delta) of the plus product, keyed by (alpha,
+  A); keeps 1,816 of the 1,907 hits of its 270 keys.
+* hall._census (CACHE_SIZE): the types.MappingProxyType census behind
   hall.submodule_census; the suites pass does not reach it, and all
   eight suites fill it to 536 entries for 7,928 hits.
-* cli._parsed: the (name, value) items of the namespace that the parser
-  makes of one argv, from which cli.main builds a fresh namespace per
-  call; the suites pass does not reach it, and one queries pass of the
-  benchmark (seed 1) fills it to 7 entries for 2,393 hits.
+* cli._parsed (PRODUCT_CACHE_SIZE): the (name, value) items of the
+  namespace that the parser makes of one argv, from which cli.main builds
+  a fresh namespace per call; the suites pass does not reach it, and one
+  queries pass of the benchmark (seed 1) fills it to 7 entries for 2,393
+  hits.
 
 CACHE_SIZE bounds the tables whose repeats span a whole run, and none of
 them reaches it: all eight suites in one process (affq verify --suite all
 --jobs 1) fill the largest, matrices._d_exponent, to 8,481 entries and
-schur._label_reps to 6,698.  The four tables whose entries hold many
-labels have small bounds, PRODUCT_CACHE_SIZE on schur._oracle_mul,
-schur._e_mul_upper and realization._plus_rows, and FILL_CACHE_SIZE on
-schur._diag_fill: their repeats fall within one verify case, so a small
-table keeps almost every hit, while peak memory grows with the bound.  On
-the suites pass an unbounded schur._oracle_mul holds 4,856 entries for
+schur._label_reps to 6,698.  PRODUCT_CACHE_SIZE and FILL_CACHE_SIZE
+bound the tables whose repeats fall within one verify case, so that a
+small table keeps almost every hit while peak memory grows with the
+bound: the four whose entries hold many labels, schur._oracle_mul,
+schur._e_mul_upper and realization._plus_rows (PRODUCT_CACHE_SIZE) and
+schur._diag_fill (FILL_CACHE_SIZE), and the three keyed by one label or
+window, matrices._negate, permutations._length and hecke._coset_factor.
+On the suites pass an unbounded schur._oracle_mul holds 4,856 entries for
 3,908 hits, an unbounded schur._diag_fill 980 entries for 30,227 hits,
 and _e_mul_upper and _plus_rows unbounded raise the peak from 20.7 to
-23.9 MB and save no time.  FILL_CACHE_SIZE stays above the others: at
-128, the default level-coherence grid misses schur._diag_fill 32,796
-times instead of 21,681.  PRODUCT_CACHE_SIZE bounds cli._parsed too: --in
-and --out are part of its key, so a caller naming a new path on every
-call would fill any bound, and a queries pass needs 7 entries.
+23.9 MB and save no time; at CACHE_SIZE, the three keyed by one label
+or window keep 58,580 hits instead of 50,036 in 2,567 entries, but raise
+the peak from 19.80 to 20.82 MB and save no time either.
+FILL_CACHE_SIZE stays above the others: at 128, the default
+level-coherence grid misses schur._diag_fill 32,796 times instead of
+21,681.  PRODUCT_CACHE_SIZE bounds cli._parsed too: --in and --out are
+part of its key, so a caller naming a new path on every call would fill
+any bound, and a queries pass needs 7 entries.
 
 >>> text(mul(poly({0: 1, 1: 1}), poly({0: -1, 1: 1})))
 '-1 + v^2'
@@ -78,10 +97,10 @@ from dataclasses import dataclass
 from math import gcd
 
 CACHE_SIZE = 1 << 14
-# Entries of these hold many labels, and their repeats fall within one
-# verify case, so a small bound keeps the hits and caps peak memory.
+# The repeats of these tables fall within one verify case, so a small
+# bound keeps the hits and caps peak memory.
 FILL_CACHE_SIZE = 256  # schur._diag_fill: the labels A + diag(mu) per entry
-PRODUCT_CACHE_SIZE = 128  # schur._oracle_mul, _e_mul_upper, realization._plus_rows, cli._parsed
+PRODUCT_CACHE_SIZE = 128  # the products, the label maps and cli._parsed
 
 
 def zero():

@@ -146,6 +146,11 @@ def negate(A):
     >>> negate(pmat(2, [(1, 2, 3), (2, 2, 1)])).entries
     ((1, 0, 3), (2, 2, 1))
     """
+    return _negate(A)
+
+
+@functools.lru_cache(maxsize=L.PRODUCT_CACHE_SIZE)
+def _negate(A):
     return pmat(A.n, [(-i, -j, a) for i, j, a in A.entries])
 
 

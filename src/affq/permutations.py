@@ -117,6 +117,11 @@ def length(w):
     >>> length(perm(2, [0, 3]))
     1
     """
+    return _length(w)
+
+
+@functools.lru_cache(maxsize=L.PRODUCT_CACHE_SIZE)
+def _length(w):
     r = len(w)
     total = 0
     for k, x in enumerate(w, 1):
@@ -324,17 +329,27 @@ def length_formula(A):
 
 
 def young_subgroup_elements(lam):
-    """All window permutations preserving each block of lam."""
+    """All window permutations preserving each block of lam, as one tuple
+    of windows shared by every call with the same lam.
+
+    >>> young_subgroup_elements((2, 1))
+    ((1, 2, 3), (2, 1, 3))
+    """
+    return _young_subgroup_elements(tuple(lam))
+
+
+@functools.lru_cache(maxsize=L.CACHE_SIZE)
+def _young_subgroup_elements(lam):
     r = sum(lam)
-    pieces = [list(itertools.permutations(b)) for b in blocks(lam)]
+    bs = blocks(lam)
     out = []
-    for combo in itertools.product(*pieces):
+    for combo in itertools.product(*(itertools.permutations(b) for b in bs)):
         window = [0] * r
-        for block, values in zip(blocks(lam), combo):
+        for block, values in zip(bs, combo):
             for pos, val in zip(block, values):
                 window[pos - 1] = val
         out.append(tuple(window))
-    return out
+    return tuple(out)
 
 
 def double_coset_elements(lam, d, mu):

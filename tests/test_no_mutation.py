@@ -133,6 +133,7 @@ def test_a_caller_cannot_corrupt_the_memoized_gaussians():
         (L.gauss_sq, (-1, 2)),
         (L.gauss_sym, (4, 2)),
         (L.factorial_sq, (3,)),
+        (H.coset_factor, (M.pmat(2, [(1, 1, 2), (1, 2, 3), (2, 1, 1)]),)),
     )
     for op, args in cases:
         want = dict(op(*args))

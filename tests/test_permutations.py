@@ -268,6 +268,9 @@ def test_minimality_sampling():
 def test_young_subgroup_elements():
     for lam in ((2, 2), (3, 1), (1, 1, 2), (0, 4)):
         elements = P.young_subgroup_elements(lam)
+        assert isinstance(elements, tuple)
+        assert all(isinstance(w, tuple) and len(w) == sum(lam) for w in elements)
+        assert P.young_subgroup_elements(lam) == elements
         assert len(elements) == math.prod(math.factorial(p) for p in lam)
         assert len(set(elements)) == len(elements)
         blocks = P.blocks(lam)

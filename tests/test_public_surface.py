@@ -134,6 +134,16 @@ def _decorator_name(node):
     return ".".join(reversed(parts))
 
 
+def _lru_bound(deco, prefix):
+    """The laurent constant that bounds the lru_cache decorator deco, read
+    from the one form lru_cache(maxsize=<prefix><NAME>CACHE_SIZE), else ""."""
+    call = isinstance(deco, ast.Call) and not deco.args
+    size = [k.value for k in deco.keywords if k.arg == "maxsize"] if call else []
+    bound = _decorator_name(size[0]) if len(size) == 1 else ""
+    const = bound[len(prefix):] if bound.startswith(prefix) else ""
+    return const if "." not in const and const.endswith("CACHE_SIZE") else ""
+
+
 def unbounded_memos(tree, prefix="L."):
     """Names of the functions in tree whose memo table may be unbounded: an
     lru_cache whose maxsize is not one of the *CACHE_SIZE constants of
@@ -147,12 +157,7 @@ def unbounded_memos(tree, prefix="L."):
         for deco in node.decorator_list:
             name = _decorator_name(deco)
             if name in ("functools.lru_cache", "lru_cache"):
-                # only the form lru_cache(maxsize=L.<NAME>CACHE_SIZE) passes
-                call = isinstance(deco, ast.Call) and not deco.args
-                size = [k.value for k in deco.keywords if k.arg == "maxsize"] if call else []
-                bound = _decorator_name(size[0]) if len(size) == 1 else ""
-                const = bound[len(prefix):] if bound.startswith(prefix) else ""
-                if not ("." not in const and const.endswith("CACHE_SIZE")):
+                if not _lru_bound(deco, prefix):
                     bad.append(node.name)
             elif name in ("functools.cache", "cache"):
                 a = node.args
@@ -186,21 +191,22 @@ def test_every_memo_table_is_bounded():
 
 
 def memo_tables():
-    """module._name of every lru_cache function of src/affq: the memo
-    tables (cli._parser, a functools.cache without arguments, holds one
-    value and is no table)."""
-    return sorted(
-        "%s.%s" % (path.stem, node.name)
+    """{module._name: the laurent constant of its maxsize} for every
+    lru_cache function of src/affq: the memo tables (cli._parser, a
+    functools.cache without arguments, holds one value and is no table)."""
+    return {
+        "%s.%s" % (path.stem, node.name): _lru_bound(d, "" if path.stem == "laurent" else "L.")
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(_parse(path))
         if isinstance(node, ast.FunctionDef)
-        and any(
-            _decorator_name(d) in ("functools.lru_cache", "lru_cache")
-            for d in node.decorator_list
-        )
-    )
+        for d in node.decorator_list
+        if _decorator_name(d) in ("functools.lru_cache", "lru_cache")
+    }
 
 
 def test_the_laurent_docstring_lists_every_memo_table():
+    # each entry opens with "* module._name (BOUND):", BOUND the decorator's maxsize
     doc = ast.get_docstring(_parse(SRC / "laurent.py"))
-    assert sorted(re.findall(r"^\* (\w+\.\w+):", doc, re.M)) == memo_tables()
+    listed = re.findall(r"^\* (\w+\.\w+) \((\w+)\):", doc, re.M)
+    assert len(listed) == len(dict(listed))
+    assert dict(listed) == memo_tables()
