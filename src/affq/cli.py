@@ -201,15 +201,11 @@ def _parse_ints(text):
 
 def cmd_verify(args):
     names = V.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    r_min = args.r if args.r is not None else 2
-    r_max = args.r_max if args.r_max is not None else (args.r if args.r is not None else 4)
-    cfg = V.Config(
-        n_list=_parse_ints(args.n),
-        r_min=r_min,
-        r_max=r_max,
-        q_list=_parse_ints(args.q),
-        jobs=args.jobs,
-    )
+    cfg = V.Config(n_list=_parse_ints(args.n), q_list=_parse_ints(args.q), jobs=args.jobs)
+    if args.r is not None:
+        cfg.r_min = cfg.r_max = args.r
+    if args.r_max is not None:
+        cfg.r_max = args.r_max
     ok, reports = V.run_suites(names, cfg)
     _emit({"ok": ok, "suites": reports}, args.out)
     for rep in reports:
@@ -255,10 +251,11 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run acceptance suites")
     p.add_argument("--suite", choices=V.SUITE_NAMES + ("all",), default="all")
-    p.add_argument("--n", default="2,3", help="comma-separated sizes")
-    p.add_argument("--r", type=int, default=None, help="smallest level (defaults to 2)")
+    grid = V.Config()
+    p.add_argument("--n", default=",".join(map(str, grid.n_list)), help="comma-separated sizes")
+    p.add_argument("--r", type=int, default=None, help="smallest level (default %d)" % grid.r_min)
     p.add_argument("--r-max", dest="r_max", type=int, default=None, help="largest level")
-    p.add_argument("--q", default="2,3", help="comma-separated field sizes")
+    p.add_argument("--q", default=",".join(map(str, grid.q_list)), help="comma-separated field sizes")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (1 to %d)" % V.MAX_JOBS)
     p.add_argument("--out", default=None, help="report path (default stdout)")
     p.set_defaults(func=cmd_verify)

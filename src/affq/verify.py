@@ -23,6 +23,10 @@ is the fill mu of the one term v^(mu.j) [A + diag(mu)] of A_j_r(A, j, r)
 that reaches C.  The weight j = 0 is on every grid, and there the product
 is compared as built, with no shift.
 
+Every suite builds cases for each n of the grid that it covers, the fixed
+grids of commutator and triangular from tables keyed by n; a suite left
+with no case is refused before any case of the run starts.
+
 Nothing is kept across cases: with ``--jobs`` above 1 the cases of a
 suite run in different workers, so a table shared between cases would
 hit in one process and miss in another, and a table keyed by the weight
@@ -156,16 +160,15 @@ def _check_schur_oracle(case):
 # suite: coset-length
 
 
-def _indices(rng, size):
-    """Endless indices below size, drawn from rng as rng.choice draws them
-    from a sequence of that size: getrandbits(size.bit_length()) until the
-    value is below size.  Reading two of these in turn gives the indices
-    of rng.choice(us), rng.choice(vs) and leaves the same rng state."""
-    getrandbits, k = rng.getrandbits, size.bit_length()
-    while True:
-        i = getrandbits(k)
-        if i < size:
-            yield i
+def _below(getrandbits, n):
+    """rng.randrange(n), or the index of rng.choice(seq) with len(seq) = n,
+    for n >= 1, drawn as Random draws it: getrandbits(n.bit_length()) until
+    the value is below n, so the rng is left in the same state."""
+    k = n.bit_length()
+    x = getrandbits(k)
+    while x >= n:
+        x = getrandbits(k)
+    return x
 
 
 def _check_coset_length(case):
@@ -189,9 +192,9 @@ def _check_coset_length(case):
         rng = random.Random("coset:%d:%d:%d" % (n, r, idx))
         uys = [P.compose(u, y) for u in us]
         lengths = {}  # (index of u, index of v) -> length of u y v
-        draw_u, draw_v = _indices(rng, len(us)), _indices(rng, len(vs))
+        bits = rng.getrandbits
         for _ in range(COSET_SAMPLES):
-            key = next(draw_u), next(draw_v)
+            key = _below(bits, len(us)), _below(bits, len(vs))
             if key not in lengths:
                 lengths[key] = P.length(P.compose(uys[key[0]], vs[key[1]]))
             if lengths[key] < ly:
@@ -215,16 +218,6 @@ def _cases_hecke(cfg):
         for chunk in range(4):
             cases.append(("hecke-assoc", r, chunk, 120))
     return cases + _band_cases("hecke-coset", cfg)
-
-
-def _below(getrandbits, n):
-    """rng.randrange(n) for n >= 1, drawn as Random draws it (see
-    _indices): getrandbits(n.bit_length()) until the value is below n."""
-    k = n.bit_length()
-    x = getrandbits(k)
-    while x >= n:
-        x = getrandbits(k)
-    return x
 
 
 def _rand_perm(rng, r, steps=8):
@@ -391,17 +384,18 @@ def _check_hall(case):
 # suite: commutator
 
 
-_COMMUTATOR_PAIRS = (
-    ((1, 0), (1, 0)),
-    ((1, 0), (0, 1)),
-    ((1, 1), (1, 1)),
-    ((2, 0), (2, 0)),
-    ((2, 0), (1, 0)),
-)
+_COMMUTATOR_PAIRS = {
+    2: (
+        ((1, 0), (1, 0)), ((1, 0), (0, 1)), ((1, 1), (1, 1)),
+        ((2, 0), (2, 0)), ((2, 0), (1, 0)),
+    ),
+    3: (((1, 1, 0), (1, 0, 1)), ((2, 1, 0), (1, 1, 0))),
+}
 
 
 def _cases_commutator(cfg):
-    return [("commutator", lam, mu) for lam, mu in _COMMUTATOR_PAIRS]
+    pairs = (p for n in cfg.n_list for p in _COMMUTATOR_PAIRS.get(n, ()))
+    return [("commutator", lam, mu) for lam, mu in pairs]
 
 
 def _check_commutator(case):
@@ -418,11 +412,8 @@ def _check_commutator(case):
 
 
 def _cases_level_coherence(cfg):
-    cases = []
-    for n in cfg.n_list:
-        for A in mixed_labels(n, 2, n):
-            cases.append(("level-coherence", n, A, cfg.r_max))
-    return cases
+    labels = ((n, A) for n in cfg.n_list for A in mixed_labels(n, 2, n))
+    return [("level-coherence", n, A, cfg.r_max) for n, A in labels]
 
 
 def _lambda_grid(n):
@@ -525,12 +516,17 @@ def _check_level_coherence(case):
 # suite: triangular
 
 
+_TRIANGULAR_BANDS = {2: 2}
+
+
 def _cases_triangular(cfg):
-    cases = []
-    for A in mixed_labels(2, 2, 2):
-        for j in _weight_grid(2):
-            cases.append(("triangular", A, j, cfg.r_max))
-    return cases
+    return [
+        ("triangular", A, j, cfg.r_max)
+        for n in cfg.n_list
+        if n in _TRIANGULAR_BANDS
+        for A in mixed_labels(n, 2, _TRIANGULAR_BANDS[n])
+        for j in _weight_grid(n)
+    ]
 
 
 def _check_triangular(case):
@@ -639,15 +635,18 @@ _SUITES = {
 }
 
 SUITE_NAMES = tuple(_SUITES)
-_N2_SUITES = ("commutator", "triangular")  # their grids are fixed at n = 2
 
 
-def _validate(name, cfg):
+def _cases(name, cfg):
+    """The cases of suite name on the grid cfg; a suite whose grid holds
+    no n of cfg.n_list has none, and is refused like a malformed grid."""
     if name not in SUITE_NAMES:
         raise ValueError("unknown suite %r" % name)
     cfg.validate()
-    if name in _N2_SUITES and 2 not in cfg.n_list:
-        raise ValueError("the %s grid is fixed at n = 2, so n must include 2" % name)
+    cases = _SUITES[name][0](cfg)
+    if not cases:
+        raise ValueError("the %s grid has no case for n in %s" % (name, list(cfg.n_list)))
+    return cases
 
 
 def get_context(method):
@@ -658,14 +657,10 @@ def get_context(method):
     return multiprocessing.get_context(method)
 
 
-def run_suite(name, cfg=None):
-    """Run one suite and return its report dictionary."""
-    cfg = cfg or Config()
-    _validate(name, cfg)
-    builder, checker = _SUITES[name]
-    cases = builder(cfg)
-    if cfg.jobs > 1 and len(cases) > 1:
-        with get_context("fork").Pool(min(cfg.jobs, len(cases))) as pool:
+def _run(name, cases, jobs):
+    checker = _SUITES[name][1]
+    if jobs > 1 and len(cases) > 1:
+        with get_context("fork").Pool(min(jobs, len(cases))) as pool:
             results = pool.map(checker, cases)
     else:
         results = [checker(c) for c in cases]
@@ -680,11 +675,16 @@ def run_suite(name, cfg=None):
     }
 
 
+def run_suite(name, cfg=None):
+    """Run one suite and return its report dictionary."""
+    cfg = cfg or Config()
+    return _run(name, _cases(name, cfg), cfg.jobs)
+
+
 def run_suites(names, cfg=None):
     """Run several suites; returns (all_ok, list of reports).  Every suite
-    is validated before the first one starts."""
+    is planned, and so refused or accepted, before the first case starts."""
     cfg = cfg or Config()
-    for name in names:
-        _validate(name, cfg)
-    reports = [run_suite(name, cfg) for name in names]
+    plans = [(name, _cases(name, cfg)) for name in names]
+    reports = [_run(name, cases, cfg.jobs) for name, cases in plans]
     return all(rep["ok"] for rep in reports), reports

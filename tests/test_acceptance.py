@@ -252,10 +252,10 @@ def test_coset_draws_are_the_draws_of_random_choice():
     for seed in range(300):
         a, b = DRAW_SIZES[seed % 6], DRAW_SIZES[seed // 6 % 6]
         got_rng, want_rng = DirectDraws(seed), random.Random(seed)
-        us, vs = V._indices(got_rng, a), V._indices(got_rng, b)
+        bits = got_rng.getrandbits
         for _ in range(V.COSET_SAMPLES):
             want = want_rng.choice(range(a)), want_rng.choice(range(b))
-            assert (next(us), next(vs)) == want
+            assert (V._below(bits, a), V._below(bits, b)) == want
         assert got_rng.getstate() == want_rng.getstate()
 
 

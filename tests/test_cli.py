@@ -666,18 +666,28 @@ def test_verify_rejects_bad_grid():
         cli.main(["verify", "--suite", "unknown"])
 
 
-@pytest.mark.parametrize("suite", ["triangular", "commutator", "all"])
-def test_verify_refuses_a_grid_without_n_2_for_the_fixed_suites(
+@pytest.mark.parametrize("suite", ["triangular", "all"])
+def test_verify_refuses_a_suite_whose_grid_holds_no_n_of_the_request(
     suite, tmp_path, monkeypatch, capsys
 ):
-    # triangular and commutator run fixed n = 2 grids: a request without
-    # n = 2 exits 2 before any case of the run starts, --suite all included
+    # triangular's fixed grid holds only n = 2: a request for n = 3 leaves
+    # it no case, and exits 2 before any case of the run starts, --suite all
+    # included
     started = []
     for name, (builder, _) in list(V._SUITES.items()):
         monkeypatch.setitem(V._SUITES, name, (builder, started.append))
     code, _, out = run_cli(["verify", "--suite", suite, "--n", "3"], None, tmp_path)
     assert code == 2 and not out.exists() and started == []
-    assert "grid is fixed at n = 2" in capsys.readouterr().err
+    assert "the triangular grid has no case for n in [3]" in capsys.readouterr().err
+
+
+def test_verify_runs_the_commutator_pairs_of_n_3_alone(tmp_path):
+    code, data, _ = run_cli(["verify", "--suite", "commutator", "--n", "3"], None, tmp_path)
+    assert code == 0
+    (suite,) = data["suites"]
+    assert (suite["cases"], suite["checks"], suite["ok"]) == (2, 2, True)
+    cases = V._cases("commutator", V.Config(n_list=(3,)))
+    assert [(lam, mu) for _, lam, mu in cases] == list(V._COMMUTATOR_PAIRS[3])
 
 
 def test_verify_rejects_empty_q_list(tmp_path):

@@ -381,11 +381,30 @@ def test_relation_e_fails_with_a_wrong_coefficient(monkeypatch, tmp_path):
     assert R.relation_e_difference((1, 0), (1, 0)).terms
     report = V.run_suite("commutator")
     assert not report["ok"]
-    assert len(report["mismatches"]) == 4
+    assert len(report["mismatches"]) == 6
     assert all(m["diffs"][0]["difference"]["terms"] for m in report["mismatches"])
     out = tmp_path / "report.json"
     assert cli.main(["verify", "--suite", "commutator", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["ok"] is False
+
+
+def test_commutator_catches_a_transposed_euler_form_at_n_3(monkeypatch):
+    # x_coeff with 2<d, gamma> in place of 2<gamma, d>, d = alpha - gamma -
+    # lam: the n = 2 pairs cannot see it, the two n = 3 pairs must
+    x_coeff = R.x_coeff
+
+    def transposed(alpha, gamma, lam, mu):
+        d = tuple(a - g - l for a, g, l in zip(alpha, gamma, lam))
+        shift = 2 * (Ha.euler_form(d, gamma) - Ha.euler_form(gamma, d))
+        return L.frac_scale(L.monomial(shift), x_coeff(alpha, gamma, lam, mu))
+
+    monkeypatch.setattr(R, "x_coeff", transposed)
+    report = V.run_suite("commutator")
+    assert report["cases"] == 7
+    assert sorted(m["case"] for m in report["mismatches"]) == [
+        "lam=[1, 1, 0],mu=[1, 0, 1]",
+        "lam=[2, 1, 0],mu=[1, 1, 0]",
+    ]
 
 
 # ----------------------------------------------------------------------
