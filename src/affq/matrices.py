@@ -13,10 +13,10 @@ construction, and it pickles by value (``verify`` sends labels to its
 workers).  The kernels run per label, many thousand times in a suite, so
 the sums and predicates below loop inline rather than through generators.
 
-Row sums, column sums, the total sigma, the row-shift tilde, the transpose,
-the index negation, the +/0/- splitting, the exponent d_A of the normalized
-Schur basis, the corner-sum order, and the one enumerator of the
-auxiliary T matrices of the one-layer product rules all live here.
+Row sums, column sums, the total sigma, the transpose, the index
+negation, the +/0/- splitting, the exponent d_A of the normalized Schur
+basis, the corner-sum order, and the one enumerator of the auxiliary T
+matrices of the one-layer product rules all live here.
 """
 
 import functools
@@ -119,23 +119,12 @@ def madd(A, B):
     return pmat(A.n, list(A.entries) + list(B.entries))
 
 
-def msub(A, B):
-    if A.n != B.n:
-        raise ValueError("period mismatch")
-    return pmat(A.n, list(A.entries) + [(i, j, -a) for i, j, a in B.entries])
-
-
 def mscale(c, A):
     return pmat(A.n, [(i, j, c * a) for i, j, a in A.entries])
 
 
 def transpose(A):
     return pmat(A.n, [(j, i, a) for i, j, a in A.entries])
-
-
-def tilde(A):
-    """Row shift: the matrix with entries a_{i-1,j} at position (i,j)."""
-    return pmat(A.n, [(i + 1, j, a) for i, j, a in A.entries])
 
 
 def negate(A):
@@ -305,6 +294,9 @@ def one_layer_ts(A, alpha):
     Gaussian there vanish.  Row i takes the cell (i, i+1) first, then the
     others in column order; row 1 varies slowest.  On Hall's wide diagonal
     A + diag(w), w_i = alpha_{i-1}, the cell (i, i+1) is capped by alpha_i.
+    The cells of T are distinct, nonzero and in rows 1..n, so each row's
+    choices are sorted once and T is built directly, equal to the pmat of
+    its cells.
 
     >>> A = pmat(2, [(2, 1, 1), (2, 2, 1), (2, 3, 3)])
     >>> [T.entries for T in one_layer_ts(A, (2, 0))]
@@ -313,15 +305,18 @@ def one_layer_ts(A, alpha):
     rows = []
     for i in range(1, A.n + 1):
         cap = alpha[i - 1]
+        if not cap:  # the row takes no cell
+            rows.append([()])
+            continue
         cells = sorted(row_support(A, i + 1), key=lambda cell: cell[0] != i + 1)
         rows.append(
             [
-                [(i, j, t) for (j, _), t in zip(cells, vals) if t]
+                tuple(sorted((i, j, t) for (j, _), t in zip(cells, vals) if t))
                 for vals in _bounded_rows(cap, [min(cap, a) for _, a in cells])
             ]
         )
     for choice in product(*rows):
-        yield pmat(A.n, [cell for row in choice for cell in row])
+        yield PeriodicMatrix(A.n, sum(choice, ()))
 
 
 def dot(a, b):

@@ -24,8 +24,9 @@ formula here, read off the level-r rule: the level-free structure
 constants are the level-r ones with the diagonal made formal
 (Beilinson-Lusztig-MacPherson).  For each T of ``M.one_layer_ts`` on
 Hall's wide diagonal wide = A + diag(w), w_i = alpha_{i-1},
-``S.upper_term(wide, T)`` gives the label C and coefficient c
-of T in e_B e_wide, B = S_alpha + diag(ro A).  The term of A(j) is
+``S.upper_term(S.entry_map(wide), T)`` gives the label C and coefficient
+c of T in e_B e_wide, B = S_alpha + diag(ro A); the entry map of wide is
+built once per (alpha, A).  The term of A(j) is
 (offdiag C)(j + shift, delta) with delta = diag(T) and shift =
 ``_j_shift_plus(T)``; its coefficient is c divided exactly by the
 Gaussians gauss_sym(nu_i, t_ii), nu = diag(C), which the reduction of the
@@ -301,11 +302,15 @@ def mul_0j_right(x, jprime):
 
 
 def _j_shift_plus(T):
-    out = []
-    for i in range(1, T.n + 1):
-        s = sum(tv for l, tv in M.row_support(T, i) if l < i)
-        s -= sum(tv for l, tv in M.row_support(T, i - 1) if l < i)
-        out.append(s)
+    """shift_i = sum_{l < i} (t_{i,l} - t_{i-1,l}) in one pass: a cell (i, l)
+    adds to shift_i if l < i and takes from shift_{i+1 mod n} if l <= i."""
+    n = T.n
+    out = [0] * n
+    for i, l, t in T.entries:
+        if l < i:
+            out[i - 1] += t
+        if l <= i:
+            out[i % n] -= t
     return tuple(out)
 
 
@@ -320,8 +325,9 @@ def _plus_rows(alpha, A):
     wide = M.madd(A, M.diag(w))
     base = M.d_exponent(wide) + M.d_exponent(M.madd(M.s_alpha(alpha), M.diag(M.ro(A))))
     out = []
+    amap = S.entry_map(wide)
     for T in M.one_layer_ts(wide, alpha):
-        C, coeff = S.upper_term(wide, T)
+        C, coeff = S.upper_term(amap, T)
         nu = tuple(C.entry(i, i) for i in range(1, n + 1))
         delta = tuple(T.entry(i, i) for i in range(1, n + 1))
         for x, t in zip(nu, delta):

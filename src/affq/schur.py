@@ -22,11 +22,13 @@ Products are available through two independent routes:
   (lower) layer.
 
 Only the upper rule in the standard basis is implemented, and one per-T
-rule, ``upper_term(A, T)``, serves three products: ``_e_mul_upper`` sums
-it over the T of ``M.one_layer_ts``, ``hall.semisimple_hall_product``
-reads that table on a wide diagonal (the Hall product is a Schur product
-there), and ``realization._plus_rows`` reads the level-free plus product
-off it on the same wide diagonal.
+rule, ``upper_term(entry_map(A), T)``, serves three products:
+``_e_mul_upper`` sums it over the T of ``M.one_layer_ts``,
+``hall.semisimple_hall_product`` reads that table on a wide diagonal (the
+Hall product is a Schur product there), and ``realization._plus_rows``
+reads the level-free plus product off it on the same wide diagonal.  Each
+product builds the entry map of A once; each T then costs one label, A -
+tilde(T) + T, built in one pass from that map and the cells of T.
 ``n_mul_upper`` is a change of basis: ``[B][A] = v^(-d_B - d_A) e_B
 e_A``, so each label C of ``e_mul_upper`` has its coefficient shifted by
 ``d_C - d_B - d_A`` (``test_normalized_rules_match_converted_standard_rules``
@@ -218,15 +220,6 @@ def upper_shapes_for(mu):
 # closed-form multiplication rules
 
 
-def _exp_upper_e(A, T):
-    total = 0
-    for i, l, t in T.entries:
-        s = sum(a for j, a in M.row_support(A, i) if j > l)
-        s -= sum(tv for j, tv in M.row_support(T, i - 1) if j > l)
-        total += t * s
-    return 2 * total
-
-
 def e_mul_upper(B, A):
     """Product e_B e_A for B = superdiagonal layer plus diagonal.
 
@@ -252,26 +245,61 @@ def _e_mul_upper(B, A):
     if M.co(B) != M.ro(A):
         return ()
     out = {}
+    amap = entry_map(A)
     for T in M.one_layer_ts(A, alpha):
-        L.acc(out, *upper_term(A, T))
+        L.acc(out, *upper_term(amap, T))
     return tuple(out.items())
 
 
-def upper_term(A, T):
-    """The term of one candidate T in a one-layer product e_B e_A: the
-    label A - tilde(T) + T and the coefficient v^(_exp_upper_e(A, T))
-    times the Gaussians [a_{i,j} + t_{i,j} - t_{i-1,j}, t_{i,j}] in v^2.
-    Under the cell caps of ``M.one_layer_ts`` the label is nonnegative and
-    every Gaussian is nonzero.
+def entry_map(A):
+    """The entries of A that upper_term reads, built once per product: the
+    dict {(i, j): a_{i,j}} of the fundamental entries, and the row tails
+    {(i, l): sum_{j > l} a_{i,j}} at each cell (i, l) that a T of
+    ``M.one_layer_ts(A, alpha)`` can hold, the cells of row i+1 of A moved
+    up one row."""
+    tails = {}
+    for k, j, _ in A.entries:
+        i, l = (k - 1, j) if k > 1 else (A.n, j + A.n)
+        tails[i, l] = sum(a for i0, j0, a in A.entries if i0 == i and j0 > l)
+    return {(i, j): a for i, j, a in A.entries}, tails
 
-    >>> C, c = upper_term(M.madd(M.e_unit(2, 1, 2), M.diag((1, 0))), M.e_unit(1, 1, 2))
+
+def upper_term(amap, T):
+    """The term of one candidate T in a one-layer product e_B e_A, amap =
+    entry_map(A): the label A - tilde(T) + T and the coefficient v^(2e)
+    times the Gaussians [a_{i,l} + t_{i,l} - t_{i-1,l}, t_{i,l}] in v^2,
+    e the sum over the cells of T of t_{i,l} (sum_{j > l} a_{i,j} -
+    sum_{j > l} t_{i-1,j}).  A first pass over the cells of T keys
+    tilde(T) by cell and builds the label, once; a second reads every
+    entry and row tail from amap and tilde(T).  Under the cell caps of
+    ``M.one_layer_ts`` the label is nonnegative and every Gaussian is
+    nonzero.
+
+    >>> A = M.madd(M.e_unit(2, 1, 2), M.diag((1, 0)))
+    >>> C, c = upper_term(entry_map(A), M.e_unit(1, 1, 2))
     >>> sorted(C.entries), L.text(c)
     ([(1, 1, 2)], '1 + v^2')
     """
+    cells, tails = amap
+    n = T.n
+    label = dict(cells)
+    below = {}  # tilde(T): t_{i-1,l} at (i, l)
+    for i, l, t in T.entries:
+        key = (i + 1, l) if i < n else (1, l - n)
+        below[key] = t
+        label[key] = label.get(key, 0) - t
+        label[i, l] = label.get((i, l), 0) + t
     coeff = L.one()
-    for i, j, t in T.entries:
-        coeff = L.mul(coeff, L.gauss_sq(A.entry(i, j) + t - T.entry(i - 1, j), t))
-    return M.madd(M.msub(A, M.tilde(T)), T), L.vshift(coeff, _exp_upper_e(A, T))
+    total = 0
+    for i, l, t in T.entries:
+        coeff = L.mul(coeff, L.gauss_sq(cells.get((i, l), 0) + t - below.get((i, l), 0), t))
+        s = tails[i, l]
+        for (k, j), u in below.items():
+            if k == i and j > l:
+                s -= u
+        total += t * s
+    entries = tuple(sorted((i, j, a) for (i, j), a in label.items() if a))
+    return M.PeriodicMatrix(n, entries), L.vshift(coeff, 2 * total)
 
 
 def e_mul_lower(C, A):

@@ -412,7 +412,8 @@ def _check_commutator(case):
 
 
 def _cases_level_coherence(cfg):
-    labels = ((n, A) for n in cfg.n_list for A in mixed_labels(n, 2, n))
+    # a label runs from level sigma(A) up to r_max: none above r_max is planned
+    labels = ((n, A) for n in cfg.n_list for A in mixed_labels(n, min(2, cfg.r_max), n))
     return [("level-coherence", n, A, cfg.r_max) for n, A in labels]
 
 
@@ -524,7 +525,7 @@ def _cases_triangular(cfg):
         ("triangular", A, j, cfg.r_max)
         for n in cfg.n_list
         if n in _TRIANGULAR_BANDS
-        for A in mixed_labels(n, 2, _TRIANGULAR_BANDS[n])
+        for A in mixed_labels(n, min(2, cfg.r_max), _TRIANGULAR_BANDS[n])
         for j in _weight_grid(n)
     ]
 

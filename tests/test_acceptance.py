@@ -370,3 +370,15 @@ def test_triangular_reports_a_generator_that_drops_its_weight(monkeypatch, tmp_p
     assert {b["reason"] for d in diffs for b in d["bad"]} == {"leading coefficient"}
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == TRIANGULAR_CONTROL_SHA256
+
+
+def test_level_suites_plan_only_labels_that_reach_r_max():
+    # each label runs from level sigma(A) up to r_max, so a label of sigma
+    # above r_max would check nothing: at r_max = 1 only sigma <= 1 is
+    # planned, 9 of the 45 labels of n = 2, and every case checks a level
+    cfg = V.Config(n_list=(2,), r_min=1, r_max=1, q_list=(2,))
+    for suite, count in (("level-coherence", 9), ("triangular", 36)):
+        cases = V._cases(suite, cfg)
+        assert len(cases) == count
+        results = [V._SUITES[suite][1](case) for case in cases]
+        assert all(res["ok"] and res["checked"] > 0 for res in results), suite

@@ -9,6 +9,7 @@ from affq import laurent as L
 from affq import matrices as M
 from affq import realization as R
 from affq import schur as S
+from test_schur import exp_upper_e, msub, tilde
 
 
 def test_doctests():
@@ -310,9 +311,9 @@ def hall_per_t(alpha, A):
                 break
         if not coeff:
             continue
-        label = M.madd(M.msub(A, M.split(M.tilde(T))[0]), T)
+        label = M.madd(msub(A, M.split(tilde(T))[0]), T)
         if M.is_nonneg(label):
-            L.acc(out, label, L.vshift(coeff, S._exp_upper_e(A, T)))
+            L.acc(out, label, L.vshift(coeff, exp_upper_e(A, T)))
     return {C: {e // 2: c for e, c in f.items()} for C, f in out.items()}
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from affq import matrices as M
+from test_schur import tilde, upper_term_cases
 
 
 def E(i, j, n=2):
@@ -50,14 +51,15 @@ def test_transpose():
 
 
 def test_tilde_examples():
-    assert M.tilde(E(1, 2)) == E(2, 2)
-    assert M.tilde(E(2, 3)) == E(1, 1)
+    # the row shift of the tests' reference label A - tilde(T) + T
+    assert tilde(E(1, 2)) == E(2, 2)
+    assert tilde(E(2, 3)) == E(1, 1)
     # n applications shift the fundamental column index by -n: the orbit of
     # (i, j) moves to the orbit of (i + n, j) = (i, j - n).
     A = M.pmat(2, [(1, -1, 2), (2, 4, 1), (1, 1, 3)])
     B = A
     for _ in range(2):
-        B = M.tilde(B)
+        B = tilde(B)
     assert B == M.pmat(2, [(i, j - 2, a) for i, j, a in A.entries])
 
 
@@ -202,14 +204,14 @@ def test_tilde_invariants():
     for _ in range(200):
         n = rng.choice([2, 3])
         A = _random_matrix(rng, n)
-        T = M.tilde(A)
+        T = tilde(A)
         assert M.sigma(T) == M.sigma(A)
         r = M.ro(A)
         assert M.ro(T) == tuple(r[(i - 1) % n] for i in range(n))
         assert M.sigma(A) == sum(M.ro(A)) == sum(M.co(A))
         B = A
         for _ in range(n):
-            B = M.tilde(B)
+            B = tilde(B)
         for i in range(1, n + 1):
             for j in range(-12, 13):
                 assert B.entry(i, j) == A.entry(i, j + n)
@@ -254,6 +256,19 @@ def test_one_layer_ts_order_and_caps():
     assert list(M.one_layer_ts(A, (5, 1, 0))) == []
     assert list(M.one_layer_ts(A, (2, 1, 1))) == []
     assert [T.entries for T in M.one_layer_ts(A, (0, 0, 0))] == [()]
+
+
+def test_one_layer_ts_yield_canonical_labels():
+    # each T is built from its cells directly, equal to the pmat of them
+    A = M.pmat(3, [(2, 1, 1), (2, 2, 2), (2, 4, 1), (3, 3, 1)])
+    alphas = ((2, 1, 0), (3, 1, 0), (5, 1, 0), (2, 1, 1), (0, 0, 0))
+    grid = [T for alpha in alphas for T in M.one_layer_ts(A, alpha)]
+    grid += [T for _, T in upper_term_cases()]
+    for T in grid:
+        P = M.pmat(T.n, T.entries)
+        assert T.entries == P.entries and hash(T) == hash(P)
+        assert T == P and P == T
+    assert len(grid) == 4 + 3 + 1 + 7060
 
 
 def test_band_matrices_counts_and_membership():

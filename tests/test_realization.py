@@ -15,6 +15,7 @@ from affq import matrices as M
 from affq import realization as R
 from affq import schur as S
 from affq import verify as V
+from test_schur import msub, tilde
 
 
 def mixed_labels(n, max_sigma, max_dist):
@@ -619,7 +620,7 @@ def plus_reference(alpha, x):
             coeff = _coeff_plus(A, T)
             if not coeff:
                 continue
-            label = M.madd(M.msub(A, M.offdiag(M.tilde(T))), M.offdiag(T))
+            label = M.madd(msub(A, M.offdiag(tilde(T))), M.offdiag(T))
             if not M.is_nonneg(label):
                 continue
             delta = tuple(T.entry(i, i) for i in range(1, x.n + 1))
@@ -660,8 +661,9 @@ def wide_rows(alpha, A, normalize=True, divide=True):
     wide = M.madd(A, M.diag(w))
     B = M.madd(M.s_alpha(alpha), M.diag(M.ro(A)))
     out = []
+    amap = S.entry_map(wide)
     for T in M.one_layer_ts(wide, alpha):
-        C, c = S.upper_term(wide, T)
+        C, c = S.upper_term(amap, T)
         nu = tuple(C.entry(i, i) for i in range(1, n + 1))
         delta = tuple(T.entry(i, i) for i in range(1, n + 1))
         if divide:

@@ -194,13 +194,58 @@ def upper_term_cases(capped=True):
                         lifted = M.pmat(n, [(i, j, max(a, alpha[i - 2])) for i, j, a in A.entries])
                     for T in M.one_layer_ts(lifted, alpha):
                         yield A, T
-        if not capped:
-            continue
-        for A in V.mixed_labels(n, 2, n):
-            for alpha in V._alpha_grid(n, 2):
-                wide = M.madd(A, M.diag(alpha[-1:] + alpha[:-1]))
-                for T in M.one_layer_ts(wide, alpha):
-                    yield wide, T
+        if capped:
+            yield from wide_cases(n)
+
+
+def wide_cases(n):
+    """(wide, T) for every candidate T of _plus_rows on the wide diagonals
+    wide = A + diag(w), w_i = alpha_{i-1}, of the level-free grid of n."""
+    for A in V.mixed_labels(n, 2, n):
+        for alpha in V._alpha_grid(n, 2):
+            wide = M.madd(A, M.diag(alpha[-1:] + alpha[:-1]))
+            for T in M.one_layer_ts(wide, alpha):
+                yield wide, T
+
+
+def tilde(A):
+    """Row shift: the matrix with entries a_{i-1,j} at position (i, j)."""
+    return M.pmat(A.n, [(i + 1, j, a) for i, j, a in A.entries])
+
+
+def msub(A, B):
+    return M.madd(A, M.mscale(-1, B))
+
+
+def exp_upper_e(A, T):
+    """The exponent of the v-power of the term of T, read off sorted rows."""
+    total = 0
+    for i, l, t in T.entries:
+        s = sum(a for j, a in M.row_support(A, i) if j > l)
+        s -= sum(tv for j, tv in M.row_support(T, i - 1) if j > l)
+        total += t * s
+    return 2 * total
+
+
+def upper_term_reference(A, T):
+    """S.upper_term(S.entry_map(A), T) from A.entry and T.entry scans, the
+    label built in three steps as madd(msub(A, tilde(T)), T)."""
+    coeff = L.one()
+    for i, j, t in T.entries:
+        coeff = L.mul(coeff, L.gauss_sq(A.entry(i, j) + t - T.entry(i - 1, j), t))
+    return M.madd(msub(A, tilde(T)), T), L.vshift(coeff, exp_upper_e(A, T))
+
+
+def test_upper_term_matches_reference():
+    # capped and uncapped, and the n = 4 wide diagonals of level-coherence
+    cases = [upper_term_cases(), upper_term_cases(capped=False), wide_cases(4)]
+    count = 0
+    for A, T in (case for grid in cases for case in grid):
+        C, c = S.upper_term(S.entry_map(A), T)
+        want_C, want_c = upper_term_reference(A, T)
+        assert C == want_C and C.entries == want_C.entries and c == want_c, (A, T)
+        count += 1
+    assert count == 7060 + 4281 + 14223
 
 
 def test_upper_terms_need_no_zero_or_sign_guard():
@@ -208,12 +253,12 @@ def test_upper_terms_need_no_zero_or_sign_guard():
     # Gaussian nonzero, so _e_mul_upper and _plus_rows keep every term
     count = 0
     for A, T in upper_term_cases():
-        C, c = S.upper_term(A, T)
+        C, c = S.upper_term(S.entry_map(A), T)
         assert M.is_nonneg(C) and c, (A, T)
         count += 1
     assert count == 7060
     # without the caps the same check finds both kinds of bad term
-    terms = [S.upper_term(A, T) for A, T in upper_term_cases(capped=False)]
+    terms = [S.upper_term(S.entry_map(A), T) for A, T in upper_term_cases(capped=False)]
     assert any(not M.is_nonneg(C) for C, _ in terms)
     assert any(not c for _, c in terms)
 
