@@ -330,9 +330,12 @@ def _plus_rows(alpha, A):
         C, coeff = S.upper_term(amap, T)
         nu = tuple(C.entry(i, i) for i in range(1, n + 1))
         delta = tuple(T.entry(i, i) for i in range(1, n + 1))
-        for x, t in zip(nu, delta):
-            if t:
-                coeff = L.divexact(coeff, L.gauss_sym(x, t))
+        try:
+            for x, t in zip(nu, delta):
+                if t:
+                    coeff = L.divexact(coeff, L.gauss_sym(x, t))
+        except ValueError as exc:  # the labels are valid: a failed invariant
+            raise AssertionError("plus row division failed: %s" % exc) from None
         shift = _j_shift_plus(T)
         coeff = L.vshift(coeff, M.d_exponent(C) - base - M.dot(nu, shift))
         out.append((M.offdiag(C), coeff, _vec_sub(w, nu), shift, delta))

@@ -6,6 +6,7 @@ offending cases attached.
 """
 
 import hashlib
+import importlib.util
 import json
 import random
 from pathlib import Path
@@ -88,6 +89,24 @@ def test_coset_length_reports_a_shorter_coset_element(monkeypatch):
     assert not report["ok"]
     diffs = [d for m in report["mismatches"] for d in m["diffs"]]
     # other labels' cosets hold the window too, so A is not the only mismatch
+    assert {"matrix": M.to_json(A), "failures": ["shorter coset element found"]} in diffs
+
+
+def test_coset_length_reports_a_shorter_element_on_the_right(monkeypatch):
+    # the mirror of the control above: W_lam is trivial for ro(A) = (1, 1),
+    # so only y v with v the transposition of W_mu, mu = co(A) = (2, 0),
+    # reaches the window that the patch reads as length 0
+    A = M.pmat(2, [(1, -1, 1), (2, 3, 1)])
+    y = P.pseudo_matrix_rep(A)
+    assert M.ro(A) == (1, 1) and M.co(A) == (2, 0)
+    v = [v for v in P.young_subgroup_elements(M.co(A)) if v != P.rho_power(0, 2)][0]
+    shorter = P.compose(y, v)
+    assert P.length(y) == 1 and shorter != y
+    length = P.length
+    monkeypatch.setattr(P, "length", lambda w: 0 if w == shorter else length(w))
+    report = V.run_suite("coset-length", SMALL)
+    assert not report["ok"]
+    diffs = [d for m in report["mismatches"] for d in m["diffs"]]
     assert {"matrix": M.to_json(A), "failures": ["shorter coset element found"]} in diffs
 
 
@@ -233,32 +252,6 @@ def test_schur_oracle_visits_each_label_once_beside_its_negation():
     assert report["checked"] == SUITE_COUNTS["schur-oracle"]["checks"]
 
 
-DRAW_SIZES = (1, 2, 3, 5, 6, 24)
-
-
-class DirectDraws(random.Random):
-    """A Random whose choice and randrange fail, so that the draws of
-    coset-length are seen to read getrandbits directly."""
-
-    def choice(self, seq):
-        raise AssertionError("the draw went through Random.choice or randrange")
-
-    randrange = _randbelow = choice
-
-
-def test_coset_draws_are_the_draws_of_random_choice():
-    # the indices and the final state of rng.choice(us), rng.choice(vs) in
-    # turn, for every pair of sizes
-    for seed in range(300):
-        a, b = DRAW_SIZES[seed % 6], DRAW_SIZES[seed // 6 % 6]
-        got_rng, want_rng = DirectDraws(seed), random.Random(seed)
-        bits = got_rng.getrandbits
-        for _ in range(V.COSET_SAMPLES):
-            want = want_rng.choice(range(a)), want_rng.choice(range(b))
-            assert (V._below(bits, a), V._below(bits, b)) == want
-        assert got_rng.getstate() == want_rng.getstate()
-
-
 def randrange_elem(rng, r):
     """The hecke suite's random element, drawn with rng.randrange: each
     term's coefficient, then its window."""
@@ -276,7 +269,7 @@ def test_hecke_draws_are_the_draws_of_randrange():
         streams = [("quad:%d" % r, "elem", 20 * r), ("rho:%d" % r, "perm", 25 * 5)]
         streams += [("assoc:%d:%d" % (r, chunk), "elem", 3 * 120) for chunk in range(4)]
         for seed, kind, count in streams:
-            got_rng, want_rng = DirectDraws(seed), random.Random(seed)
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
             for _ in range(count):
                 if kind == "elem":
                     assert V._rand_elem(got_rng, r) == randrange_elem(want_rng, r)
@@ -308,6 +301,50 @@ def test_hall_reports_a_miscounted_hall_number(monkeypatch):
             "brute": 4,
         }
     ]
+
+
+def test_hall_reports_a_label_outside_the_candidates(monkeypatch):
+    # u_{S_1} u_E also returns 3E, whose dimension vector is not that of
+    # S_1 + E: hall-closed compares it with the count 0, and hall-twist
+    # fails too, since route b sums the patched product
+    E = M.e_unit(1, 2, 2)
+    stray = M.mscale(3, E)
+    product = Ha.semisimple_hall_product
+
+    def extra(alpha, A):
+        out = product(alpha, A)
+        return {**out, stray: {0: 1}} if (tuple(alpha), A) == ((1, 0), E) else out
+
+    monkeypatch.setattr(Ha, "semisimple_hall_product", extra)
+    report = V.run_suite("hall", V.Config(n_list=(2,), r_min=2, r_max=2, q_list=(2, 3)))
+    cases = ["closed n=2,alpha=[1, 0]", "twist n=2,alpha=[1, 0]"]
+    assert [m["case"] for m in report["mismatches"]] == cases
+    assert report["mismatches"][0]["diffs"] == [
+        {
+            "alpha": [1, 0],
+            "matrix": M.to_json(E),
+            "target": M.to_json(stray),
+            "q": q,
+            "closed": 1,
+            "brute": 0,
+        }
+        for q in (2, 3)
+    ]
+
+
+def test_hall_closed_reports_a_product_term_that_is_no_label(monkeypatch):
+    # a diagonal entry makes no module: hall-closed reports the term, which
+    # reads q at each q, against the count 0 and does not hand it to the
+    # census, which refuses it
+    bad = M.pmat(2, [(1, 1, 1)])
+    product = Ha.semisimple_hall_product
+    monkeypatch.setattr(
+        Ha, "semisimple_hall_product", lambda alpha, A: {**product(alpha, A), bad: {1: 1}}
+    )
+    diffs = V._check_hall(("hall-closed", 2, (1, 0), (2, 3)))["diffs"]
+    assert len(diffs) == 2 * len(list(Ha.enumerate_labels(2, 3, 4)))
+    for d in diffs:
+        assert (d["target"], d["closed"], d["brute"]) == (M.to_json(bad), d["q"], 0)
 
 
 def test_hall_twist_reports_a_bent_polynomial_that_both_fields_miss(monkeypatch):
@@ -382,3 +419,14 @@ def test_level_suites_plan_only_labels_that_reach_r_max():
         assert len(cases) == count
         results = [V._SUITES[suite][1](case) for case in cases]
         assert all(res["ok"] and res["checked"] > 0 for res in results), suite
+
+
+def test_every_mutant_edit_finds_its_kernel():
+    # tests/data/mutants.py --run applies each edit to a copy of src; an old
+    # text that a refactor moved or duplicated would mutate nothing or the
+    # wrong line, so it must occur exactly once in src/affq, in its file
+    spec = importlib.util.spec_from_file_location("mutants", DATA / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len(mutants.MUTANTS) == 18
+    assert mutants.misplaced() == []

@@ -11,6 +11,8 @@ import pytest
 from affq import cli
 from affq import hall as Ha
 from affq import hecke as H
+from affq import laurent as L
+from affq import realization as R
 from affq import schur as S
 from affq import verify as V
 
@@ -474,6 +476,30 @@ def test_failed_oracle_division_exits_3(tmp_path, monkeypatch, capsys):
     S._oracle_mul.cache_clear()
     assert code == 3 and not out.exists()
     assert capsys.readouterr().err.startswith("internal error: oracle peeling failed")
+
+
+def test_failed_plus_row_division_exits_3(tmp_path, monkeypatch, capsys):
+    # a wrong Gaussian makes the exact division of a plus row fail on a valid
+    # symbol; the row table is cleared on both sides of the patch
+    R._plus_rows.cache_clear()
+    gauss_sym = L.gauss_sym
+    monkeypatch.setattr(L, "gauss_sym", lambda N, t: {0: 1, 1: 1} if t else gauss_sym(N, t))
+    element = {
+        "n": 2,
+        "terms": [
+            {
+                "matrix": {"n": 2, "entries": [[2, 1, 1]]},
+                "j": [0, 0],
+                "coeff_num": [[0, 1]],
+                "coeff_den": [[0, 1]],
+            }
+        ],
+    }
+    payload = {"op": "one-layer-upper", "alpha": [1, 0], "element": element}
+    code, _, out = run_cli(["vbln-mul"], payload, tmp_path)
+    R._plus_rows.cache_clear()
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err.startswith("internal error: plus row division failed")
 
 
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
