@@ -19,17 +19,17 @@ are listed here, each with its bound and what one suites pass of the
 benchmark (one process) puts in it:
 
 * laurent._gauss_sq (CACHE_SIZE): the items of a v^2 Gaussian; 10
-  entries, 11,851 hits.
+  entries, 8,342 hits.
 * laurent._factorial_sq (CACHE_SIZE): the items of a v^2 factorial; 5
-  entries, 2,456 hits.
-* matrices._d_exponent (CACHE_SIZE): the int d_A; 665 entries, 16,486
+  entries, 2,786 hits.
+* matrices._d_exponent (CACHE_SIZE): the int d_A; 694 entries, 16,478
   hits.
 * matrices._negate (PRODUCT_CACHE_SIZE): the label negate returns, shared
-  by every call; answers 15,719 of 18,788 calls on 989 labels.
+  by every call; answers 13,037 of 16,111 calls on 992 labels.
 * permutations._length (PRODUCT_CACHE_SIZE): the int length, keyed by the
-  window; answers 29,693 of 36,816 calls on 1,032 windows.
+  window; answers 29,336 of 36,459 calls on 1,032 windows.
 * permutations._reduced_word (CACHE_SIZE): (m, word), keyed by the window;
-  599 entries, 21,053 hits.
+  599 entries, 20,939 hits.
 * permutations._young_subgroup_elements (CACHE_SIZE): the tuple of the
   windows of the block subgroup of lam, shared by every call; 30 entries,
   3,833 hits.
@@ -41,18 +41,25 @@ benchmark (one process) puts in it:
   d_B; 1,438 entries, 14,886 hits.
 * schur._oracle_mul (PRODUCT_CACHE_SIZE): the items of oracle_mul;
   answers 3,706 of 8,764 calls.
-* schur._diag_fill (FILL_CACHE_SIZE): the (mu, A + diag(mu)) pairs, which
-  schur.diag_fill returns as is; answers 29,778 of 31,207 calls.
+* schur._fill_table (FILL_CACHE_SIZE): the weight-free rows (mu, A +
+  diag(mu), prod_i gauss_sym(mu_i, lam_i)) of the shadows of A(j, lam) at
+  level r, keyed by (A, lam, r), which schur.diag_fill returns as is at
+  lam = 0 and A_j_lambda_r shifts to every weight; answers 29,894 of
+  31,900 calls on 1,673 keys.
 * schur._e_mul_upper (PRODUCT_CACHE_SIZE): the (label, coeff) terms of
   e_mul_upper, which the Hall products also read, keyed by labels and
   never by a weight; keeps 3,366 of the 4,456 hits of its 2,536 label
   pairs.
 * realization._lambda_table (CACHE_SIZE): the (k, fraction) pairs that
-  reduce_j_lambda and each row of the plus product add to j; 8 entries,
-  5,642 hits.
+  reduce_j_lambda and each new row of the plus product add to j; 14
+  entries, 2,141 hits.
 * realization._plus_rows (PRODUCT_CACHE_SIZE): the weight-free rows
-  (label, coeff, jc, shift, delta) of the plus product, keyed by (alpha,
-  A); keeps 1,816 of the 1,907 hits of its 270 keys.
+  (label, coeff, jc, steps) of the plus product, keyed by (alpha, A);
+  keeps 1,007 of the 1,093 hits of its 277 keys.
+* realization._minus_rows (PRODUCT_CACHE_SIZE): the rows of the minus
+  product, the plus rows of (alpha', negate A) mapped through the index
+  negation, keyed by (alpha, A); keeps 812 of the 815 hits of its 272
+  keys.
 * hall._census (CACHE_SIZE): the types.MappingProxyType census behind
   hall.submodule_census; the suites pass does not reach it, and all
   eight suites fill it to 536 entries for 7,928 hits.
@@ -68,19 +75,24 @@ them reaches it: all eight suites in one process (affq verify --suite all
 schur._label_reps to 6,698.  PRODUCT_CACHE_SIZE and FILL_CACHE_SIZE
 bound the tables whose repeats fall within one verify case, so that a
 small table keeps almost every hit while peak memory grows with the
-bound: the four whose entries hold many labels, schur._oracle_mul,
-schur._e_mul_upper and realization._plus_rows (PRODUCT_CACHE_SIZE) and
-schur._diag_fill (FILL_CACHE_SIZE), and the three keyed by one label or
-window, matrices._negate, permutations._length and hecke._coset_factor.
-On the suites pass an unbounded schur._oracle_mul holds 4,856 entries for
-3,908 hits, an unbounded schur._diag_fill 980 entries for 30,227 hits,
-and _e_mul_upper and _plus_rows unbounded raise the peak from 20.7 to
-23.9 MB and save no time; at CACHE_SIZE, the three keyed by one label
+bound: the five whose entries hold many labels, schur._oracle_mul,
+schur._e_mul_upper, realization._plus_rows and realization._minus_rows
+(PRODUCT_CACHE_SIZE) and schur._fill_table (FILL_CACHE_SIZE), and the
+three keyed by one label or window, matrices._negate,
+permutations._length and hecke._coset_factor.  On the suites pass an
+unbounded schur._oracle_mul holds 4,856 entries for 3,908 hits, an
+unbounded schur._fill_table 1,673 entries for 30,227 hits, and
+_e_mul_upper and _plus_rows unbounded raise the peak from 20.7 to 23.9
+MB and save no time; at CACHE_SIZE, the three keyed by one label
 or window keep 58,580 hits instead of 50,036 in 2,567 entries, but raise
 the peak from 19.80 to 20.82 MB and save no time either.
-FILL_CACHE_SIZE stays above the others: at 128, the default
-level-coherence grid misses schur._diag_fill 32,796 times instead of
-21,681.  PRODUCT_CACHE_SIZE bounds cli._parsed too: --in and --out are
+FILL_CACHE_SIZE stays above the others: the default level-coherence
+grid misses schur._fill_table 86,050 times at 128 and 26,969 at 512.
+At 256 the rows of a nonzero lam push out the fills at lam = 0: 28,441
+misses there, and on every 8th label of the n = 4 level-coherence grid
+(mixed_labels(4, 2, 4), levels up to 4) 19,476 misses where 512 has
+13,445 and a slower pass; 512 raises the suites peak from 20.11 to
+20.22 MB.  PRODUCT_CACHE_SIZE bounds cli._parsed too: --in and --out are
 part of its key, so a caller naming a new path on every call would fill
 any bound, and a queries pass needs 7 entries.
 
@@ -99,7 +111,7 @@ from math import gcd
 CACHE_SIZE = 1 << 14
 # The repeats of these tables fall within one verify case, so a small
 # bound keeps the hits and caps peak memory.
-FILL_CACHE_SIZE = 256  # schur._diag_fill: the labels A + diag(mu) per entry
+FILL_CACHE_SIZE = 512  # schur._fill_table: the labels A + diag(mu) per entry
 PRODUCT_CACHE_SIZE = 128  # the products, the label maps and cli._parsed
 
 

@@ -16,8 +16,9 @@ exactly when lhs - rhs is the zero element, with no level evaluated.
 Coefficients are quotients of Laurent polynomials: the reduction step and
 the commutation coefficients introduce denominators, while every level
 evaluation clears them (asserted on each label's cross-denominator sum).
-A label whose terms share one denominator is cleared by a single division
-of its summed numerator, and a denominator of 1 needs none.
+When the terms share one denominator, each label is cleared by a single
+exact division of its summed numerator, and a denominator of 1 needs
+none.
 
 Only the superdiagonal product ``mul_by_semisimple_plus`` has a closed
 formula here, read off the level-r rule: the level-free structure
@@ -32,22 +33,31 @@ built once per (alpha, A).  The term of A(j) is
 Gaussians gauss_sym(nu_i, t_ii), nu = diag(C), which the reduction of the
 weighted symbol applies, times v^(d_C - d_wide - d_B - nu.shift + j.(w -
 nu)).  The weight j enters only through v^(j.(w - nu)), so the product
-reads one weight-free table of rows (label, coeff, jc, shift, delta) per
-(alpha, A), ``_plus_rows``, and applies it to every weight.  The test
-suite keeps the hand-derived per-T rule, evaluated at each weight, as its
-reference.
+reads one weight-free table of rows per (alpha, A) and applies it to
+every weight.  The test suite keeps the hand-derived per-T rule,
+evaluated at each weight, as its reference.
 
 The subdiagonal product is its conjugate under the index negation
-(i, j) -> (-i, -j): with 0-based vertex indices p,
-``mul_by_semisimple_minus(alpha, x)`` equals
-``negate_element(mul_by_semisimple_plus(alpha', negate_element(x)))``
-where ``negate_element`` sends A(j) to (negate A)(j') with
-j'[-p-2 mod n] = j[p] (vertex p+1 goes to -(p+1)), and
-alpha'[-p-3 mod n] = alpha[p] (the cell (p+2, p+1) goes to the
-superdiagonal cell (-p-2, -p-1)).
+(i, j) -> (-i, -j), which sends A(j) to (negate A)(j') with
+j'[-p-2 mod n] = j[p] for 0-based vertex indices p (vertex p+1 goes to
+-(p+1)): ``mul_by_semisimple_minus(alpha, x)`` is the negation of
+``mul_by_semisimple_plus(alpha', negation of x)``, alpha'[-p-3 mod n] =
+alpha[p] (the cell (p+2, p+1) goes to the superdiagonal cell
+(-p-2, -p-1)).
+
+The two products share one loop over signed rows (label, coeff, jc,
+steps): the term of A(j) is coeff v^(j.jc) c on label(j + k) for each
+step (k, c).  The plus rows, ``_plus_rows``, carry the reduction of
+label(j + shift, delta) expanded into the steps (shift + k, c) of
+``_lambda_table(delta)``.  The minus rows, ``_minus_rows``, are the plus
+rows of (alpha', negate A) with the label negated and jc and every k
+mapped by the weight negation ``_negate_weight``: the index negation is
+applied once per (alpha, A) key of one bounded table, and the mirror rule
+stays derived from the one plus rule.
 """
 
 import functools
+import operator
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -230,17 +240,17 @@ def eval_at_level(x, r):
     """The level-r shadow as a normalized-basis element.
 
     A term A(j) with coefficient num/den is den^-1 times the sum of
-    v^(mu.j) num [A + diag(mu)] over the diagonal fills of S.A_j_r: each
+    v^(mu.j) num [A + diag(mu)] over the rows of S.diag_fill(A, r): each
     symbol is checked by S.check_symbol, the rule A_j_r applies, and each
-    fill adds the shifted numerator straight into the group of terms
+    row adds the shifted numerator straight into the group of terms
     sharing its denominator (at a zero shift the numerator itself, shared
     and never mutated), so no Schur element and no monomial product is
-    built per term.  Each label is then cleared once: a label in one
-    group by a single exact division of its summed numerator, and by none
-    when that denominator is 1; only a label spread over several groups is
-    first summed with L.frac_add.  The cleared sum must be a Laurent
-    polynomial (one group's share need not be): a remaining denominator is
-    a failed invariant and raises AssertionError.
+    built per term.  When every term shares one denominator, each label is
+    cleared by a single exact division of its summed numerator, and by
+    none when that denominator is 1; otherwise a label in several groups
+    is first summed with L.frac_add.  The cleared sum must be a Laurent
+    polynomial (one group's share need not be): a remaining denominator
+    is a failed invariant and raises AssertionError.
 
     >>> S.text(eval_at_level(v_basis(2, M.pmat(2, []), (1, 0)), 2))
     '(v)*N[(1, 1, 1), (2, 2, 1)] + (v^2)*N[(1, 1, 2)] + (1)*N[(2, 2, 2)]'
@@ -248,19 +258,29 @@ def eval_at_level(x, r):
     if r < 0:
         raise ValueError("level must be nonnegative")
     groups = {}
+    den = None
     for (A, j), cf in x.terms.items():
         S.check_symbol(x.n, A, j)
-        group = groups.setdefault(tuple(sorted(cf.den.items())), (cf.den, {}))[1]
-        for mu, label in S.diag_fill(A, r):
-            k = M.dot(mu, j)
+        if cf.den != den:  # terms in a row share their denominator's group
+            den = cf.den
+            group = groups.setdefault(tuple(sorted(den.items())), (den, {}))[1]
+        for mu, label, _ in S.diag_fill(A, r):
+            k = sum(map(operator.mul, mu, j))
             L.acc(group, label, L.vshift(cf.num, k) if k else cf.num)
-    sums = {}
-    for den, group in groups.values():
-        for label, num in group.items():
-            f = L.LaurentFraction(num, den)
-            sums[label] = L.frac_add(sums[label], f) if label in sums else f
+    if len(groups) == 1:  # one shared denominator
+        ((den, sums),) = groups.values()
+        if den == {0: 1}:
+            return S.s_from_items(x.n, r, sums.items(), "n")
+        fracs = [(label, L.LaurentFraction(num, den)) for label, num in sums.items()]
+    else:
+        sums = {}
+        for den, group in groups.values():
+            for label, num in group.items():
+                f = L.LaurentFraction(num, den)
+                sums[label] = L.frac_add(sums[label], f) if label in sums else f
+        fracs = sums.items()
     items = []
-    for label, f in sums.items():
+    for label, f in fracs:
         try:
             c = L.frac_to_laurent(f)
         except ValueError as exc:
@@ -316,10 +336,12 @@ def _j_shift_plus(T):
 
 @functools.lru_cache(maxsize=L.PRODUCT_CACHE_SIZE)
 def _plus_rows(alpha, A):
-    """The weight-free rows (label, coeff, jc, shift, delta) of the plus
-    product on A(j), one per T, read off ``S.upper_term`` on Hall's wide
-    diagonal: the term of A(j) is coeff times v^(j.jc) on the reduction of
-    label(j + shift, delta) (see the module docstring)."""
+    """The weight-free rows (label, coeff, jc, steps) of the plus product
+    on A(j), one per T, read off ``S.upper_term`` on Hall's wide diagonal:
+    the term of A(j) is coeff v^(j.jc) c on label(j + k) for each step
+    (k, c), the reduction of label(j + shift, delta) expanded into the
+    steps (shift + k, c) of _lambda_table(delta) (see the module
+    docstring)."""
     n = A.n
     w = alpha[-1:] + alpha[:-1]
     wide = M.madd(A, M.diag(w))
@@ -338,8 +360,44 @@ def _plus_rows(alpha, A):
             raise AssertionError("plus row division failed: %s" % exc) from None
         shift = _j_shift_plus(T)
         coeff = L.vshift(coeff, M.d_exponent(C) - base - M.dot(nu, shift))
-        out.append((M.offdiag(C), coeff, _vec_sub(w, nu), shift, delta))
+        steps = tuple((_vec_add(shift, k), c) for k, c in _lambda_table(delta))
+        out.append((M.offdiag(C), coeff, _vec_sub(w, nu), steps))
     return tuple(out)
+
+
+def _negate_weight(j):
+    """The weight j' of the negated symbol (negate A)(j'): j'_{-i} = j_i
+    for vertices i mod n.  An involution."""
+    n = len(j)
+    return tuple(j[(-p - 2) % n] for p in range(n))
+
+
+@functools.lru_cache(maxsize=L.PRODUCT_CACHE_SIZE)
+def _minus_rows(alpha, A):
+    """The rows of the minus product on A(j), in the form of _plus_rows:
+    the plus rows of (alpha', negate A) with the label negated and jc and
+    every k mapped by _negate_weight (module docstring)."""
+    n = A.n
+    alpha_neg = tuple(alpha[(-p - 3) % n] for p in range(n))
+    return tuple(
+        (M.negate(label), coeff, _negate_weight(jc), tuple((_negate_weight(k), c) for k, c in steps))
+        for label, coeff, jc, steps in _plus_rows(alpha_neg, M.negate(A))
+    )
+
+
+def _one_layer_product(rows, alpha, x):
+    """The one-layer product of alpha on x that the row table rows
+    (_plus_rows or _minus_rows) gives, one pass over the rows of each
+    symbol."""
+    Ha.check_alpha(alpha, x.n)
+    out = {}
+    for (A, j), cf in x.terms.items():
+        for label, coeff, jc, steps in rows(tuple(alpha), A):
+            scalar = L.frac_scale(L.vshift(coeff, M.dot(j, jc)), cf)
+            for k, c in steps:
+                f = scalar if c is L.FRAC_ONE else L.frac_mul(scalar, c)
+                _vacc(out, (label, _vec_add(j, k)), f)
+    return VElement(x.n, out)
 
 
 def mul_by_semisimple_plus(alpha, x):
@@ -354,40 +412,14 @@ def mul_by_semisimple_plus(alpha, x):
     >>> mul_by_semisimple_plus((0, 0), x) == x
     True
     """
-    Ha.check_alpha(alpha, x.n)
-    out = {}
-    for (A, j), cf in x.terms.items():
-        for label, coeff, jc, shift, delta in _plus_rows(tuple(alpha), A):
-            scalar = L.frac_scale(L.vshift(coeff, M.dot(j, jc)), cf)
-            js = tuple(a + b for a, b in zip(j, shift))
-            for k, c in _lambda_table(delta):  # the reduction of label(js, delta)
-                f = scalar if c is L.FRAC_ONE else L.frac_mul(scalar, c)
-                _vacc(out, (label, tuple(a + b for a, b in zip(js, k))), f)
-    return VElement(x.n, out)
-
-
-def negate_element(x):
-    """Index negation on symbols: A(j) -> (negate A)(j') with j'_{-i} = j_i
-    for vertices i mod n.  An involution.
-
-    >>> text(negate_element(v_basis(3, M.e_unit(1, 2, 3), (1, 2, 3))))
-    '(1)*[(2, 1, 1)](2, 1, 3)'
-    """
-    n = x.n
-    out = {}
-    for (A, j), f in x.terms.items():
-        out[(M.negate(A), tuple(j[(-p - 2) % n] for p in range(n)))] = f
-    return VElement(n, out)
+    return _one_layer_product(_plus_rows, alpha, x)
 
 
 def mul_by_semisimple_minus(alpha, x):
     """Left product by the subdiagonal one-layer element of weights alpha,
     conjugate to the plus product under index negation (module docstring).
     """
-    Ha.check_alpha(alpha, x.n)
-    n = x.n
-    alpha_neg = tuple(alpha[(-p - 3) % n] for p in range(n))
-    return negate_element(mul_by_semisimple_plus(alpha_neg, negate_element(x)))
+    return _one_layer_product(_minus_rows, alpha, x)
 
 
 # ----------------------------------------------------------------------
@@ -406,6 +438,10 @@ def cyclic_difference(nu):
 
 def _vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
+
+
+def _vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def x_coeff(alpha, gamma, lam, mu):

@@ -358,41 +358,56 @@ def A_j_lambda_r(A, j, lam, r):
 
     Coefficient of [A + diag(mu)] is v^(mu.j) times the product of the
     symmetric Gaussians (mu_i over lam_i).  With lam = 0 this is A_j_r.
+    The weight-free rows come from the fill table of (A, lam, r), so each
+    term costs one v-shift, and none at j = 0, where the coefficient is
+    the table's own.
     """
     n = A.n
     check_symbol(n, A, j)
     if len(lam) != n:
         raise ValueError("weight length mismatch")
-    out = {}
-    for mu, label in diag_fill(A, r):
-        coeff = L.monomial(M.dot(mu, j))
-        for mi, li in zip(mu, lam):
-            if li:
-                coeff = L.mul(coeff, L.gauss_sym(mi, li))
-            if not coeff:
-                break
-        if coeff:
-            L.acc(out, label, coeff)
-    return SchurElement(n, r, "n", out)
+    rows = _fill_table(A, tuple(lam), r)
+    if any(j):
+        terms = {label: L.vshift(c, M.dot(mu, j)) for mu, label, c in rows}
+    else:
+        terms = {label: c for _, label, c in rows}
+    return SchurElement(n, r, "n", terms)
 
 
 def diag_fill(A, r):
-    """Tuple of (mu, A + diag(mu)) over the compositions mu of r - sigma(A),
-    the weight-free part of A_j_lambda_r; empty when sigma(A) > r.  The
-    tuple is a shared memo entry, read-only like every cached value.
+    """The fill table of A at lam = 0: a tuple of rows (mu, A + diag(mu),
+    1) over the compositions mu of r - sigma(A), the weight-free part of
+    A_j_r; empty when sigma(A) > r.  The tuple is a shared memo entry,
+    read-only like every cached value.
 
-    >>> [(mu, sorted(B.entries)) for mu, B in diag_fill(M.e_unit(1, 2, 2), 2)]
-    [((0, 1), [(1, 2, 1), (2, 2, 1)]), ((1, 0), [(1, 1, 1), (1, 2, 1)])]
+    >>> [(mu, sorted(B.entries), c) for mu, B, c in diag_fill(M.e_unit(1, 2, 2), 2)]
+    [((0, 1), [(1, 2, 1), (2, 2, 1)], {0: 1}), ((1, 0), [(1, 1, 1), (1, 2, 1)], {0: 1})]
     """
-    return _diag_fill(A, r)
+    return _fill_table(A, (0,) * A.n, r)
 
 
 @functools.lru_cache(maxsize=L.FILL_CACHE_SIZE)
-def _diag_fill(A, r):
+def _fill_table(A, lam, r):
+    """The rows (mu, A + diag(mu), prod_i gauss_sym(mu_i, lam_i)) over the
+    compositions mu of r - sigma(A), the rows whose product is zero
+    (some 0 <= mu_i < lam_i) dropped: every level-r shadow of A(j, lam)
+    is these rows with the coefficient shifted by v^(mu.j).  A nonzero
+    lam reads its labels off the rows at lam = 0."""
+    if any(lam):
+        out = []
+        for mu, label, _ in _fill_table(A, (0,) * A.n, r):
+            c = L.one()
+            for m, t in zip(mu, lam):
+                if t:
+                    c = L.mul(c, L.gauss_sym(m, t))
+            if c:
+                out.append((mu, label, c))
+        return tuple(out)
     s = M.sigma(A)
     if s > r:
         return ()
-    return tuple((mu, M.madd(A, M.diag(mu))) for mu in M.compositions(A.n, r - s))
+    one = L.one()  # shared by the rows, never mutated
+    return tuple((mu, M.madd(A, M.diag(mu)), one) for mu in M.compositions(A.n, r - s))
 
 
 # ----------------------------------------------------------------------

@@ -48,13 +48,13 @@ MUTANTS = (
         "realization.py",
         "tuple(j[(-p - 2) % n] for p in range(n))",
         "tuple(j[(-p - 1) % n] for p in range(n))",
-        "R.negate_element: weight index -p - 2 to -p - 1",
+        "R._negate_weight: weight index -p - 2 to -p - 1",
     ),
     (
         "realization.py",
         "alpha[(-p - 3) % n]",
         "alpha[(-p - 2) % n]",
-        "R.mul_by_semisimple_minus: alpha index -p - 3 to -p - 2",
+        "R._minus_rows: alpha index -p - 3 to -p - 2",
     ),
     (
         "realization.py",
@@ -89,8 +89,8 @@ MUTANTS = (
     ),
     (
         "realization.py",
-        "k = M.dot(mu, j)",
-        "k = -M.dot(mu, j)",
+        "k = sum(map(operator.mul, mu, j))",
+        "k = -sum(map(operator.mul, mu, j))",
         "R.eval_at_level: sign of the fill shift",
     ),
     (

@@ -347,6 +347,29 @@ def test_hall_closed_reports_a_product_term_that_is_no_label(monkeypatch):
         assert (d["target"], d["closed"], d["brute"]) == (M.to_json(bad), d["q"], 0)
 
 
+def test_hall_twist_reports_a_product_term_that_is_no_label(monkeypatch, tmp_path):
+    # route b has no twist exponent for a term that is no label: every twist
+    # case reports each label A as a mismatch, and the suite, run in
+    # process or through the CLI, still ends with its report
+    bad = M.pmat(2, [(1, 1, 1)])
+    product = Ha.semisimple_hall_product
+    monkeypatch.setattr(
+        Ha, "semisimple_hall_product", lambda alpha, A: {**product(alpha, A), bad: {1: 1}}
+    )
+    report = V.run_suite("hall", V.Config(n_list=(2,), r_min=2, r_max=2, q_list=(2, 3)))
+    twists = {m["case"]: m["diffs"] for m in report["mismatches"] if m["case"].startswith("twist")}
+    labels = Ha.enumerate_labels(2, 3, 5)
+    assert twists == {
+        "twist n=2,alpha=%s" % list(alpha): [
+            {"alpha": list(alpha), "matrix": M.to_json(A)} for A in labels
+        ]
+        for alpha in V._alpha_grid(2, 2)
+    }
+    out = tmp_path / "hall.json"
+    assert C.main(["verify", "--suite", "hall", "--n", "2", "--jobs", "1", "--out", str(out)]) == 1
+    assert out.exists()
+
+
 def test_hall_twist_reports_a_bent_polynomial_that_both_fields_miss(monkeypatch):
     # (q - 2)(q - 3) added to the 1 + q of u_{S_1} u_E vanishes at q = 2, 3:
     # every hall-closed case passes, and the v-polynomials of the twisted

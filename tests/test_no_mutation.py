@@ -127,6 +127,36 @@ def test_a_caller_cannot_corrupt_the_memoized_schur_values():
         assert S.to_json(op(*args)) == want, op.__name__
 
 
+def test_a_caller_cannot_corrupt_the_fill_table_at_weight_zero():
+    # at j = 0 the coefficients handed out are the fill table's own dicts,
+    # which the never-mutate rule keeps as they are; the map of terms is
+    # the caller's own
+    zero = (0, 0)
+    E, Z = M.e_unit(1, 2, 2), M.pmat(2, [])
+    cases = (
+        (S.A_j_r, (E, zero, 3)),
+        (S.A_j_r, (Z, zero, 2)),
+        (S.A_j_lambda_r, (E, zero, (1, 0), 3)),
+        (S.A_j_lambda_r, (Z, zero, (2, 1), 4)),
+        (S.A_j_lambda_r, (Z, zero, (0, 0), 2)),
+    )
+    for op, args in cases:
+        check_pure(op, *args)
+        got = op(*args)
+        want = S.to_json(got)
+        first, second = list(got.terms)[:2]
+        got.terms[first] = {7: 1}
+        del got.terms[second]
+        got.terms[M.diag((0, 9))] = {0: 1}
+        assert S.to_json(op(*args)) == want, op.__name__
+        got.terms.clear()
+        assert S.to_json(op(*args)) == want, op.__name__
+    assert [row[:2] for row in S.diag_fill(E, 2)] == [
+        ((0, 1), M.madd(E, M.diag((0, 1)))),
+        ((1, 0), M.madd(E, M.diag((1, 0)))),
+    ]
+
+
 def test_a_caller_cannot_corrupt_the_memoized_gaussians():
     cases = (
         (L.gauss_sq, (3, 1)),

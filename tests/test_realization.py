@@ -335,6 +335,52 @@ def test_eval_at_level_matches_the_per_term_reference():
             assert S.s_eq(R.eval_at_level(x, r), eval_reference(x, r)), (R.text(x), r)
 
 
+def eval_per_fill(x, r):
+    """eval_at_level as a straightforward sum: every fill mu of every term,
+    enumerated by M.compositions, adds v^(mu.j) cf to its label's fraction
+    with L.frac_add, and each label is cleared last."""
+    acc = {}
+    for (A, j), cf in x.terms.items():
+        s = M.sigma(A)
+        if s > r:
+            continue
+        for mu in M.compositions(x.n, r - s):
+            label = M.madd(A, M.diag(mu))
+            f = L.frac_scale(L.monomial(M.dot(mu, j)), cf)
+            acc[label] = L.frac_add(acc[label], f) if label in acc else f
+    items = [(label, L.frac_to_laurent(f)) for label, f in acc.items()]
+    return S.s_from_items(x.n, r, [(label, c) for label, c in items if c], "n")
+
+
+def multi_denominator_elements():
+    """Seeded sums of reductions and one-layer products of reductions, each
+    with terms over two or more denominators."""
+    rng = random.Random(79)
+    for n, max_sigma in ((2, 2), (3, 1)):
+        labels = V.mixed_labels(n, max_sigma, 1)
+        for _ in range(12):
+            x = R.v_zero(n)
+            for _ in range(rng.randrange(2, 4)):
+                A = rng.choice(labels)
+                j = tuple(rng.randrange(-2, 3) for _ in range(n))
+                lam = tuple(rng.randrange(0, 3) for _ in range(n))
+                y = R.reduce_j_lambda(A, j, lam)
+                alpha = tuple(rng.randrange(0, 2) for _ in range(n))
+                op = rng.choice((None, R.mul_by_semisimple_plus, R.mul_by_semisimple_minus))
+                x = R.v_add(x, y if op is None else op(alpha, y))
+            if len(denominators(x)) > 1:
+                yield x
+
+
+def test_eval_at_level_over_several_denominators_matches_the_per_fill_sum():
+    elements = list(multi_denominator_elements()) + shadow_elements() + [split_element()]
+    assert len(elements) >= 20
+    assert max(len(denominators(x)) for x in elements) >= 3
+    for x in elements:
+        for r in range(5):
+            assert S.s_eq(R.eval_at_level(x, r), eval_per_fill(x, r)), (R.text(x), r)
+
+
 def test_eval_at_level_clears_each_label_across_its_groups():
     x = split_element()
     got = R.eval_at_level(x, 2)
@@ -473,13 +519,48 @@ def test_serre_relation_fails_with_a_wrong_bracket():
     assert serre(3, 1, 1, 2, gauss).terms
 
 
+def negate_element(x):
+    """Index negation on symbols: A(j) -> (negate A)(j') with j'_{-i} = j_i
+    for vertices i mod n, the 0-based index p going to -p - 2 mod n."""
+    n = x.n
+    out = {}
+    for (A, j), f in x.terms.items():
+        out[(M.negate(A), tuple(j[(-p - 2) % n] for p in range(n)))] = f
+    return R.VElement(n, out)
+
+
+def minus_reference(alpha, x):
+    """The minus product as the conjugate of the plus product under the
+    index negation, alpha'[-p-3 mod n] = alpha[p]: both the input and the
+    output negated on every call."""
+    n = x.n
+    alpha_neg = tuple(alpha[(-p - 3) % n] for p in range(n))
+    return negate_element(R.mul_by_semisimple_plus(alpha_neg, negate_element(x)))
+
+
 def test_negate_element_is_an_involution():
     for n in (2, 3):
         for A in [M.pmat(n, []), M.e_unit(1, 2, n), M.e_unit(2, 1, n)]:
             x = R.reduce_j_lambda(A, tuple(range(n)), (1,) + (0,) * (n - 1))
-            y = R.negate_element(x)
+            y = negate_element(x)
             assert {B for B, _ in y.terms} == {M.negate(A)}
-            assert R.negate_element(y) == x
+            assert negate_element(y) == x
+            for j in itertools.product(range(-1, 2), repeat=n):
+                assert R._negate_weight(R._negate_weight(j)) == j
+                assert negate_element(R.v_basis(n, A, j)).terms == {
+                    (M.negate(A), R._negate_weight(j)): L.FRAC_ONE
+                }
+
+
+def test_minus_product_rows_match_the_negated_plus_product():
+    # the signed minus rows against negate . plus . negate, with the terms
+    # in order and each coefficient's num/den representation
+    several = 0
+    for _, alpha, x in plus_cases():
+        want = exact_terms(minus_reference(alpha, x))
+        assert exact_terms(R.mul_by_semisimple_minus(alpha, x)) == want, (alpha, R.text(x))
+        several += len(x.terms) > 1 and len(denominators(x)) > 1
+    assert several > 100
 
 
 def test_plus_rows_on_strictly_upper_labels_keep_the_weight_and_the_diagonal():
@@ -491,8 +572,10 @@ def test_plus_rows_on_strictly_upper_labels_keep_the_weight_and_the_diagonal():
         zero = (0,) * n
         for A in Ha.enumerate_labels(n, 3, 5):
             for alpha in V._alpha_grid(n, 2):
-                for _, _, _, shift, delta in R._plus_rows(alpha, A):
-                    assert shift == zero and delta == zero, (alpha, A)
+                for _, _, _, steps in R._plus_rows(alpha, A):
+                    # shift = 0 and delta = 0: one step, k = 0 with c = 1
+                    ((k, c),) = steps
+                    assert k == zero and c is L.FRAC_ONE, (alpha, A)
                     rows += 1
     assert rows == 3207
 
@@ -632,7 +715,8 @@ def plus_reference(alpha, x):
 
 
 def plus_from_rows(rows, alpha, x):
-    """mul_by_semisimple_plus with rows(alpha, A) in place of R._plus_rows."""
+    """mul_by_semisimple_plus with rows(alpha, A) of the form (label, coeff,
+    jc, shift, delta) in place of R._plus_rows."""
     out = {}
     for (A, j), cf in x.terms.items():
         for label, coeff, jc, shift, delta in rows(tuple(alpha), A):
@@ -647,7 +731,7 @@ def plus_without_jc(alpha, x):
     """A wrong product: the rows' coefficients without their v^(j.jc)."""
 
     def rows(alpha, A):
-        return [(C, c, (0,) * A.n, s, d) for C, c, _, s, d in R._plus_rows(alpha, A)]
+        return [(C, c, (0,) * A.n, s, d) for C, c, _, s, d in wide_rows(alpha, A)]
 
     return plus_from_rows(rows, alpha, x)
 

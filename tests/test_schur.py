@@ -1,5 +1,6 @@
 import doctest
 import functools
+import itertools
 import random
 
 import pytest
@@ -390,6 +391,44 @@ def test_aj_lambda_reduces_to_aj():
                 assert S.s_eq(
                     S.A_j_lambda_r(A, j, (0, 0), r), S.A_j_r(A, j, r)
                 )
+
+
+def A_j_lambda_r_reference(A, j, lam, r):
+    """A_j_lambda_r with its Gaussian products redone on every call: over
+    the compositions mu of r - sigma(A), the coefficient of [A + diag(mu)]
+    is v^(mu.j) times each gauss_sym(mu_i, lam_i) with lam_i > 0,
+    multiplied in one by one, and a zero product is dropped."""
+    n = A.n
+    S.check_symbol(n, A, j)
+    out = {}
+    s = M.sigma(A)
+    for mu in M.compositions(n, r - s) if s <= r else ():
+        coeff = L.monomial(M.dot(mu, j))
+        for mi, li in zip(mu, lam):
+            if li:
+                coeff = L.mul(coeff, L.gauss_sym(mi, li))
+            if not coeff:
+                break
+        if coeff:
+            L.acc(out, M.madd(A, M.diag(mu)), coeff)
+    return S.SchurElement(n, r, "n", out)
+
+
+def test_aj_lambda_matches_the_per_call_gaussian_loop():
+    # lam reaches parts above mu, where a Gaussian is zero and the row drops
+    zeros = 0
+    for n, max_sigma, top in ((2, 2, 3), (3, 1, 2)):
+        lams = list(itertools.product(range(top + 1), repeat=n))
+        for A in V.mixed_labels(n, max_sigma, 1):
+            for lam in lams:
+                for r in range(5):
+                    for j in V._weight_grid(n):
+                        got = S.A_j_lambda_r(A, j, lam, r)
+                        want = A_j_lambda_r_reference(A, j, lam, r)
+                        assert list(got.terms.items()) == list(want.terms.items())
+                    if any(t > m for mu, _, _ in S.diag_fill(A, r) for m, t in zip(mu, lam)):
+                        zeros += 1
+    assert zeros > 100
 
 
 def test_aj_lambda_frozen_small():
