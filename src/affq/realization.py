@@ -16,9 +16,6 @@ exactly when lhs - rhs is the zero element, with no level evaluated.
 Coefficients are quotients of Laurent polynomials: the reduction step and
 the commutation coefficients introduce denominators, while every level
 evaluation clears them (asserted on each label's cross-denominator sum).
-When the terms share one denominator, each label is cleared by a single
-exact division of its summed numerator, and a denominator of 1 needs
-none.
 
 Only the superdiagonal product ``mul_by_semisimple_plus`` has a closed
 formula here, read off the level-r rule: the level-free structure
@@ -57,7 +54,6 @@ stays derived from the one plus rule.
 """
 
 import functools
-import operator
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -245,12 +241,13 @@ def eval_at_level(x, r):
     row adds the shifted numerator straight into the group of terms
     sharing its denominator (at a zero shift the numerator itself, shared
     and never mutated), so no Schur element and no monomial product is
-    built per term.  When every term shares one denominator, each label is
-    cleared by a single exact division of its summed numerator, and by
-    none when that denominator is 1; otherwise a label in several groups
-    is first summed with L.frac_add.  The cleared sum must be a Laurent
-    polynomial (one group's share need not be): a remaining denominator
-    is a failed invariant and raises AssertionError.
+    built per term.  Each label is then cleared once: a label in one
+    group by a single exact division of its summed numerator; only a label
+    spread over several groups is first summed with L.frac_add.  When every
+    term has the denominator 1, which most level-coherence calls do, the
+    sums are the result and no label is wrapped as a fraction.  The cleared
+    sum must be a Laurent polynomial (one group's share need not be): a
+    remaining denominator is a failed invariant and raises AssertionError.
 
     >>> S.text(eval_at_level(v_basis(2, M.pmat(2, []), (1, 0)), 2))
     '(v)*N[(1, 1, 1), (2, 2, 1)] + (v^2)*N[(1, 1, 2)] + (1)*N[(2, 2, 2)]'
@@ -265,22 +262,17 @@ def eval_at_level(x, r):
             den = cf.den
             group = groups.setdefault(tuple(sorted(den.items())), (den, {}))[1]
         for mu, label, _ in S.diag_fill(A, r):
-            k = sum(map(operator.mul, mu, j))
+            k = M.dot(mu, j)
             L.acc(group, label, L.vshift(cf.num, k) if k else cf.num)
-    if len(groups) == 1:  # one shared denominator
-        ((den, sums),) = groups.values()
-        if den == {0: 1}:
-            return S.s_from_items(x.n, r, sums.items(), "n")
-        fracs = [(label, L.LaurentFraction(num, den)) for label, num in sums.items()]
-    else:
-        sums = {}
-        for den, group in groups.values():
-            for label, num in group.items():
-                f = L.LaurentFraction(num, den)
-                sums[label] = L.frac_add(sums[label], f) if label in sums else f
-        fracs = sums.items()
+    if list(groups) == [((0, 1),)]:  # every denominator is 1
+        return S.s_from_items(x.n, r, groups[((0, 1),)][1].items(), "n")
+    sums = {}
+    for den, group in groups.values():
+        for label, num in group.items():
+            f = L.LaurentFraction(num, den)
+            sums[label] = L.frac_add(sums[label], f) if label in sums else f
     items = []
-    for label, f in fracs:
+    for label, f in sums.items():
         try:
             c = L.frac_to_laurent(f)
         except ValueError as exc:

@@ -359,18 +359,14 @@ def A_j_lambda_r(A, j, lam, r):
     Coefficient of [A + diag(mu)] is v^(mu.j) times the product of the
     symmetric Gaussians (mu_i over lam_i).  With lam = 0 this is A_j_r.
     The weight-free rows come from the fill table of (A, lam, r), so each
-    term costs one v-shift, and none at j = 0, where the coefficient is
-    the table's own.
+    term costs one v-shift.
     """
     n = A.n
     check_symbol(n, A, j)
     if len(lam) != n:
         raise ValueError("weight length mismatch")
     rows = _fill_table(A, tuple(lam), r)
-    if any(j):
-        terms = {label: L.vshift(c, M.dot(mu, j)) for mu, label, c in rows}
-    else:
-        terms = {label: c for _, label, c in rows}
+    terms = {label: L.vshift(c, M.dot(mu, j)) for mu, label, c in rows}
     return SchurElement(n, r, "n", terms)
 
 

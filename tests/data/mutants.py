@@ -89,8 +89,8 @@ MUTANTS = (
     ),
     (
         "realization.py",
-        "k = sum(map(operator.mul, mu, j))",
-        "k = -sum(map(operator.mul, mu, j))",
+        "k = M.dot(mu, j)",
+        "k = -M.dot(mu, j)",
         "R.eval_at_level: sign of the fill shift",
     ),
     (

@@ -128,9 +128,9 @@ def test_a_caller_cannot_corrupt_the_memoized_schur_values():
 
 
 def test_a_caller_cannot_corrupt_the_fill_table_at_weight_zero():
-    # at j = 0 the coefficients handed out are the fill table's own dicts,
-    # which the never-mutate rule keeps as they are; the map of terms is
-    # the caller's own
+    # at j = 0 the weight shift is by zero, so the terms read the fill
+    # table's coefficients unchanged; the map of terms and every
+    # coefficient dict in it are the caller's own
     zero = (0, 0)
     E, Z = M.e_unit(1, 2, 2), M.pmat(2, [])
     cases = (
