@@ -248,6 +248,8 @@ def eval_at_level(x, r):
     sums are the result and no label is wrapped as a fraction.  The cleared
     sum must be a Laurent polynomial (one group's share need not be): a
     remaining denominator is a failed invariant and raises AssertionError.
+    The fill table checked each label as it built it, so the sums become
+    the element as they are.
 
     >>> S.text(eval_at_level(v_basis(2, M.pmat(2, []), (1, 0)), 2))
     '(v)*N[(1, 1, 1), (2, 2, 1)] + (v^2)*N[(1, 1, 2)] + (1)*N[(2, 2, 2)]'
@@ -265,21 +267,21 @@ def eval_at_level(x, r):
             k = M.dot(mu, j)
             L.acc(group, label, L.vshift(cf.num, k) if k else cf.num)
     if list(groups) == [((0, 1),)]:  # every denominator is 1
-        return S.s_from_items(x.n, r, groups[((0, 1),)][1].items(), "n")
+        return S.SchurElement(x.n, r, "n", groups[((0, 1),)][1])
     sums = {}
     for den, group in groups.values():
         for label, num in group.items():
             f = L.LaurentFraction(num, den)
             sums[label] = L.frac_add(sums[label], f) if label in sums else f
-    items = []
+    terms = {}
     for label, f in sums.items():
         try:
             c = L.frac_to_laurent(f)
         except ValueError as exc:
             raise AssertionError("level %d leaves a denominator: %s" % (r, exc)) from None
         if c:
-            items.append((label, c))
-    return S.s_from_items(x.n, r, items, "n")
+            terms[label] = c
+    return S.SchurElement(x.n, r, "n", terms)
 
 
 # ----------------------------------------------------------------------

@@ -70,18 +70,27 @@ def s_zero(n, r, basis="e"):
 
 def s_from_items(n, r, items, basis="e"):
     """Build an element from (label, coeff) pairs, merging duplicates."""
-    if basis not in ("e", "n"):
-        raise ValueError("basis must be 'e' or 'n'")
+    _check_basis(basis)
     out = {}
     for label, coeff in items:
-        if label.n != n:
-            raise ValueError("label size mismatch")
-        if M.sigma(label) != r:
-            raise ValueError("label level mismatch")
-        if not M.is_nonneg(label):
-            raise ValueError("labels must be nonnegative")
+        _check_label(label, n, r)
         L.acc(out, label, coeff)
     return SchurElement(n, r, basis, out)
+
+
+def _check_basis(basis):
+    if basis not in ("e", "n"):
+        raise ValueError("basis must be 'e' or 'n'")
+
+
+def _check_label(label, n, r):
+    """The rule for a basis label of an element of size n and level r."""
+    if label.n != n:
+        raise ValueError("label size mismatch")
+    if M.sigma(label) != r:
+        raise ValueError("label level mismatch")
+    if not M.is_nonneg(label):
+        raise ValueError("labels must be nonnegative")
 
 
 def basis_element(A, basis="e"):
@@ -123,8 +132,7 @@ def convert(x, basis):
     e_A = v^(d_A) [A], so moving a term from "e" to "n" shifts its
     coefficient by +d_A and the reverse shifts by -d_A.
     """
-    if basis not in ("e", "n"):
-        raise ValueError("basis must be 'e' or 'n'")
+    _check_basis(basis)
     if x.basis == basis:
         return SchurElement(x.n, x.r, x.basis, dict(x.terms))
     sign = 1 if basis == "n" else -1
@@ -317,10 +325,14 @@ def e_mul_lower(C, A):
 def n_mul_upper(B, A):
     """Product [B][A] in the normalized basis, upper one-layer left factor,
     read off e_mul_upper by the change of basis [A] = v^(-d_A) e_A."""
+    return SchurElement(B.n, M.sigma(A), "n", dict(_n_mul_upper(B, A)))
+
+
+def _n_mul_upper(B, A):
+    """The terms of n_mul_upper(B, A) as a list of (label, coeff) items."""
     items = _e_mul_upper(B, A)
     shift = M.d_exponent(B) + M.d_exponent(A)
-    out = {C: L.vshift(c, M.d_exponent(C) - shift) for C, c in items}
-    return SchurElement(B.n, M.sigma(A), "n", out)
+    return [(C, L.vshift(c, M.d_exponent(C) - shift)) for C, c in items]
 
 
 def n_mul_lower(C, A):
@@ -340,6 +352,31 @@ def A_j_r(A, j, r):
     '(v)*N[(1, 1, 1), (2, 2, 1)] + (v^2)*N[(1, 1, 2)] + (1)*N[(2, 2, 2)]'
     """
     return A_j_lambda_r(A, j, (0,) * A.n, r)
+
+
+def level_shadow(A, j, r, basis):
+    """A_j_r(A, j, r) in the basis "n", or its conversion to the basis "e",
+    from a memo table: each call returns a fresh map of terms over the
+    table's shared coefficients.
+
+    >>> text(level_shadow(M.e_unit(2, 1, 2), (1, 0), 2, "e"))
+    '(v)*e[(1, 1, 1), (2, 1, 1)] + (v^-1)*e[(2, 1, 1), (2, 2, 1)]'
+    """
+    return SchurElement(A.n, r, basis, dict(_shadow(A, tuple(j), r, basis)))
+
+
+@functools.lru_cache(maxsize=L.PRODUCT_CACHE_SIZE)
+def _shadow(A, j, r, basis):
+    """The terms of level_shadow(A, j, r, basis), read in one pass off the
+    fill table of A at lam = 0: the label A + diag(mu) has the coefficient
+    v^(mu.j) in the basis "n" and v^(mu.j - d(A + diag(mu))) in "e"."""
+    check_symbol(A.n, A, j)
+    _check_basis(basis)
+    std = basis == "e"
+    return tuple(
+        (label, L.monomial(M.dot(mu, j) - (M.d_exponent(label) if std else 0)))
+        for mu, label, _ in _fill_table(A, (0,) * A.n, r)
+    )
 
 
 def check_symbol(n, A, j):
@@ -388,7 +425,9 @@ def _fill_table(A, lam, r):
     compositions mu of r - sigma(A), the rows whose product is zero
     (some 0 <= mu_i < lam_i) dropped: every level-r shadow of A(j, lam)
     is these rows with the coefficient shifted by v^(mu.j).  A nonzero
-    lam reads its labels off the rows at lam = 0."""
+    lam reads its labels off the rows at lam = 0, where each label is
+    checked once, as it is built, so that its readers build elements from
+    the rows without checking a label again."""
     if any(lam):
         out = []
         for mu, label, _ in _fill_table(A, (0,) * A.n, r):
@@ -403,7 +442,10 @@ def _fill_table(A, lam, r):
     if s > r:
         return ()
     one = L.one()  # shared by the rows, never mutated
-    return tuple((mu, M.madd(A, M.diag(mu)), one) for mu in M.compositions(A.n, r - s))
+    rows = tuple((mu, M.madd(A, M.diag(mu)), one) for mu in M.compositions(A.n, r - s))
+    for _, label, _ in rows:
+        _check_label(label, A.n, r)
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -473,6 +515,8 @@ def _oracle_mul(B, A):
         raise ValueError("labels must be nonnegative")
     if M.co(B) != M.ro(A):
         return ()
+    if r == 0:  # the group is trivial and e_0 is the unit
+        return ((A, L.one()),)
     lam, nu = M.ro(B), M.co(A)
     g = H.HeckeElement(r, {win: L.one() for win in _label_reps(A)[1]})
     g = H.left_mul_basis(_label_reps(B)[0], g, nu)
@@ -484,20 +528,23 @@ def _oracle_mul(B, A):
         raise AssertionError("oracle peeling failed: %s" % exc) from None
 
 
-def _bilinear(mul, x, y):
-    """Extend a product of basis labels bilinearly to x times y.  Every mul
+def _bilinear(items, x, y):
+    """Extend a product of basis labels bilinearly to x times y, items(B, A)
+    the (label, coeff) terms of the product of B and A.  Every product
     here is zero unless co(B) = ro(A), so y is bucketed by row sums and each
-    left label meets only its bucket."""
+    left label meets only its bucket.  A pair whose scale cb ca is 1 adds
+    the terms as they are."""
     rows = {}
     for A, ca in y.terms.items():
         rows.setdefault(M.ro(A), []).append((A, ca))
+    one = L.one()
     out = {}
     for B, cb in x.terms.items():
         for A, ca in rows.get(M.co(B), ()):
-            piece = mul(B, A)
             scale = L.mul(cb, ca)
-            for label, c in piece.terms.items():
-                L.acc(out, label, L.mul(c, scale))
+            unit = scale == one
+            for label, c in items(B, A):
+                L.acc(out, label, c if unit else L.mul(c, scale))
     return SchurElement(x.n, x.r, x.basis, out)
 
 
@@ -506,7 +553,7 @@ def oracle_product(x, y):
     _check_pair(x, y)
     if x.basis != "e":
         raise ValueError("oracle products act on the standard basis")
-    return _bilinear(oracle_mul, x, y)
+    return _bilinear(_oracle_mul, x, y)
 
 
 def closed_product_upper(x, y):
@@ -515,7 +562,7 @@ def closed_product_upper(x, y):
     if y.terms:  # _bilinear skips the labels that meet no row sum of y
         for B in x.terms:
             _upper_layer(B)
-    return _bilinear(n_mul_upper if x.basis == "n" else e_mul_upper, x, y)
+    return _bilinear(_n_mul_upper if x.basis == "n" else _e_mul_upper, x, y)
 
 
 def closed_product_lower(x, y):

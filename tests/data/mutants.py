@@ -130,6 +130,12 @@ MUTANTS = (
         "S.upper_term: Gaussian without - t_{i-1,l}",
     ),
     (
+        "schur.py",
+        "M.dot(mu, j) - (M.d_exponent(label)",
+        "M.dot(mu, j) + (M.d_exponent(label)",
+        "S._shadow: sign of d(label) in the standard-basis shift",
+    ),
+    (
         "hecke.py",
         "L.acc(out, _moved(win, pa, pb), L.mul(c, _V2))",
         "L.acc(out, _moved(win, pa, pb), L.mul(c, _V2M1))",

@@ -417,9 +417,11 @@ def test_triangular_reports_a_generator_that_drops_its_weight(monkeypatch, tmp_p
     # 0(j) read as 0(0) at every level: the leading coefficients lose
     # v^(j.(co(upper) + ro(lower)) + mu.j), so every case with j != 0 fails
     # and no label goes missing or leaves the corner order
-    A_j_r = S.A_j_r
+    level_shadow = S.level_shadow
     monkeypatch.setattr(
-        S, "A_j_r", lambda A, j, r: A_j_r(A, j if M.sigma(A) else (0,) * A.n, r)
+        S,
+        "level_shadow",
+        lambda A, j, r, basis: level_shadow(A, j if M.sigma(A) else (0,) * A.n, r, basis),
     )
     out = tmp_path / "triangular.json"
     assert C.main(["verify", "--suite", "triangular", "--out", str(out)]) == 1
@@ -451,5 +453,5 @@ def test_every_mutant_edit_finds_its_kernel():
     spec = importlib.util.spec_from_file_location("mutants", DATA / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
-    assert len(mutants.MUTANTS) == 18
+    assert len(mutants.MUTANTS) == 19
     assert mutants.misplaced() == []

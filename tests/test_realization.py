@@ -335,6 +335,25 @@ def test_eval_at_level_matches_the_per_term_reference():
             assert S.s_eq(R.eval_at_level(x, r), eval_reference(x, r)), (R.text(x), r)
 
 
+def test_eval_at_level_equals_the_checked_build_on_the_level_coherence_grid():
+    # eval_at_level builds its element from the sums, unchecked; every
+    # label must pass s_from_items, which merges nothing and drops nothing
+    for n in (2, 3):
+        for A in V.mixed_labels(n, 2, n):
+            for j in V._weight_grid(n):
+                x = R.v_basis(n, A, j)
+                for y in (x, R.mul_by_semisimple_plus((1,) + (0,) * (n - 1), x)):
+                    for r in range(max(1, M.sigma(A)), 4):
+                        got = R.eval_at_level(y, r)
+                        want = S.s_from_items(n, r, got.terms.items(), "n")
+                        assert got == want and all(got.terms.values())
+            for lam in V._lambda_grid(n)[:4]:
+                red = R.reduce_j_lambda(A, j, lam)
+                for r in range(max(1, M.sigma(A)), 4):
+                    got = R.eval_at_level(red, r)
+                    assert got == S.s_from_items(n, r, got.terms.items(), "n")
+
+
 def eval_per_fill(x, r):
     """eval_at_level as a straightforward sum: every fill mu of every term,
     enumerated by M.compositions, adds v^(mu.j) cf to its label's fraction

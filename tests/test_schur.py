@@ -570,3 +570,79 @@ def test_one_pass_peel_matches_the_repeated_min_route(monkeypatch):
         for r in (1, 2, 3):
             assert V._check_schur_oracle(("schur-oracle", n, V._BANDS[n], r))["ok"]
     assert (len(peeled), sum(peeled)) == (4604, 5694)  # products, labels
+
+
+# ----------------------------------------------------------------------
+# the level-shadow table and the bilinear products over cached items
+
+
+def test_level_shadow_matches_the_per_call_build():
+    # the per-call build convert(A_j_r(...), basis) is the reference
+    for n in (2, 3):
+        for A in V.mixed_labels(n, 2, n):
+            for j in V._weight_grid(n):
+                for r in range(5):
+                    for basis in ("e", "n"):
+                        got = S.level_shadow(A, j, r, basis)
+                        want = S.convert(S.A_j_r(A, j, r), basis)
+                        assert got == want, (A, j, r, basis)
+                        assert dict(S._shadow(A, j, r, basis)) == want.terms
+
+
+def bilinear_reference(mul, x, y):
+    """The bilinear product with one element per label pair, every term
+    multiplied by the pair's scale."""
+    rows = {}
+    for A, ca in y.terms.items():
+        rows.setdefault(M.ro(A), []).append((A, ca))
+    out = {}
+    for B, cb in x.terms.items():
+        for A, ca in rows.get(M.co(B), ()):
+            scale = L.mul(cb, ca)
+            for label, c in mul(B, A).terms.items():
+                L.acc(out, label, L.mul(c, scale))
+    return S.SchurElement(x.n, x.r, x.basis, out)
+
+
+def test_bilinear_products_match_the_per_pair_reference():
+    rng = random.Random(35)
+    coeffs = ({0: 1}, {0: 1}, {1: 1}, {-1: 1}, {0: 2, 2: -1})
+    units = others = 0
+    for n, r in ((2, 2), (2, 3), (3, 2)):
+        labels = list(M.band_matrices(n, r, 1))
+        for _ in range(6):
+            mu = M.ro(rng.choice(labels))
+            for basis in ("e", "n"):
+                y = elem(n, r, [(A, rng.choice(coeffs)) for A in rng.sample(labels, 4)], basis)
+                ups = S.upper_shapes_for(mu)
+                lows = lower_shapes_for(mu)
+                xu = elem(n, r, [(B, rng.choice(coeffs)) for B in ups[:3]], basis)
+                xl = elem(n, r, [(C, rng.choice(coeffs)) for C in lows[:3]], basis)
+                for x in (xu, xl):
+                    for cb in x.terms.values():
+                        for ca in y.terms.values():
+                            if L.mul(cb, ca) == L.one():
+                                units += 1
+                            else:
+                                others += 1
+                upper, lower = (
+                    (S.e_mul_upper, S.e_mul_lower)
+                    if basis == "e"
+                    else (S.n_mul_upper, S.n_mul_lower)
+                )
+                assert S.closed_product_upper(xu, y) == bilinear_reference(upper, xu, y)
+                assert S.closed_product_lower(xl, y) == bilinear_reference(lower, xl, y)
+                if basis == "e":
+                    for x in (xu, xl, y):
+                        assert S.oracle_product(x, y) == bilinear_reference(S.oracle_mul, x, y)
+    assert units > 50 and others > 50
+
+
+def test_the_oracle_and_the_closed_form_agree_at_level_zero():
+    # the group is trivial at level 0, and e_0 is the unit
+    for n in (2, 3):
+        Z = M.pmat(n, [])
+        want = elem(n, 0, [(Z, L.one())])
+        assert S.oracle_mul(Z, Z) == S.e_mul_upper(Z, Z) == want
+        x = S.convert(S.A_j_r(Z, (0,) * n, 0), "e")
+        assert S.oracle_product(x, x) == S.closed_product_upper(x, x) == want
