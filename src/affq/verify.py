@@ -35,7 +35,7 @@ that triangular and level-coherence multiply come from one table keyed
 by the weight j in the Schur layer, ``schur._shadow``, bounded by
 ``L.PRODUCT_CACHE_SIZE``: an unbounded table on ``schur.A_j_r`` once
 raised the peak memory of a benchmark ``suites`` pass by 64%, and the
-bounded one moves it from 20.2 to 20.3 MB.
+bounded one moves it from 20.22 to 20.36 MB.
 """
 
 import functools
