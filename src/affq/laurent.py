@@ -22,7 +22,7 @@ benchmark (one process) puts in it:
   entries, 8,342 hits.
 * laurent._factorial_sq (CACHE_SIZE): the items of a v^2 factorial; 5
   entries, 2,786 hits.
-* matrices._d_exponent (CACHE_SIZE): the int d_A; 694 entries, 9,677
+* matrices._d_exponent (CACHE_SIZE): the int d_A; 694 entries, 9,581
   hits.
 * matrices._negate (PRODUCT_CACHE_SIZE): the label negate returns, shared
   by every call; answers 13,037 of 16,111 calls on 992 labels.
@@ -45,12 +45,12 @@ benchmark (one process) puts in it:
   diag(mu), prod_i gauss_sym(mu_i, lam_i)) of the shadows of A(j, lam) at
   level r, keyed by (A, lam, r), which schur.diag_fill returns as is at
   lam = 0 and A_j_lambda_r and schur._shadow shift to every weight;
-  answers 26,760 of 28,802 calls on 1,673 keys.
+  answers 28,306 of 30,312 calls on 1,673 keys.
 * schur._shadow (PRODUCT_CACHE_SIZE): the (label, coeff) items of
-  schur.level_shadow, the level-r shadow of A(j) in the basis its
-  product reads, keyed by (A, j, r, basis) and so by the weight, from
-  which each call builds a fresh map of terms; answers 3,593 of 3,906
-  calls on 254 keys.
+  schur.level_shadow, the level-r shadow of A(j) in the standard basis
+  that the oracle reads, keyed by (A, j, r) and so by the weight, from
+  which each call builds a fresh map of terms; answers 2,083 of 2,223
+  calls on 140 keys.
 * schur._e_mul_upper (PRODUCT_CACHE_SIZE): the (label, coeff) terms of
   e_mul_upper, which the Hall products also read, keyed by labels and
   never by a weight; keeps 3,366 of the 4,456 hits of its 2,536 label
@@ -84,13 +84,13 @@ bound: the six whose entries hold many labels, schur._oracle_mul,
 schur._e_mul_upper, schur._shadow, realization._plus_rows and
 realization._minus_rows (PRODUCT_CACHE_SIZE) and schur._fill_table
 (FILL_CACHE_SIZE), and the three keyed by one label or window,
-matrices._negate, permutations._length and hecke._coset_factor.  On the suites pass an
-unbounded schur._oracle_mul holds 4,856 entries for 3,908 hits, an
-unbounded schur._fill_table 1,673 entries for 27,129 hits, and
-_e_mul_upper and _plus_rows unbounded raise the peak from 20.7 to 23.9
-MB and save no time; at CACHE_SIZE, the three keyed by one label
-or window keep 58,580 hits instead of 50,036 in 2,567 entries, but raise
-the peak from 19.80 to 20.82 MB and save no time either.
+matrices._negate, permutations._length and hecke._coset_factor.  On
+the suites pass an unbounded schur._oracle_mul holds 4,856 entries for
+3,908 hits, an unbounded schur._fill_table 1,673 entries for 28,639
+hits, and _e_mul_upper and _plus_rows unbounded raise the peak from
+20.7 to 23.9 MB and save no time; at CACHE_SIZE, the three keyed by one
+label or window keep 58,580 hits instead of 50,036 in 2,567 entries,
+but raise the peak from 19.80 to 20.82 MB and save no time either.
 FILL_CACHE_SIZE stays above the others: the default level-coherence
 grid misses schur._fill_table 86,050 times at 128 and 26,969 at 512.
 At 256 the rows of a nonzero lam push out the fills at lam = 0: 28,441

@@ -354,27 +354,25 @@ def A_j_r(A, j, r):
     return A_j_lambda_r(A, j, (0,) * A.n, r)
 
 
-def level_shadow(A, j, r, basis):
-    """A_j_r(A, j, r) in the basis "n", or its conversion to the basis "e",
-    from a memo table: each call returns a fresh map of terms over the
-    table's shared coefficients.
+def level_shadow(A, j, r):
+    """convert(A_j_r(A, j, r), "e"), the level-r shadow of A(j) in the
+    standard basis that the oracle reads, from a memo table: each call
+    returns a fresh map of terms over the table's shared coefficients.
 
-    >>> text(level_shadow(M.e_unit(2, 1, 2), (1, 0), 2, "e"))
+    >>> text(level_shadow(M.e_unit(2, 1, 2), (1, 0), 2))
     '(v)*e[(1, 1, 1), (2, 1, 1)] + (v^-1)*e[(2, 1, 1), (2, 2, 1)]'
     """
-    return SchurElement(A.n, r, basis, dict(_shadow(A, tuple(j), r, basis)))
+    return SchurElement(A.n, r, "e", dict(_shadow(A, tuple(j), r)))
 
 
 @functools.lru_cache(maxsize=L.PRODUCT_CACHE_SIZE)
-def _shadow(A, j, r, basis):
-    """The terms of level_shadow(A, j, r, basis), read in one pass off the
-    fill table of A at lam = 0: the label A + diag(mu) has the coefficient
-    v^(mu.j) in the basis "n" and v^(mu.j - d(A + diag(mu))) in "e"."""
+def _shadow(A, j, r):
+    """The terms of level_shadow(A, j, r), read in one pass off the fill
+    table of A at lam = 0: the label A + diag(mu) has the coefficient
+    v^(mu.j) in the basis "n", so v^(mu.j - d(A + diag(mu))) in "e"."""
     check_symbol(A.n, A, j)
-    _check_basis(basis)
-    std = basis == "e"
     return tuple(
-        (label, L.monomial(M.dot(mu, j) - (M.d_exponent(label) if std else 0)))
+        (label, L.monomial(M.dot(mu, j) - M.d_exponent(label)))
         for mu, label, _ in _fill_table(A, (0,) * A.n, r)
     )
 
@@ -532,19 +530,16 @@ def _bilinear(items, x, y):
     """Extend a product of basis labels bilinearly to x times y, items(B, A)
     the (label, coeff) terms of the product of B and A.  Every product
     here is zero unless co(B) = ro(A), so y is bucketed by row sums and each
-    left label meets only its bucket.  A pair whose scale cb ca is 1 adds
-    the terms as they are."""
+    left label meets only its bucket."""
     rows = {}
     for A, ca in y.terms.items():
         rows.setdefault(M.ro(A), []).append((A, ca))
-    one = L.one()
     out = {}
     for B, cb in x.terms.items():
         for A, ca in rows.get(M.co(B), ()):
             scale = L.mul(cb, ca)
-            unit = scale == one
             for label, c in items(B, A):
-                L.acc(out, label, c if unit else L.mul(c, scale))
+                L.acc(out, label, L.mul(c, scale))
     return SchurElement(x.n, x.r, x.basis, out)
 
 

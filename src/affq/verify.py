@@ -30,12 +30,13 @@ with no case is refused before any case of the run starts.
 
 Nothing is kept across cases in this module: with ``--jobs`` above 1 the
 cases of a suite run in different workers, so a table shared between
-cases would hit in one process and miss in another.  The level shadows
-that triangular and level-coherence multiply come from one table keyed
-by the weight j in the Schur layer, ``schur._shadow``, bounded by
+cases would hit in one process and miss in another.  The standard-basis
+level shadows that triangular and the diag-right products of
+level-coherence hand to the oracle come from one table keyed by the
+weight j in the Schur layer, ``schur.level_shadow``, bounded by
 ``L.PRODUCT_CACHE_SIZE``: an unbounded table on ``schur.A_j_r`` once
 raised the peak memory of a benchmark ``suites`` pass by 64%, and the
-bounded one moves it from 20.22 to 20.36 MB.
+bounded one moves it from 20.23 to 20.34 MB.
 """
 
 import functools
@@ -415,17 +416,17 @@ def _level_products(A, r, jgrid, alphas):
     its factor A_j_r keeps, so that _at_weight reads it at any weight."""
     n = A.n
     zero, zero_j = M.pmat(n, []), (0,) * n
-    base = S.level_shadow(A, zero_j, r, "n")
-    base_e = S.level_shadow(A, zero_j, r, "e")
+    base = S.A_j_r(A, zero_j, r)
+    base_e = S.level_shadow(A, zero_j, r)
     out = {}
     for jp in jgrid:
-        gen = S.level_shadow(zero, jp, r, "n")
+        gen = S.A_j_r(zero, jp, r)
         out["diag-left", jp] = (S.closed_product_upper(gen, base), M.co)
-        right = S.oracle_product(base_e, S.level_shadow(zero, jp, r, "e"))
+        right = S.oracle_product(base_e, S.level_shadow(zero, jp, r))
         out["diag-right", jp] = (S.convert(right, "n"), M.ro)
     for alpha in alphas:
-        plus = S.level_shadow(M.s_alpha(alpha), zero_j, r, "n")
-        minus = S.level_shadow(M.t_s_alpha(alpha), zero_j, r, "n")
+        plus = S.A_j_r(M.s_alpha(alpha), zero_j, r)
+        minus = S.A_j_r(M.t_s_alpha(alpha), zero_j, r)
         out["one-layer-upper", alpha] = (S.closed_product_upper(plus, base), M.co)
         out["one-layer-lower", alpha] = (S.closed_product_lower(minus, base), M.co)
     return out
@@ -525,9 +526,9 @@ def _check_triangular(case):
     checked = 0
     diffs = []
     for r in range(max(1, M.sigma(A)), r_max + 1):
-        left = S.level_shadow(upper, zero_j, r, "e")
-        mid = S.level_shadow(M.pmat(A.n, []), j, r, "e")
-        right = S.level_shadow(lower, zero_j, r, "e")
+        left = S.level_shadow(upper, zero_j, r)
+        mid = S.level_shadow(M.pmat(A.n, []), j, r)
+        right = S.level_shadow(lower, zero_j, r)
         got = S.convert(S.oracle_product(S.oracle_product(left, mid), right), "n")
         fills = {label: mu for mu, label, _ in S.diag_fill(A, r)}
         bad = []

@@ -131,8 +131,8 @@ MUTANTS = (
     ),
     (
         "schur.py",
-        "M.dot(mu, j) - (M.d_exponent(label)",
-        "M.dot(mu, j) + (M.d_exponent(label)",
+        "M.dot(mu, j) - M.d_exponent(label)",
+        "M.dot(mu, j) + M.d_exponent(label)",
         "S._shadow: sign of d(label) in the standard-basis shift",
     ),
     (

@@ -421,7 +421,7 @@ def test_triangular_reports_a_generator_that_drops_its_weight(monkeypatch, tmp_p
     monkeypatch.setattr(
         S,
         "level_shadow",
-        lambda A, j, r, basis: level_shadow(A, j if M.sigma(A) else (0,) * A.n, r, basis),
+        lambda A, j, r: level_shadow(A, j if M.sigma(A) else (0,) * A.n, r),
     )
     out = tmp_path / "triangular.json"
     assert C.main(["verify", "--suite", "triangular", "--out", str(out)]) == 1

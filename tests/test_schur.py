@@ -577,16 +577,15 @@ def test_one_pass_peel_matches_the_repeated_min_route(monkeypatch):
 
 
 def test_level_shadow_matches_the_per_call_build():
-    # the per-call build convert(A_j_r(...), basis) is the reference
+    # the per-call build convert(A_j_r(...), "e") is the reference
     for n in (2, 3):
         for A in V.mixed_labels(n, 2, n):
             for j in V._weight_grid(n):
                 for r in range(5):
-                    for basis in ("e", "n"):
-                        got = S.level_shadow(A, j, r, basis)
-                        want = S.convert(S.A_j_r(A, j, r), basis)
-                        assert got == want, (A, j, r, basis)
-                        assert dict(S._shadow(A, j, r, basis)) == want.terms
+                    got = S.level_shadow(A, j, r)
+                    want = S.convert(S.A_j_r(A, j, r), "e")
+                    assert got == want, (A, j, r)
+                    assert dict(S._shadow(A, j, r)) == want.terms
 
 
 def bilinear_reference(mul, x, y):
