@@ -14,8 +14,8 @@ T_w T_{rho^m} = T_{w rho^m} for the length-zero shift.  General basis
 products factor a basis element into a shift times a reduced word, and
 apply the shift first (see ``left_mul_basis`` and ``right_mul_basis``);
 ``mul`` takes each window of its left factor from the cheaper side.  Sums
-of T_w over block subgroups and their double cosets are provided for the
-convolution layer.
+of T_w over block subgroups and their double cosets check the coset
+identity that the convolution layer's oracle rests on.
 
 The left actions also act on the permutation module H x_nu, x_nu the sum
 of T_u over the block subgroup W_nu.  An element there is a HeckeElement
@@ -28,9 +28,9 @@ every block of nu), standing for sum c_d T_d x_nu.  For the generator
     T_s T_d x_nu = v^2 T_d x_nu                          otherwise (sd = d s'
                                                          with s' in W_nu).
 
-``left_mul_gen``, ``left_mul_basis`` and ``x_mul_left`` take nu; the
-regular action is the case nu = (1^r), whose block subgroup is trivial,
-and nu = () means the same.  The right actions (``right_mul_gen``,
+``left_mul_gen`` and ``left_mul_basis`` take nu; the regular action is
+the case nu = (1^r), whose block subgroup is trivial, and nu = () means
+the same.  ``x_mul_left`` and the right actions (``right_mul_gen``,
 ``right_mul_rho``, ``right_mul_basis``) act on the regular module only.
 """
 
@@ -244,30 +244,29 @@ def mul(a, b):
     return HeckeElement(a.r, out)
 
 
-def _stair_left(h, p, m, nu):
+def _stair_left(h, p, m):
     # T over the symmetric group on positions p+1..p+m equals
     # (sum of T over coset leaders s_j...s_{p+m-1}) times the same for m-1;
     # each leader extends the previous by one generator on the left.
     if m <= 1:
         return h
-    h1 = _stair_left(h, p, m - 1, nu)
+    h1 = _stair_left(h, p, m - 1)
     total = dict(h1.terms)
     g = h1
     for j in range(p + m - 1, p, -1):
-        g = left_mul_gen(j, g, nu)
+        g = left_mul_gen(j, g)
         for win, c in g.terms.items():
             L.acc(total, win, c)
     return HeckeElement(h.r, total)
 
 
-def x_mul_left(lam, h, nu=()):
-    """x_lam * h without expanding the block subgroup, in H x_nu when nu
-    is given."""
+def x_mul_left(lam, h):
+    """x_lam * h without expanding the block subgroup."""
     if sum(lam) != h.r:
         raise ValueError("composition must sum to the level")
     pos = 0
     for part in lam:
-        h = _stair_left(h, pos, part, nu)
+        h = _stair_left(h, pos, part)
         pos += part
     return h
 

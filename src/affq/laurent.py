@@ -27,18 +27,18 @@ benchmark (one process) puts in it:
 * matrices._negate (PRODUCT_CACHE_SIZE): the label negate returns, shared
   by every call; answers 13,037 of 16,111 calls on 992 labels.
 * permutations._length (PRODUCT_CACHE_SIZE): the int length, keyed by the
-  window; answers 29,336 of 36,459 calls on 1,032 windows.
+  window; answers 43,745 of 51,473 calls on 1,164 windows.
 * permutations._reduced_word (CACHE_SIZE): (m, word), keyed by the window;
   599 entries, 20,939 hits.
 * permutations._young_subgroup_elements (CACHE_SIZE): the tuple of the
   windows of the block subgroup of lam, shared by every call; 30 entries,
   3,833 hits.
 * hecke._coset_factor (PRODUCT_CACHE_SIZE): the items of coset_factor;
-  answers 4,624 of 5,543 calls on 546 labels.
+  answers 7,082 of 11,751 calls on 1,438 labels.
 * schur._label_reps (CACHE_SIZE): the window of d_A beside the frozenset
-  of the coset windows of the double coset of A, from which the oracle
-  peel reads the windows of each label it names and _oracle_mul reads
-  d_B; 1,438 entries, 14,886 hits.
+  of the coset windows of the double coset of A, from which _oracle_mul
+  reads d_B, the length of each d_C and the windows of each label it
+  names; 1,438 entries, 14,886 hits.
 * schur._oracle_mul (PRODUCT_CACHE_SIZE): the items of oracle_mul;
   answers 3,706 of 8,764 calls.
 * schur._fill_table (FILL_CACHE_SIZE): the weight-free rows (mu, A +

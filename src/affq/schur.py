@@ -13,9 +13,9 @@ Products are available through two independent routes:
   permutation module ``H x_nu`` of the extended affine Hecke algebra,
   ``nu = co(A)`` (see ``hecke``): an element keeps one coefficient per
   shortest coset representative d of ``d W_nu`` instead of all
-  ``|W_nu|`` terms of the coset.  It composes double-coset sums and peels
-  the result back into basis labels.  It works for arbitrary label pairs
-  and serves as the reference implementation.
+  ``|W_nu|`` terms of the coset.  It applies T_{d_B} to e_A(x_nu) and
+  takes one weighted sum per double coset (see ``oracle_mul``), for
+  arbitrary label pairs; it serves as the reference implementation.
 * ``e_mul_upper`` / ``e_mul_lower`` / ``n_mul_upper`` / ``n_mul_lower``
   are closed-form multiplication rules that apply when the left factor
   is diagonal plus a single superdiagonal (upper) or subdiagonal
@@ -455,7 +455,8 @@ def _label_reps(A):
     """(d_A, reps) for the double coset W_lam d_A W_nu of the label A, lam
     and nu its row and column sums: the window of pseudo_matrix_rep(A), and
     the frozenset of the shortest windows of the cosets d W_nu inside it,
-    the block-sorted windows of u d_A for u in W_lam."""
+    the block-sorted windows of u d_A for u in W_lam, which the oracle
+    names all at once by the label."""
     d, blocks = P.pseudo_matrix_rep(A), P.blocks(M.co(A))
     reps = set()
     for u in P.young_subgroup_elements(M.ro(A)):
@@ -464,34 +465,16 @@ def _label_reps(A):
     return d, frozenset(reps)
 
 
-def _decompose(h, lam, nu):
-    """Peel an element of H x_nu, a sum of double cosets W_lam d W_nu, into
-    labels with coefficients.  Every window of a double coset gives its
-    label by P.double_coset_matrix, so each window not yet peeled names the
-    next double coset to pop."""
-    cur = dict(h.terms)
-    out = {}
-    for win, c in h.terms.items():
-        if win not in cur:
-            continue
-        label = P.double_coset_matrix(lam, win, nu)
-        for rep in _label_reps(label)[1]:
-            if cur.pop(rep, None) != c:
-                raise AssertionError("coefficients differ across a double coset")
-        if win in cur:
-            raise AssertionError("support did not shrink during peeling")
-        out[label] = c
-    return out
-
-
 def oracle_mul(B, A):
     """Product e_B e_A computed in the permutation module H x_nu, nu = co(A).
 
     e_A sends x_nu to the sum of T_d x_nu over the shortest representatives
-    d of the cosets d W_nu in W_mu d_A W_nu (mu = ro(A)).  Applying T_{d_B},
-    then x_lam, gives e_B e_A (x_nu) times the entry factorials of B; the
-    result is peeled into standard basis labels, and each coefficient is
-    divided exactly by those factorials.
+    d of the cosets d W_nu in W_mu d_A W_nu (mu = ro(A)).  Applying T_{d_B}
+    gives g = sum_u c_u T_u x_nu, and x_lam g is e_B e_A (x_nu) times the
+    entry factorials f(B) of B.  For w in W_lam, x_lam T_w = v^(2 l(w))
+    x_lam, and x_lam T_{d_C} x_nu is f(C) e_C(x_nu), so the coefficient of
+    e_C is f(C) / f(B) times the sum of c_u v^(2 (l(u) - l(d_C))) over the
+    windows u of g in the double coset of C, divided exactly.
 
     >>> B = M.madd(M.e_unit(1, 2, 2), M.diag((1, 0)))
     >>> A = M.madd(M.e_unit(2, 1, 2), M.diag((1, 0)))
@@ -503,7 +486,9 @@ def oracle_mul(B, A):
 
 @functools.lru_cache(maxsize=L.PRODUCT_CACHE_SIZE)
 def _oracle_mul(B, A):
-    """The terms of oracle_mul(B, A) as a tuple of (label, coeff) items."""
+    """The terms of oracle_mul(B, A) as a tuple of (label, coeff) items.
+    The first window of g in a double coset names its label C, by
+    P.double_coset_matrix, for every coset window of C."""
     if B.n != A.n:
         raise ValueError("size mismatch")
     r = M.sigma(A)
@@ -518,12 +503,21 @@ def _oracle_mul(B, A):
     lam, nu = M.ro(B), M.co(A)
     g = H.HeckeElement(r, {win: L.one() for win in _label_reps(A)[1]})
     g = H.left_mul_basis(_label_reps(B)[0], g, nu)
-    g = H.x_mul_left(lam, g, nu)
+    names, sums = {}, {}
+    for win, c in g.terms.items():
+        if win not in names:
+            C = P.double_coset_matrix(lam, win, nu)
+            d, reps = _label_reps(C)
+            if win not in reps:
+                raise AssertionError("window not among its label's coset windows")
+            names.update(dict.fromkeys(reps, (C, P.length(d))))
+        C, base = names[win]
+        L.acc(sums, C, L.vshift(c, 2 * (P.length(win) - base)))
     f = H.coset_factor(B)
     try:
-        return tuple((C, L.divexact(c, f)) for C, c in _decompose(g, lam, nu).items())
+        return tuple((C, L.divexact(L.mul(H.coset_factor(C), s), f)) for C, s in sums.items())
     except ValueError as exc:  # the labels are valid: a failed invariant
-        raise AssertionError("oracle peeling failed: %s" % exc) from None
+        raise AssertionError("oracle division failed: %s" % exc) from None
 
 
 def _bilinear(items, x, y):

@@ -147,6 +147,37 @@ MUTANTS = (
         "{tuple(x - m for x in win): c for win, c in h.terms.items()}",
         "H.left_mul_rho: shift sign",
     ),
+    (
+        "hecke.py",
+        "L.acc(out, ws, L.mul(c, _V2))",
+        "L.acc(out, ws, c)",
+        "H.right_mul_gen: no v^2 on the swapped window",
+    ),
+    (
+        "hecke.py",
+        "[x + hi for x in win[:q]]",
+        "[x + lo for x in win[:q]]",
+        "H.right_mul_rho: the wrapped part not lifted",
+    ),
+    (
+        "permutations.py",
+        "total += abs((y - x) // r)",
+        "total += abs(y - x) // r",
+        "P._length: abs((y - x) // r) to abs(y - x) // r",
+    ),
+    (
+        "matrices.py",
+        "            if cnt > 0:\n                total += a * b * cnt\n",
+        "            if cnt > 1:\n                total += a * b * cnt\n",
+        "M._d_exponent: cnt > 0 to cnt > 1",
+    ),
+    (
+        "laurent.py",
+        "            break\n    return tuple(out.items())\n",
+        "            break\n    if N < 0:\n        out = {e: -c for e, c in out.items()}\n"
+        "    return tuple(out.items())\n",
+        "L._gauss_sq: sign flipped at N < 0",
+    ),
 )
 
 

@@ -453,5 +453,5 @@ def test_every_mutant_edit_finds_its_kernel():
     spec = importlib.util.spec_from_file_location("mutants", DATA / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
-    assert len(mutants.MUTANTS) == 19
+    assert len(mutants.MUTANTS) == 24
     assert mutants.misplaced() == []

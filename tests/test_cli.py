@@ -465,17 +465,25 @@ def test_hall_rejects_an_oversized_census_before_the_product(tmp_path, monkeypat
 
 
 def test_failed_oracle_division_exits_3(tmp_path, monkeypatch, capsys):
-    # a wrong factorial scale makes the exact division fail on valid labels;
-    # the oracle table is cleared on both sides of the patch, so that no
-    # product memoized before it skips the patch and none memoized under it
+    # a wrong factorial scale on the labels with an off-diagonal entry makes
+    # the exact division by f(B) fail on valid labels: the scale 3 of such a
+    # B does not cancel against the true factor of a diagonal C; the oracle
+    # table is cleared on both sides of the patch, so that no product
+    # memoized before it skips the patch and none memoized under it
     # outlives it
+    coset_factor = H.coset_factor
+
+    def scaled(A):
+        return {0: 3} if any(i != j for i, j, _ in A.entries) else coset_factor(A)
+
     S._oracle_mul.cache_clear()
-    monkeypatch.setattr(H, "coset_factor", lambda B: {0: 3})
+    monkeypatch.setattr(H, "coset_factor", scaled)
     args = ["verify", "--suite", "schur-oracle", "--n", "2", "--r", "2"]
     code, _, out = run_cli(args, None, tmp_path)
     S._oracle_mul.cache_clear()
     assert code == 3 and not out.exists()
-    assert capsys.readouterr().err.startswith("internal error: oracle peeling failed")
+    err = capsys.readouterr().err
+    assert err == "internal error: oracle division failed: inexact division\n"
 
 
 def test_failed_plus_row_division_exits_3(tmp_path, monkeypatch, capsys):

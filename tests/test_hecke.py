@@ -444,8 +444,6 @@ def test_module_action_commutes_with_expansion():
                 if r > 1:
                     w = P.compose(w, rand_perm(rng, r))
                 assert_module_image(H.left_mul_basis(w, h, nu), H.left_mul_basis(w, full), nu)
-            for lam in M.compositions(2, r):
-                assert_module_image(H.x_mul_left(lam, h, nu), H.x_mul_left(lam, full), nu)
 
 
 def test_regular_module_is_the_group_action():

@@ -236,7 +236,7 @@ def test_round_trip_sweep():
 
 
 def test_every_double_coset_member_gives_its_label():
-    # the oracle peel labels a double coset by any window of it
+    # the oracle names the label of a double coset by any window of it
     labels = windows = 0
     for n, band in ((2, 2), (3, 1)):
         for r in (1, 2, 3):

@@ -499,77 +499,27 @@ def full_group_oracle(B, A):
 
 def test_module_oracle_matches_full_group_route():
     checked = 0
-    for r in (1, 2, 3):
-        labels = list(M.band_matrices(2, r, 2))
-        for B in labels:
-            for A in labels:
-                if M.co(B) == M.ro(A):
-                    assert S.s_eq(S.oracle_mul(B, A), full_group_oracle(B, A))
-                    checked += 1
-    assert checked == 14825
-
-
-def test_peel_invariant_failures_are_internal_errors():
-    # T_{s_1} x_nu is not a module element for nu = (2, 0): its window is
-    # not the shortest in its coset, so the double coset of (2, 1) has the
-    # member (1, 2), already peeled
-    bad = H.h_from_items(2, [((1, 2), {0: 2}), ((2, 1), {0: 1})])
-    with pytest.raises(AssertionError, match="coefficients differ across a double coset"):
-        S._decompose(bad, (2, 0), (2, 0))
-    # x_nu itself is the single double coset W_lam W_nu, of label diag(2, 0)
-    x_nu = H.h_from_items(2, [((1, 2), {0: 1})])
-    assert S._decompose(x_nu, (2, 0), (2, 0)) == {M.diag((2, 0)): {0: 1}}
-    # a double coset with a missing member
-    part = H.h_from_items(2, [((0, 3), {0: 1})])
-    with pytest.raises(AssertionError, match="coefficients differ across a double coset"):
-        S._decompose(part, (2, 0), (1, 1))
-    # (2, 1) names the double coset of diag(2, 0), whose one coset window
-    # (1, 2) is popped, while (2, 1) itself is left
-    stuck = H.h_from_items(2, [((2, 1), {0: 1}), ((1, 2), {0: 1})])
-    with pytest.raises(AssertionError, match="support did not shrink during peeling"):
-        S._decompose(stuck, (2, 0), (2, 0))
-
-
-def decompose_by_min(h, lam, nu):
-    """The repeated-min peel: on every round, pop the double coset of the
-    shortest window left, labelled by P.jmath of that window.  The windows
-    of H x_nu in a double coset are those of its members that increase on
-    every block of nu."""
-    inner = P.inner_positions(nu)
-    length = {w: P.length(w) for w in h.terms}
-    cur = dict(h.terms)
-    out = {}
-    while cur:
-        best = min(cur, key=lambda w: (length[w], w))
-        c = cur[best]
-        before = len(cur)
-        for win in double_coset_windows(lam, best, nu):
-            if all(win[p] < win[p + 1] for p in inner) and cur.pop(win, None) != c:
-                raise AssertionError("coefficients differ across a double coset")
-        if len(cur) >= before:
-            raise AssertionError("support did not shrink during peeling")
-        out[P.jmath(lam, best, nu)] = c
-    return out
-
-
-def test_one_pass_peel_matches_the_repeated_min_route(monkeypatch):
-    # every oracle product of the schur-oracle grid n = 2, 3 and r <= 3 is
-    # peeled both ways, to the same labels and coefficients
-    decompose = S._decompose
-    peeled = []
-
-    def both(h, lam, nu):
-        got = decompose(h, lam, nu)
-        assert got == decompose_by_min(h, lam, nu)
-        peeled.append(len(got))
-        return got
-
-    monkeypatch.setattr(S, "_decompose", both)
-    S._oracle_mul.cache_clear()  # so that every product is peeled here
-    for n in (2, 3):
+    for n, band in ((2, 2), (3, 1)):
         for r in (1, 2, 3):
-            assert V._check_schur_oracle(("schur-oracle", n, V._BANDS[n], r))["ok"]
-    assert (len(peeled), sum(peeled)) == (4604, 5694)  # products, labels
+            labels = list(M.band_matrices(n, r, band))
+            for B in labels:
+                for A in labels:
+                    if M.co(B) == M.ro(A):
+                        assert S.s_eq(S.oracle_mul(B, A), full_group_oracle(B, A))
+                        checked += 1
+    assert checked == 14825 + 3351
+
+
+def test_window_outside_its_label_is_an_internal_error(monkeypatch):
+    # T_{s_1} x_nu is not a module element for nu = (2, 0): its window (2, 1)
+    # is not the shortest in its coset, so it names the label diag(2, 0),
+    # whose one coset window is (1, 2)
+    stray = H.h_from_items(2, [((2, 1), {0: 1})])
+    monkeypatch.setattr(H, "left_mul_basis", lambda w, h, nu: stray)
+    S._oracle_mul.cache_clear()  # so that the product is built under the patch
+    with pytest.raises(AssertionError, match="window not among its label's coset windows"):
+        S.oracle_mul(M.diag((2, 0)), M.diag((2, 0)))
+    S._oracle_mul.cache_clear()
 
 
 # ----------------------------------------------------------------------
