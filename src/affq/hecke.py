@@ -280,14 +280,15 @@ def t_double_coset(lam, d, mu):
 
 def coset_factor(A):
     """Product of the bracket factorials [a]! over the entries a of A: the
-    scalar by which x_lam T_d x_mu exceeds the double-coset sum of A."""
-    return dict(_coset_factor(A))
+    scalar by which x_lam T_d x_mu exceeds the double-coset sum of A.  Its
+    table is keyed by the sorted entries above 1, since [0]! = [1]! = 1."""
+    return dict(_coset_factor(tuple(sorted(a for _, _, a in A.entries if a > 1))))
 
 
-@functools.lru_cache(maxsize=L.PRODUCT_CACHE_SIZE)
-def _coset_factor(A):
+@functools.lru_cache(maxsize=L.CACHE_SIZE)
+def _coset_factor(entries):
     f = L.one()
-    for _, _, a in A.entries:
+    for a in entries:
         f = L.mul(f, L.factorial_sq(a))
     return tuple(f.items())
 

@@ -19,42 +19,41 @@ are listed here, each with its bound and what one suites pass of the
 benchmark (one process) puts in it:
 
 * laurent._gauss_sq (CACHE_SIZE): the items of a v^2 Gaussian; 10
-  entries, 8,342 hits.
+  entries, 6,702 hits.
 * laurent._factorial_sq (CACHE_SIZE): the items of a v^2 factorial; 5
-  entries, 2,786 hits.
-* matrices._d_exponent (CACHE_SIZE): the int d_A; 694 entries, 9,581
+  entries, 698 hits.
+* matrices._d_exponent (CACHE_SIZE): the int d_A; 829 entries, 14,610
   hits.
 * matrices._negate (PRODUCT_CACHE_SIZE): the label negate returns, shared
-  by every call; answers 13,037 of 16,111 calls on 992 labels.
+  by every call; answers 10,442 of 13,061 calls on 990 labels.
 * permutations._length (PRODUCT_CACHE_SIZE): the int length, keyed by the
-  window; answers 43,745 of 51,473 calls on 1,164 windows.
+  window; answers 47,339 of 55,195 calls on 1,166 windows.
 * permutations._reduced_word (CACHE_SIZE): (m, word), keyed by the window;
-  599 entries, 20,939 hits.
+  599 entries, 22,082 hits.
 * permutations._young_subgroup_elements (CACHE_SIZE): the tuple of the
   windows of the block subgroup of lam, shared by every call; 30 entries,
-  3,833 hits.
-* hecke._coset_factor (PRODUCT_CACHE_SIZE): the items of coset_factor;
-  answers 7,082 of 11,751 calls on 1,438 labels.
+  3,837 hits.
+* hecke._coset_factor (CACHE_SIZE): the items of coset_factor, keyed by
+  the sorted entries above 1 of a label; 5 entries, 14,440 hits.
 * schur._label_reps (CACHE_SIZE): the window of d_A beside the frozenset
   of the coset windows of the double coset of A, from which _oracle_mul
   reads d_B, the length of each d_C and the windows of each label it
-  names; 1,438 entries, 14,886 hits.
+  names; 1,442 entries, 18,719 hits.
 * schur._oracle_mul (PRODUCT_CACHE_SIZE): the items of oracle_mul;
-  answers 3,706 of 8,764 calls.
+  answers 4,523 of 10,724 calls.
 * schur._fill_table (FILL_CACHE_SIZE): the weight-free rows (mu, A +
   diag(mu), prod_i gauss_sym(mu_i, lam_i)) of the shadows of A(j, lam) at
   level r, keyed by (A, lam, r), which schur.diag_fill returns as is at
   lam = 0 and A_j_lambda_r and schur._shadow shift to every weight;
-  answers 28,306 of 30,312 calls on 1,673 keys.
+  answers 26,593 of 28,635 calls on 1,673 keys.
 * schur._shadow (PRODUCT_CACHE_SIZE): the (label, coeff) items of
   schur.level_shadow, the level-r shadow of A(j) in the standard basis
   that the oracle reads, keyed by (A, j, r) and so by the weight, from
-  which each call builds a fresh map of terms; answers 2,083 of 2,223
-  calls on 140 keys.
+  which each call builds a fresh map of terms; answers 3,265 of 3,411
+  calls on 146 keys.
 * schur._e_mul_upper (PRODUCT_CACHE_SIZE): the (label, coeff) terms of
   e_mul_upper, which the Hall products also read, keyed by labels and
-  never by a weight; keeps 3,366 of the 4,456 hits of its 2,536 label
-  pairs.
+  never by a weight; keeps all 2,516 hits of its 2,516 label pairs.
 * realization._lambda_table (CACHE_SIZE): the (k, fraction) pairs that
   reduce_j_lambda and each new row of the plus product add to j; 14
   entries, 2,141 hits.
@@ -76,21 +75,21 @@ benchmark (one process) puts in it:
 
 CACHE_SIZE bounds the tables whose repeats span a whole run, and none of
 them reaches it: all eight suites in one process (affq verify --suite all
---jobs 1) fill the largest, matrices._d_exponent, to 8,491 entries and
-schur._label_reps to 6,698.  PRODUCT_CACHE_SIZE and FILL_CACHE_SIZE
+--jobs 1) fill the largest, schur._label_reps, to 12,462 entries and
+matrices._d_exponent to 12,291.  PRODUCT_CACHE_SIZE and FILL_CACHE_SIZE
 bound the tables whose repeats fall within one verify case, so that a
 small table keeps almost every hit while peak memory grows with the
 bound: the six whose entries hold many labels, schur._oracle_mul,
 schur._e_mul_upper, schur._shadow, realization._plus_rows and
 realization._minus_rows (PRODUCT_CACHE_SIZE) and schur._fill_table
-(FILL_CACHE_SIZE), and the three keyed by one label or window,
-matrices._negate, permutations._length and hecke._coset_factor.  On
-the suites pass an unbounded schur._oracle_mul holds 4,856 entries for
-3,908 hits, an unbounded schur._fill_table 1,673 entries for 28,639
-hits, and _e_mul_upper and _plus_rows unbounded raise the peak from
-20.7 to 23.9 MB and save no time; at CACHE_SIZE, the three keyed by one
-label or window keep 58,580 hits instead of 50,036 in 2,567 entries,
-but raise the peak from 19.80 to 20.82 MB and save no time either.
+(FILL_CACHE_SIZE), and the two keyed by one label or window,
+matrices._negate and permutations._length.  On the suites pass an
+unbounded schur._oracle_mul holds 4,876 entries for 5,848 hits, an
+unbounded schur._fill_table 1,673 entries for 26,962 hits, and
+_e_mul_upper and _plus_rows unbounded raise the peak from 20.7 to 23.9
+MB and save no time; at CACHE_SIZE, the two keyed by one label or
+window keep 66,100 hits instead of 57,781 in 2,156 entries, but raise
+the in-process peak from 19.1 to 20.1 MB and save no time either.
 FILL_CACHE_SIZE stays above the others: the default level-coherence
 grid misses schur._fill_table 86,050 times at 128 and 26,969 at 512.
 At 256 the rows of a nonzero lam push out the fills at lam = 0: 28,441

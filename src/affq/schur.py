@@ -35,10 +35,10 @@ e_A``, so each label C of ``e_mul_upper`` has its coefficient shifted by
 checks this basis change).  The index negation ``(i, j) -> (-i, -j)`` is
 an automorphism that preserves ``d_A`` and swaps the upper and lower
 one-layer shapes, so ``e_mul_lower(C, A) = negate(e_mul_upper(negate C,
-negate A))``, and the same for ``n_mul_lower``.  The oracles are unchanged:
-``oracle_mul`` faces the standard rules (schur-oracle), the level-free
-realization faces the normalized ones (level-coherence), and neither
-uses these derivations.
+negate A))``, and the same for ``n_mul_lower``.  ``oracle_mul`` faces
+the standard rules (schur-oracle), and ``oracle_product`` on level
+shadows faces the level-free rows that read ``upper_term``
+(level-coherence); neither oracle uses these derivations.
 """
 
 import functools

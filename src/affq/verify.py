@@ -15,14 +15,17 @@ its mirror (negate B, negate A), which runs over the lower pairs: the
 lower product is the negated upper one, still in its table.  It visits
 negate A right after A, so that the oracle product of a diagonal left
 factor, which both turns check, is also still in its table.
-Level-coherence builds each level-r product on A_j_r(A, 0, r) and reads
-it at every weight j by shifting each label C by v^((co(C) - co(A)).j),
-or by ro for diag-right, where A_j_r is the left factor.  The shift is
-exact: a product keeps the column sums of its right factor and the row
-sums of its left one, so co(C) - co(A) (ro(C) - ro(A))
-is the fill mu of the one term v^(mu.j) [A + diag(mu)] of A_j_r(A, j, r)
-that reaches C.  The weight j = 0 is on every grid, and there the product
-is compared as built, with no shift.
+Level-coherence compares each level-free product at level r with the
+Hecke oracle's product of standard-basis level shadows, the shadow of
+A(0) beside that of 0(j'), s_alpha(0) or t_s_alpha(0): the level-free
+rows read the per-T rule ``schur.upper_term`` and the level side reads
+no closed rule, so each closed rule faces one oracle.  A product is
+built once per level, at weight 0 in the basis "e", and read at each
+weight j by shifting each label C by v^(d_C), into the basis "n", and
+by v^((co(C) - co(A)).j), or ro for diag-right.  The shift is exact: a
+product keeps the column sums of its right factor and the row sums of
+its left one, so co(C) - co(A) (ro(C) - ro(A)) is the fill mu of the
+one term v^(mu.j) [A + diag(mu)] of A_j_r(A, j, r) that reaches C.
 
 Every suite builds cases for each n of the grid that it covers, the fixed
 grids of commutator and triangular from tables keyed by n; a suite left
@@ -31,12 +34,9 @@ with no case is refused before any case of the run starts.
 Nothing is kept across cases in this module: with ``--jobs`` above 1 the
 cases of a suite run in different workers, so a table shared between
 cases would hit in one process and miss in another.  The standard-basis
-level shadows that triangular and the diag-right products of
-level-coherence hand to the oracle come from one table keyed by the
-weight j in the Schur layer, ``schur.level_shadow``, bounded by
-``L.PRODUCT_CACHE_SIZE``: an unbounded table on ``schur.A_j_r`` once
-raised the peak memory of a benchmark ``suites`` pass by 64%, and the
-bounded one moves it from 20.23 to 20.34 MB.
+level shadows that triangular and level-coherence hand to the oracle
+come from one bounded table in the Schur layer, ``schur.level_shadow``
+(see the memo tables of ``laurent``).
 """
 
 import functools
@@ -411,37 +411,33 @@ def _lambda_grid(n):
 
 
 def _level_products(A, r, jgrid, alphas):
-    """The level-r products of level-coherence on A_j_r(A, 0, r), keyed by
-    (op, arg): each value is the product and the sums (M.co or M.ro) that
-    its factor A_j_r keeps, so that _at_weight reads it at any weight."""
-    n = A.n
-    zero, zero_j = M.pmat(n, []), (0,) * n
-    base = S.A_j_r(A, zero_j, r)
-    base_e = S.level_shadow(A, zero_j, r)
+    """The level-r products of level-coherence, keyed by (op, arg): the
+    Hecke oracle's product of the standard-basis shadows of A(0) and a
+    generator, in the basis "e", and the sums (M.co or M.ro) that the
+    shadow of A(0) keeps, so that _at_weight reads it at any weight."""
+    zero, zero_j = M.pmat(A.n, []), (0,) * A.n
+    base = S.level_shadow(A, zero_j, r)
     out = {}
     for jp in jgrid:
-        gen = S.A_j_r(zero, jp, r)
-        out["diag-left", jp] = (S.closed_product_upper(gen, base), M.co)
-        right = S.oracle_product(base_e, S.level_shadow(zero, jp, r))
-        out["diag-right", jp] = (S.convert(right, "n"), M.ro)
+        gen = S.level_shadow(zero, jp, r)
+        out["diag-left", jp] = (S.oracle_product(gen, base), M.co)
+        out["diag-right", jp] = (S.oracle_product(base, gen), M.ro)
     for alpha in alphas:
-        plus = S.A_j_r(M.s_alpha(alpha), zero_j, r)
-        minus = S.A_j_r(M.t_s_alpha(alpha), zero_j, r)
-        out["one-layer-upper", alpha] = (S.closed_product_upper(plus, base), M.co)
-        out["one-layer-lower", alpha] = (S.closed_product_lower(minus, base), M.co)
+        plus = S.level_shadow(M.s_alpha(alpha), zero_j, r)
+        minus = S.level_shadow(M.t_s_alpha(alpha), zero_j, r)
+        out["one-layer-upper", alpha] = (S.oracle_product(plus, base), M.co)
+        out["one-layer-lower", alpha] = (S.oracle_product(minus, base), M.co)
     return out
 
 
 def _at_weight(product, A, j):
-    """A product of _level_products at weight j: the label C takes
-    v^((sums(C) - sums(A)).j), since sums(C) - sums(A) is the fill mu of
-    the term v^(mu.j) [A + diag(mu)] of A_j_r(A, j, r) that gives C."""
+    """A product of _level_products at weight j, in the basis "n": the
+    label C takes v^(d_C + (sums(C) - sums(A)).j), sums(C) - sums(A) the
+    fill mu of the term v^(mu.j) [A + diag(mu)] of A_j_r(A, j, r) giving C."""
     x, sums = product
-    if not any(j):
-        return x
-    shift = M.dot(sums(A), j)
-    terms = {C: L.vshift(c, M.dot(sums(C), j) - shift) for C, c in x.terms.items()}
-    return S.SchurElement(x.n, x.r, x.basis, terms)
+    k = M.dot(sums(A), j)
+    terms = {C: L.vshift(c, M.d_exponent(C) + M.dot(sums(C), j) - k) for C, c in x.terms.items()}
+    return S.SchurElement(x.n, x.r, "n", terms)
 
 
 def _check_level_coherence(case):

@@ -9,9 +9,11 @@ checks that every old text still occurs exactly once, so a refactor that
 moves a kernel updates its row in the same change.
 
 With --run, each edit is applied to a temporary copy of src, the copy
-runs `affq verify --suite all --jobs 2`, and kill_table.json records per
+runs `affq verify --suite all --jobs 1`, and kill_table.json records per
 mutant the exit code and, per suite, the failing cases over the cases,
-or the last line of stderr when the run ends with no report.  The run
+or the last line of stderr when the run ends with no report.  One worker
+runs the cases in a fixed order, so the first error of a run, and the
+table, are the same bytes on every run.  The run
 exits 1 unless every mutant not marked equivalent ends with a nonzero
 exit and every equivalent one passes.  It takes a few minutes.  Run from
 the repository root:
@@ -198,7 +200,7 @@ def misplaced():
 
 
 def _run_mutant(file, old, new, tmp):
-    """Run `affq verify --suite all --jobs 2` on a copy of src with the
+    """Run `affq verify --suite all --jobs 1` on a copy of src with the
     edit applied; the kill record of the run."""
     src = os.path.join(tmp, "src")
     shutil.rmtree(src, ignore_errors=True)
@@ -211,7 +213,7 @@ def _run_mutant(file, old, new, tmp):
     out = os.path.join(tmp, "report.json")
     if os.path.exists(out):
         os.remove(out)
-    argv = [sys.executable, "-m", "affq.cli", "verify", "--suite", "all", "--jobs", "2"]
+    argv = [sys.executable, "-m", "affq.cli", "verify", "--suite", "all", "--jobs", "1"]
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run(argv + ["--out", out], env=env, capture_output=True, text=True)
     record = {"exit": run.returncode}

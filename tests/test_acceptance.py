@@ -163,7 +163,8 @@ def test_level_coherence_reports_a_wrong_diagonal_product(monkeypatch):
 
 def direct_product(op, A, j, arg, r):
     """The level-r product of level-coherence taken on A_j_r(A, j, r) at the
-    weight j itself: the route that reweighting the weight-0 product replaces."""
+    weight j itself, by the closed products (diag-right by the oracle): a
+    second route beside the reweighted oracle products of _level_products."""
     base = S.A_j_r(A, j, r)
     zero_j = (0,) * A.n
     if op == "diag-left":
@@ -191,19 +192,22 @@ def test_reweighted_level_products_match_the_products_at_each_weight():
                     for j in jgrid:
                         got = V._at_weight(product, A, j)
                         assert S.s_eq(got, direct_product(op, A, j, arg, r)), (op, A, j, arg, r)
-                        moved += not S.s_eq(got, product[0])
+                        moved += not S.s_eq(got, V._at_weight(product, A, (0,) * n))
     assert moved > 10000  # 10,528 of them
 
 
 def test_level_coherence_reports_a_dropped_lower_term(monkeypatch):
-    # the lower closed product loses the first term of every product
-    closed_product_lower = S.closed_product_lower
+    # the level-free lower product loses its first term over the denominator
+    # 1: a term over another denominator would leave one at every level, an
+    # internal error, not a mismatch
+    mul_by_semisimple_minus = R.mul_by_semisimple_minus
 
-    def dropped(x, y):
-        z = closed_product_lower(x, y)
-        return S.SchurElement(z.n, z.r, z.basis, dict(list(z.terms.items())[1:]))
+    def dropped(alpha, x):
+        z = mul_by_semisimple_minus(alpha, x)
+        polys = [key for key, f in z.terms.items() if f.den == L.one()]
+        return R.VElement(z.n, {k: f for k, f in z.terms.items() if k not in polys[:1]})
 
-    monkeypatch.setattr(S, "closed_product_lower", dropped)
+    monkeypatch.setattr(R, "mul_by_semisimple_minus", dropped)
     report = V.run_suite("level-coherence", SMALL)
     assert not report["ok"]
     diffs = [d for m in report["mismatches"] for d in m["diffs"]]
@@ -213,6 +217,50 @@ def test_level_coherence_reports_a_dropped_lower_term(monkeypatch):
         A, j, alpha = M.from_json(d["matrix"]), tuple(d["j"]), tuple(d["arg"])
         want = direct_product("one-layer-lower", A, j, alpha, d["r"])
         assert d["level"] == S.to_json(want)
+
+
+def upper_term_tail_ge(amap, T):
+    """S.upper_term with the row tails of T summed over j >= l, not j > l:
+    the T-tail edit of the mutant table (tests/data/mutants.py)."""
+    cells, tails = amap
+    n = T.n
+    label = dict(cells)
+    below = {}
+    for i, l, t in T.entries:
+        key = (i + 1, l) if i < n else (1, l - n)
+        below[key] = t
+        label[key] = label.get(key, 0) - t
+        label[i, l] = label.get((i, l), 0) + t
+    coeff = L.one()
+    total = 0
+    for i, l, t in T.entries:
+        coeff = L.mul(coeff, L.gauss_sq(cells.get((i, l), 0) + t - below.get((i, l), 0), t))
+        s = tails[i, l]
+        for (k, j), u in below.items():
+            if k == i and j >= l:
+                s -= u
+        total += t * s
+    entries = tuple(sorted((i, j, a) for (i, j), a in label.items() if a))
+    return M.PeriodicMatrix(n, entries), L.vshift(coeff, 2 * total)
+
+
+def test_level_coherence_reports_a_wrong_tail_in_the_per_t_rule(monkeypatch):
+    # the level-free one-layer rows read S.upper_term and the level-r
+    # products, from the Hecke oracle, do not: the edit moves one side only
+    tables = (S._e_mul_upper, R._plus_rows, R._minus_rows)
+    for table in tables:
+        table.cache_clear()
+    monkeypatch.setattr(S, "upper_term", upper_term_tail_ge)
+    try:
+        report = V.run_suite("level-coherence", SMALL)
+    finally:
+        monkeypatch.undo()
+        for table in tables:
+            table.cache_clear()
+    assert not report["ok"]
+    diffs = [d for m in report["mismatches"] for d in m["diffs"]]
+    assert {d["op"] for d in diffs} == {"one-layer-upper", "one-layer-lower"}
+    assert {tuple(d["j"]) for d in diffs} == set(V._weight_grid(2))
 
 
 def test_schur_oracle_reports_a_dropped_term(monkeypatch):
